@@ -18,6 +18,7 @@ the CSV; pass timing=True to include them.
 from __future__ import annotations
 
 import hashlib
+import itertools
 import math
 import time
 import warnings
@@ -27,14 +28,8 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .measurements import RipEstimate, estimate_rip, sample_map, sample_structured
-from .recovery import (
-    RecoveryConfig,
-    brute_force_decode,
-    iht_exact,
-    iht_head_tail,
-    iht_rank_one,
-    two_step_factorized,
-)
+from .projections import ENUMERATION_CAP
+from .recovery import ALGOS, solve
 
 __all__ = [
     "ALGOS",
@@ -54,7 +49,6 @@ __all__ = [
     "write_aggregate_csv",
 ]
 
-ALGOS = ("exact-iht", "head-tail", "rank-one", "two-step", "brute")
 ENSEMBLES = ("dense-gaussian", "rank-one", "factorized")
 
 CSV_HEADER = "algo,ensemble,n,s,r,m,trial,seed,noise,success,rel_error,iters,ms"
@@ -150,10 +144,11 @@ def default_inner_dim(n: int, s: int) -> int:
     return math.ceil(3 * s * math.log(math.e * n / s)) + 10
 
 
+_REQUIRED_KEYS = ("algo", "ensemble", "n", "s", "r", "m")
 _LIST_INT_KEYS = ("n", "s", "r")
-_SPEC_KEYS = {
-    "algo", "ensemble", "n", "s", "r", "m",
-    "trials_per_cell", "noise_level", "success_tol", "base_seed", "p",
+# optional scalar keys and the types their values are parsed as
+_SCALAR_KEYS = {
+    "trials_per_cell": int, "noise_level": float, "success_tol": float, "base_seed": int, "p": int,
 }
 
 
@@ -168,10 +163,10 @@ def parse_spec(lines) -> ExperimentSpec:
             raise ValueError(f"line {lineno}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in _SPEC_KEYS:
+        if key not in _REQUIRED_KEYS and key not in _SCALAR_KEYS:
             raise ValueError(f"line {lineno}: unknown spec key {key!r}")
         raw[key] = value.strip()
-    for key in ("algo", "ensemble", "n", "s", "r", "m"):
+    for key in _REQUIRED_KEYS:
         if key not in raw:
             raise ValueError(f"spec is missing the required key {key!r}")
     kwargs = {
@@ -181,50 +176,60 @@ def parse_spec(lines) -> ExperimentSpec:
     }
     for key in _LIST_INT_KEYS:
         kwargs[key] = [int(tok) for tok in raw[key].split(",") if tok.strip()]
-    if "trials_per_cell" in raw:
-        kwargs["trials_per_cell"] = int(raw["trials_per_cell"])
-    if "noise_level" in raw:
-        kwargs["noise_level"] = float(raw["noise_level"])
-    if "success_tol" in raw:
-        kwargs["success_tol"] = float(raw["success_tol"])
-    if "base_seed" in raw:
-        kwargs["base_seed"] = int(raw["base_seed"])
-    if "p" in raw:
-        kwargs["p"] = int(raw["p"])
+    for key, cast in _SCALAR_KEYS.items():
+        if key in raw:
+            kwargs[key] = cast(raw[key])
     return ExperimentSpec(**kwargs)
 
 
 def format_spec(spec: ExperimentSpec) -> str:
     """Inverse of parse_spec."""
-    lines = [
-        f"algo = {spec.algo}",
-        f"ensemble = {spec.ensemble}",
-        f"n = {', '.join(str(v) for v in spec.n)}",
-        f"s = {', '.join(str(v) for v in spec.s)}",
-        f"r = {', '.join(str(v) for v in spec.r)}",
-        f"m = {', '.join(str(v) for v in spec.m)}",
-        f"trials_per_cell = {spec.trials_per_cell}",
-        f"noise_level = {format(spec.noise_level, '.17g')}",
-        f"success_tol = {format(spec.success_tol, '.17g')}",
-        f"base_seed = {spec.base_seed}",
-    ]
-    if spec.p is not None:
-        lines.append(f"p = {spec.p}")
+    lines = [f"algo = {spec.algo}", f"ensemble = {spec.ensemble}"]
+    for key in ("n", "s", "r", "m"):
+        lines.append(f"{key} = {', '.join(str(v) for v in getattr(spec, key))}")
+    for key, cast in _SCALAR_KEYS.items():
+        value = getattr(spec, key)
+        if value is not None:
+            lines.append(f"{key} = {format(value, '.17g') if cast is float else value}")
     return "\n".join(lines) + "\n"
 
 
-def _cell_feasible(spec: ExperimentSpec, n: int, s: int, r: int, m: int) -> str | None:
+def _cells(spec: ExperimentSpec):
+    """(n, s, r, m) for every grid cell, in grid order."""
+    for n, s, r, m_entry in itertools.product(spec.n, spec.s, spec.r, spec.m):
+        yield n, s, r, resolve_m(m_entry, n, s, r)
+
+
+def _structure_infeasible(n: int, s: int, r: int, m: int) -> str | None:
+    """Why no structured matrix or map exists for the cell, or None."""
     if m < 1:
         return f"m={m} < 1"
     if not 1 <= s <= n:
         return f"s={s} outside [1, {n}]"
     if not 1 <= r <= s:
         return f"r={r} outside [1, s={s}]"
-    if spec.algo in ("exact-iht", "brute") and math.comb(n, s) > 2_000_000:
+    return None
+
+
+def _cell_feasible(spec: ExperimentSpec, n: int, s: int, r: int, m: int) -> str | None:
+    reason = _structure_infeasible(n, s, r, m)
+    if reason is not None:
+        return reason
+    if spec.algo in ("exact-iht", "brute") and math.comb(n, s) > ENUMERATION_CAP:
         return f"support enumeration over C({n},{s}) exceeds the cap"
     if spec.algo == "brute" and s * (s + 1) // 2 > m:
         return f"per-support fit needs {s * (s + 1) // 2} <= m={m}"
     return None
+
+
+def _cell_map(spec: ExperimentSpec, n: int, s: int, m: int, cell: tuple):
+    """The map of one cell, seeded by the cell tuple."""
+    p = spec.p if spec.p is not None else default_inner_dim(n, s)
+    return sample_map(
+        spec.ensemble, n, m,
+        p=p if spec.ensemble == "factorized" else None,
+        seed=derive_seed(*cell, "map"),
+    )
 
 
 def _run_single_trial(spec: ExperimentSpec, n: int, s: int, r: int, m: int,
@@ -232,27 +237,13 @@ def _run_single_trial(spec: ExperimentSpec, n: int, s: int, r: int, m: int,
     cell = (spec.base_seed, spec.algo, spec.ensemble, n, s, r, m, trial)
     seed = derive_seed(*cell)
     start = time.perf_counter()
-    p = spec.p if spec.p is not None else default_inner_dim(n, s)
-    mp = sample_map(
-        spec.ensemble, n, m,
-        p=p if spec.ensemble == "factorized" else None,
-        seed=derive_seed(*cell, "map"),
-    )
+    mp = _cell_map(spec, n, s, m, cell)
     signal, _ = sample_structured(n, s, r, np.random.default_rng(derive_seed(*cell, "signal")))
     y = mp.apply(signal)
     if spec.noise_level > 0:
         rng = np.random.default_rng(derive_seed(*cell, "noise"))
         y = y + rng.standard_normal(m) * (spec.noise_level * float(np.linalg.norm(y)) / np.sqrt(m))
-    if spec.algo == "exact-iht":
-        result = iht_exact(mp, y, s, r)
-    elif spec.algo == "head-tail":
-        result = iht_head_tail(mp, y, s, r)
-    elif spec.algo == "rank-one":
-        result = iht_rank_one(mp, y, s, r)
-    elif spec.algo == "two-step":
-        result = two_step_factorized(mp, y, s, r)
-    else:
-        result = brute_force_decode(mp, y, s, r)
+    result = solve(spec.algo, mp, y, s, r)
     rel_error = float(np.linalg.norm(result.estimate - signal)) / float(np.linalg.norm(signal))
     wall_ms = (time.perf_counter() - start) * 1000.0
     return TrialRecord(
@@ -269,25 +260,20 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
     """
     tasks = []
     records = []
-    for n in spec.n:
-        for s in spec.s:
-            for r in spec.r:
-                for m_entry in spec.m:
-                    m = resolve_m(m_entry, n, s, r)
-                    reason = _cell_feasible(spec, n, s, r, m)
-                    for trial in range(spec.trials_per_cell):
-                        if reason is None:
-                            tasks.append((len(records), (n, s, r, m, trial)))
-                            records.append(None)
-                        else:
-                            seed = derive_seed(spec.base_seed, spec.algo, spec.ensemble,
-                                               n, s, r, m, trial)
-                            records.append(TrialRecord(
-                                spec.algo, spec.ensemble, n, s, r, m, trial, seed,
-                                spec.noise_level, False, float("nan"), 0, 0.0,
-                            ))
-                    if reason is not None:
-                        warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
+    for n, s, r, m in _cells(spec):
+        reason = _cell_feasible(spec, n, s, r, m)
+        for trial in range(spec.trials_per_cell):
+            if reason is None:
+                tasks.append((len(records), (n, s, r, m, trial)))
+                records.append(None)
+            else:
+                seed = derive_seed(spec.base_seed, spec.algo, spec.ensemble, n, s, r, m, trial)
+                records.append(TrialRecord(
+                    spec.algo, spec.ensemble, n, s, r, m, trial, seed,
+                    spec.noise_level, False, float("nan"), 0, 0.0,
+                ))
+        if reason is not None:
+            warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
     if threads > 1 and tasks:
         with ThreadPoolExecutor(max_workers=threads) as pool:
             results = pool.map(lambda job: _run_single_trial(spec, *job[1]), tasks)
@@ -302,28 +288,20 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
 def run_rip_sweep(spec: ExperimentSpec, mode: str = "l2") -> list:
     """Estimate RIP statistics over the grid; returns (cell, seed, RipEstimate) rows."""
     rows = []
-    for n in spec.n:
-        for s in spec.s:
-            for r in spec.r:
-                for m_entry in spec.m:
-                    m = resolve_m(m_entry, n, s, r)
-                    if m < 1 or not 1 <= s <= n or not 1 <= r <= s:
-                        warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m})")
-                        continue
-                    cell = (spec.base_seed, "rip", spec.ensemble, n, s, r, m, mode)
-                    p = spec.p if spec.p is not None else default_inner_dim(n, s)
-                    mp = sample_map(
-                        spec.ensemble, n, m,
-                        p=p if spec.ensemble == "factorized" else None,
-                        seed=derive_seed(*cell, "map"),
-                    )
-                    est = estimate_rip(mp, s, r, spec.trials_per_cell, mode=mode,
-                                       seed=derive_seed(*cell, "probes"))
-                    rows.append({
-                        "ensemble": spec.ensemble, "n": n, "s": s, "r": r, "m": m,
-                        "mode": mode, "trials": spec.trials_per_cell,
-                        "seed": derive_seed(*cell), "estimate": est,
-                    })
+    for n, s, r, m in _cells(spec):
+        reason = _structure_infeasible(n, s, r, m)
+        if reason is not None:
+            warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
+            continue
+        cell = (spec.base_seed, "rip", spec.ensemble, n, s, r, m, mode)
+        mp = _cell_map(spec, n, s, m, cell)
+        est = estimate_rip(mp, s, r, spec.trials_per_cell, mode=mode,
+                           seed=derive_seed(*cell, "probes"))
+        rows.append({
+            "ensemble": spec.ensemble, "n": n, "s": s, "r": r, "m": m,
+            "mode": mode, "trials": spec.trials_per_cell,
+            "seed": derive_seed(*cell), "estimate": est,
+        })
     return rows
 
 

@@ -15,20 +15,6 @@ import numpy as np
 from . import bench, measurements, projections, recovery
 from .symcore import read_matrix, write_matrix
 
-PROJECT_OPS = (
-    "exact",
-    "tail-bisparse",
-    "tail-joint",
-    "head-square",
-    "head-rowcol",
-    "head-anchor",
-    "head-psd",
-    "head-joint",
-    "head-square-variant",
-    "head-shrink",
-    "hierarchical",
-)
-
 
 def _open_in(path):
     return sys.stdin if path == "-" else open(path, "r")
@@ -53,39 +39,39 @@ def _write_outcome(outcome, stream) -> None:
     write_matrix(outcome.matrix, stream)
 
 
+def _head_shrink(mat, args):
+    if args.sprime is None:
+        raise ValueError("head-shrink needs --sprime")
+    return projections.head_shrink(mat, _parse_support(args.sprime), args.s)
+
+
+def _hierarchical(mat, args):
+    out = projections.project_hierarchical(mat, args.s, args.t if args.t else args.s)
+    support = np.nonzero(np.any(out != 0.0, axis=0))[0]
+    return projections.ProjectionOutcome(out, support, support.size, float(np.linalg.norm(out)))
+
+
+# --op name -> projection of (matrix, parsed arguments) to a ProjectionOutcome
+PROJECTIONS = {
+    "exact": lambda mat, a: projections.exact_project(mat, a.s, a.r),
+    "tail-bisparse": lambda mat, a: projections.tail_bisparse(mat, a.s),
+    "tail-joint": lambda mat, a: projections.tail_joint(mat, a.s, a.r),
+    "head-square": lambda mat, a: projections.head_square(mat, a.s),
+    "head-rowcol": lambda mat, a: projections.head_rowcol(mat, a.s),
+    "head-anchor": lambda mat, a: projections.head_anchor(mat, a.s),
+    "head-psd": lambda mat, a: projections.head_psd_lowrank(mat, a.s, rank_override=a.r),
+    "head-joint": lambda mat, a: projections.head_joint(mat, a.s, a.r),
+    "head-square-variant": lambda mat, a: projections.head_square_variant(mat, a.s, a.r),
+    "head-shrink": _head_shrink,
+    "hierarchical": _hierarchical,
+}
+
+
 def _cmd_project(args) -> int:
     _echo_seed(None)
     with _open_in(args.input) as fh:
         mat = read_matrix(fh)
-    op = args.op
-    if op == "exact":
-        outcome = projections.exact_project(mat, args.s, args.r)
-    elif op == "tail-bisparse":
-        outcome = projections.tail_bisparse(mat, args.s)
-    elif op == "tail-joint":
-        outcome = projections.tail_joint(mat, args.s, args.r)
-    elif op == "head-square":
-        outcome = projections.head_square(mat, args.s)
-    elif op == "head-rowcol":
-        outcome = projections.head_rowcol(mat, args.s)
-    elif op == "head-anchor":
-        outcome = projections.head_anchor(mat, args.s)
-    elif op == "head-psd":
-        outcome = projections.head_psd_lowrank(mat, args.s, rank_override=args.r)
-    elif op == "head-joint":
-        outcome = projections.head_joint(mat, args.s, args.r)
-    elif op == "head-square-variant":
-        outcome = projections.head_square_variant(mat, args.s, args.r)
-    elif op == "head-shrink":
-        if args.sprime is None:
-            raise ValueError("head-shrink needs --sprime")
-        outcome = projections.head_shrink(mat, _parse_support(args.sprime), args.s)
-    else:
-        out = projections.project_hierarchical(mat, args.s, args.t if args.t else args.s)
-        support = np.nonzero(np.any(out != 0.0, axis=0))[0]
-        outcome = projections.ProjectionOutcome(
-            out, support, support.size, float(np.linalg.norm(out))
-        )
+    outcome = PROJECTIONS[args.op](mat, args)
     with _open_out(args.output) as fh:
         _write_outcome(outcome, fh)
     return 0
@@ -115,16 +101,7 @@ def _cmd_recover(args) -> int:
         head_choice=args.head,
         step_beta=args.beta,
     )
-    if args.algo == "exact-iht":
-        result = recovery.iht_exact(mp, y, args.s, args.r, cfg)
-    elif args.algo == "head-tail":
-        result = recovery.iht_head_tail(mp, y, args.s, args.r, cfg)
-    elif args.algo == "rank-one":
-        result = recovery.iht_rank_one(mp, y, args.s, args.r, cfg)
-    elif args.algo == "two-step":
-        result = recovery.two_step_factorized(mp, y, args.s, args.r, cfg)
-    else:
-        result = recovery.brute_force_decode(mp, y, args.s, args.r)
+    result = recovery.solve(args.algo, mp, y, args.s, args.r, cfg)
     final_res = result.residual_trace[-1] if result.residual_trace else float("nan")
     with _open_out(args.output) as fh:
         fh.write(f"converged {int(result.converged)}\n")
@@ -191,7 +168,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_proj = sub.add_parser("project", help="apply a projection to a matrix")
-    p_proj.add_argument("--op", required=True, choices=PROJECT_OPS)
+    p_proj.add_argument("--op", required=True, choices=tuple(PROJECTIONS))
     p_proj.add_argument("--s", type=int, required=True, help="sparsity level")
     p_proj.add_argument("--r", type=int, default=None, help="rank bound")
     p_proj.add_argument("--t", type=int, default=None, help="per-column sparsity (hierarchical)")
@@ -213,8 +190,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_meas.set_defaults(func=_cmd_measure)
 
     p_rec = sub.add_parser("recover", help="recover a matrix from a measurement file")
-    p_rec.add_argument("--algo", required=True,
-                       choices=("exact-iht", "head-tail", "rank-one", "two-step", "brute"))
+    p_rec.add_argument("--algo", required=True, choices=recovery.ALGOS)
     p_rec.add_argument("--s", type=int, required=True)
     p_rec.add_argument("--r", type=int, required=True)
     p_rec.add_argument("--max-iters", type=int, default=500)

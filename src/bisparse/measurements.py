@@ -19,6 +19,7 @@ extremal constants, never certificates.
 
 from __future__ import annotations
 
+import itertools
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -47,6 +48,10 @@ __all__ = [
 KINDS = ("dense-gaussian", "rank-one", "factorized")
 INNER_KINDS = ("dense", "rank-one")
 SCALES = ("inv_m", "unit")
+_HEADER_KEYS = ("kind", "n", "m", "p", "inner", "scale", "seed")
+
+# payload entries sample_map allocates before it refuses (8e8 bytes of float64)
+PAYLOAD_CAP = 100_000_000
 
 
 @dataclass(frozen=True)
@@ -55,8 +60,9 @@ class MeasurementMap:
 
     Exactly one payload layout per kind: `matrices` (m, n, n) for
     dense-gaussian; `vectors` (m, n) for rank-one; `basis` (p, n) plus either
-    `matrices` (m, p, p) or `vectors` (m, p) for factorized.  `seed` is the
-    sampling seed when the payload came from `sample_map`, else None.
+    `matrices` (m, p, p) or `vectors` (m, p) for factorized.  Payload fields
+    outside the kind's layout are rejected.  `seed` is the sampling seed when
+    the payload came from `sample_map`, else None.
     """
 
     kind: str
@@ -94,36 +100,35 @@ class MeasurementMap:
                     raise ValueError("factorized rank-one payload must be m vectors of length p")
             else:
                 raise ValueError(f"unknown inner kind {self.inner!r}")
+        layout = {"dense-gaussian": ("matrices",), "rank-one": ("vectors",)}.get(
+            self.kind, ("basis", "matrices" if self.inner == "dense" else "vectors"))
+        stray = [name for name in ("matrices", "vectors", "basis")
+                 if name not in layout and getattr(self, name) is not None]
+        if stray:
+            raise ValueError(f"{self.kind} payload takes no {' or '.join(stray)}")
 
     def apply(self, mat) -> np.ndarray:
         """Measure a symmetric n x n matrix; linear in the input."""
         x = check_sym(mat)
         if x.shape[0] != self.n:
             raise ValueError(f"matrix dimension {x.shape[0]} != map dimension {self.n}")
-        if self.kind == "dense-gaussian":
+        if self.kind == "factorized":
+            x = self.basis @ x @ self.basis.T
+        if self.matrices is not None:
             return np.einsum("kij,ij->k", self.matrices, x)
-        if self.kind == "rank-one":
-            return np.einsum("ki,ij,kj->k", self.vectors, x, self.vectors)
-        inner = self.basis @ x @ self.basis.T
-        if self.inner == "dense":
-            return np.einsum("kij,ij->k", self.matrices, inner)
-        return np.einsum("ki,ij,kj->k", self.vectors, inner, self.vectors)
+        return np.einsum("ki,ij,kj->k", self.vectors, x, self.vectors)
 
     def adjoint(self, u) -> np.ndarray:
         """Adjoint sum_i u_i A_i; always lands on a symmetric matrix."""
         w = np.asarray(u, dtype=float)
         if w.shape != (self.m,):
             raise ValueError(f"expected {self.m} coefficients, got shape {w.shape}")
-        if self.kind == "dense-gaussian":
+        if self.matrices is not None:
             out = np.einsum("k,kij->ij", w, self.matrices)
-        elif self.kind == "rank-one":
-            out = self.vectors.T @ (w[:, None] * self.vectors)
         else:
-            if self.inner == "dense":
-                mid = np.einsum("k,kij->ij", w, self.matrices)
-            else:
-                mid = self.vectors.T @ (w[:, None] * self.vectors)
-            out = self.basis.T @ mid @ self.basis
+            out = self.vectors.T @ (w[:, None] * self.vectors)
+        if self.kind == "factorized":
+            out = self.basis.T @ out @ self.basis
         return (out + out.T) / 2.0
 
 
@@ -142,11 +147,20 @@ def sample_map(
     symmetrized (which halves the off-diagonal variance); rank-one vectors
     have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws the
     basis and the inner matrices/vectors with standard N(0, 1) entries.
+    Refuses payloads of more than PAYLOAD_CAP entries before allocating.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
     if scale not in SCALES:
         raise ValueError(f"unknown scale {scale!r}")
+    if kind == "factorized":
+        if p is None:
+            raise ValueError("factorized maps need the inner dimension p")
+        entries = p * n + (m * p * p if inner == "dense" else m * p)
+    else:
+        entries = m * n * n if kind == "dense-gaussian" else m * n
+    if entries > PAYLOAD_CAP:
+        raise ValueError(f"a {kind} payload of {entries} entries exceeds the cap {PAYLOAD_CAP}")
     rng = np.random.default_rng(seed)
     if kind == "dense-gaussian":
         mats = rng.standard_normal((m, n, n)) / np.sqrt(m)
@@ -157,8 +171,6 @@ def sample_map(
         if scale == "inv_m":
             vecs = vecs / np.sqrt(m)
         return MeasurementMap(kind, n, m, seed=seed, scale=scale, vectors=vecs)
-    if p is None:
-        raise ValueError("factorized maps need the inner dimension p")
     basis = rng.standard_normal((p, n))
     if inner == "dense":
         mats = rng.standard_normal((m, p, p))
@@ -178,16 +190,11 @@ def isometry_map(n: int) -> MeasurementMap:
     """
     m = n * (n + 1) // 2
     mats = np.zeros((m, n, n))
-    k = 0
-    for i in range(n):
-        mats[k, i, i] = 1.0
-        k += 1
-    inv_sqrt2 = 1.0 / np.sqrt(2.0)
-    for i in range(n):
-        for j in range(i + 1, n):
-            mats[k, i, j] = inv_sqrt2
-            mats[k, j, i] = inv_sqrt2
-            k += 1
+    diag = np.arange(n)
+    mats[diag, diag, diag] = 1.0
+    rows, cols = np.triu_indices(n, 1)
+    k = np.arange(n, m)
+    mats[k, rows, cols] = mats[k, cols, rows] = 1.0 / np.sqrt(2.0)
     return MeasurementMap("dense-gaussian", n, m, matrices=mats)
 
 
@@ -335,21 +342,18 @@ def _parse_header_lines(it) -> dict:
         if not line:
             continue
         key, _, value = line.partition(" ")
+        if key not in _HEADER_KEYS:
+            raise ValueError(f"unknown map header key {key!r}")
         fields[key] = value.strip()
         if key == "seed":
             break
-    if "seed" not in fields:
-        raise ValueError("map header is missing the seed line")
-    for key in ("kind", "n", "m"):
+    for key in ("seed", "kind", "n", "m"):
         if key not in fields:
             raise ValueError(f"map header is missing the {key} line")
     return fields
 
 
-def read_map_header(lines) -> MeasurementMap:
-    """Rebuild a map from its text header by resampling from the stored seed."""
-    it = iter(lines)
-    fields = _parse_header_lines(it)
+def _map_from_fields(fields: dict) -> MeasurementMap:
     return sample_map(
         fields["kind"],
         int(fields["n"]),
@@ -359,6 +363,11 @@ def read_map_header(lines) -> MeasurementMap:
         inner=fields.get("inner", "dense"),
         scale=fields.get("scale", "inv_m"),
     )
+
+
+def read_map_header(lines) -> MeasurementMap:
+    """Rebuild a map from its text header by resampling from the stored seed."""
+    return _map_from_fields(_parse_header_lines(iter(lines)))
 
 
 def write_measurement_file(mp: MeasurementMap, y, stream) -> None:
@@ -380,19 +389,10 @@ def read_measurement_file(lines):
     if sentinel != "y":
         raise ValueError(f"expected 'y' sentinel after the map header, got {sentinel!r}")
     m = int(fields["m"])
-    vals = []
-    for k in range(m):
-        raw = next(it, None)
-        if raw is None:
-            raise ValueError(f"expected {m} measurement lines, got {k}")
-        vals.append(float(raw.strip()))
-    mp = sample_map(
-        fields["kind"],
-        int(fields["n"]),
-        m,
-        p=int(fields["p"]) if "p" in fields else None,
-        seed=int(fields["seed"]),
-        inner=fields.get("inner", "dense"),
-        scale=fields.get("scale", "inv_m"),
-    )
-    return mp, np.array(vals)
+    vals = [float(raw.strip()) for raw in itertools.islice(it, m)]
+    if len(vals) < m:
+        raise ValueError(f"expected {m} measurement lines, got {len(vals)}")
+    extra = next((raw for raw in it if raw.strip()), None)
+    if extra is not None:
+        raise ValueError(f"unexpected line after the {m} measurements: {extra.strip()!r}")
+    return _map_from_fields(fields), np.array(vals)

@@ -118,6 +118,15 @@ def rank_project_on_support(mat: np.ndarray, support: np.ndarray, rank: int) -> 
     return restrict(project_rank(mat, rank), support)
 
 
+def _rank_truncated(mat, s: int, r: int, base_projection) -> ProjectionOutcome:
+    """base_projection(M, s), then truncated to rank r on the support it chose."""
+    m = check_sym(mat)
+    _check_rank(r, m.shape[0])
+    base = base_projection(m, s)
+    out = rank_project_on_support(base.matrix, base.support, r)
+    return _outcome(out, base.support, r)
+
+
 def exact_project(mat, s: int, r: int, cap: int = ENUMERATION_CAP) -> ProjectionOutcome:
     """Exact projection onto rank <= r matrices supported on some s x s block.
 
@@ -171,11 +180,7 @@ def tail_joint(mat, s: int, r: int) -> ProjectionOutcome:
     Composing the sqrt(2)-tail with the exact rank projection gives a tail
     operator for the joint structure with constant 1 + 2*sqrt(2).
     """
-    m = check_sym(mat)
-    _check_rank(r, m.shape[0])
-    base = tail_bisparse(m, s)
-    out = rank_project_on_support(base.matrix, base.support, r)
-    return _outcome(out, base.support, r)
+    return _rank_truncated(mat, s, r, tail_bisparse)
 
 
 def head_square(mat, s: int) -> ProjectionOutcome:
@@ -292,11 +297,7 @@ def head_joint(mat, s: int, r: int) -> ProjectionOutcome:
     """Head for the joint structure: rank-truncated head_anchor, constant sqrt(r)/s."""
     if r > s:
         raise ValueError(f"rank bound must not exceed sparsity, got r={r} > s={s}")
-    m = check_sym(mat)
-    _check_rank(r, m.shape[0])
-    base = head_anchor(m, s)
-    out = rank_project_on_support(base.matrix, base.support, r)
-    return _outcome(out, base.support, r)
+    return _rank_truncated(mat, s, r, head_anchor)
 
 
 def head_square_variant(mat, s: int, r: int) -> ProjectionOutcome:
@@ -305,11 +306,7 @@ def head_square_variant(mat, s: int, r: int) -> ProjectionOutcome:
     Maps into matrices of rank <= r supported on at most s^2 indices; keeps at
     least an r/s^2 fraction (in squared norm) of the best rank-r s x s block.
     """
-    m = check_sym(mat)
-    _check_rank(r, m.shape[0])
-    base = head_square(m, s)
-    out = rank_project_on_support(base.matrix, base.support, r)
-    return _outcome(out, base.support, r)
+    return _rank_truncated(mat, s, r, head_square)
 
 
 def head_shrink(mat, sprime, s: int) -> ShrinkOutcome:

@@ -19,6 +19,9 @@ iterates, iteration cap, and a divergence guard):
   brute_force_decode   per-support least squares (or least absolute
                        deviations) over all size-s supports
 
+`solve` runs the solver named by one of ALGOS; the bench and the CLI both
+dispatch through it.
+
 `converged` on a result means the iteration settled (residual or stall rule
 fired); whether the estimate equals the ground truth is a separate question
 answered by the benchmark harness.
@@ -48,6 +51,7 @@ from .projections import (
 from .symcore import eigen, project_rank
 
 __all__ = [
+    "ALGOS",
     "HEAD_CHOICES",
     "RecoveryConfig",
     "RecoveryResult",
@@ -58,9 +62,15 @@ __all__ = [
     "hihtp",
     "two_step_factorized",
     "brute_force_decode",
+    "solve",
 ]
 
 HEAD_CHOICES = ("square", "anchor", "rowcol")
+
+# algorithm names used by the bench and the CLI -> names of their solvers in this module
+_SOLVERS = {"exact-iht": "iht_exact", "head-tail": "iht_head_tail", "rank-one": "iht_rank_one",
+            "two-step": "two_step_factorized", "brute": "brute_force_decode"}
+ALGOS = tuple(_SOLVERS)
 
 # residual must exceed 10x the initial residual this many consecutive
 # iterations before a run is abandoned as diverging
@@ -124,12 +134,12 @@ def _assert_structured(mat: np.ndarray, s: int, r: int) -> None:
             raise AssertionError(f"iterate rank exceeds r={r}")
 
 
-def _iterate(mp_apply, y, x0, step_fn, cfg, callback=None, structure=None):
-    """Shared IHT driver: run step_fn until a stopping rule fires."""
+def _iterate(mp, y, step_fn, cfg, callback=None, structure=None) -> RecoveryResult:
+    """Shared IHT driver: run step_fn from the zero matrix until a stopping rule fires."""
     y = np.asarray(y, dtype=float)
     ynorm = float(np.linalg.norm(y))
-    x = x0
-    res = y - mp_apply(x)
+    x = np.zeros((mp.n, mp.n))
+    res = y - mp.apply(x)
     res0 = float(np.linalg.norm(res))
     trace = []
     converged = False
@@ -140,7 +150,7 @@ def _iterate(mp_apply, y, x0, step_fn, cfg, callback=None, structure=None):
             _assert_structured(x_new, *structure)
         if callback is not None:
             callback(x_new)
-        res = y - mp_apply(x_new)
+        res = y - mp.apply(x_new)
         rnorm = float(np.linalg.norm(res))
         trace.append(rnorm)
         step_size = float(np.linalg.norm(x_new - x))
@@ -160,18 +170,19 @@ def _iterate(mp_apply, y, x0, step_fn, cfg, callback=None, structure=None):
                 break
         else:
             grow_streak = 0
-    return x, trace, converged
+    return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
 
 
-def _joint_head(grad: np.ndarray, s2: int, r2: int, choice: str) -> np.ndarray:
+def _joint_head(grad: np.ndarray, s: int, r: int, choice: str) -> np.ndarray:
+    """Head projection of a gradient at the doubled parameters (2s, 2r), capped at n."""
+    s2 = min(2 * s, grad.shape[0])
+    r2 = min(2 * r, grad.shape[0])
     if choice == "square":
         return head_square_variant(grad, s2, r2).matrix
     if choice == "anchor":
         return head_joint(grad, s2, r2).matrix
-    if choice == "rowcol":
-        base = head_rowcol(grad, s2)
-        return rank_project_on_support(base.matrix, base.support, r2)
-    raise ValueError(f"unknown head choice {choice!r}")
+    base = head_rowcol(grad, s2)
+    return rank_project_on_support(base.matrix, base.support, r2)
 
 
 def _check_structure_params(n: int, s: int, r: int) -> None:
@@ -199,9 +210,7 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
     def step(x, res):
         return exact_project(x + mp.adjoint(res), s, r).matrix
 
-    x0 = np.zeros((mp.n, mp.n))
-    x, trace, converged = _iterate(mp.apply, y, x0, step, cfg, callback, structure=(s, r))
-    return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
+    return _iterate(mp, y, step, cfg, callback, structure=(s, r))
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -215,16 +224,12 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
     """
     cfg = cfg or RecoveryConfig()
     _check_structure_params(mp.n, s, r)
-    s2 = min(2 * s, mp.n)
-    r2 = min(2 * r, mp.n)
 
     def step(x, res):
-        h = _joint_head(mp.adjoint(res), s2, r2, cfg.head_choice)
+        h = _joint_head(mp.adjoint(res), s, r, cfg.head_choice)
         return tail_joint(x + h, s, r).matrix
 
-    x0 = np.zeros((mp.n, mp.n))
-    x, trace, converged = _iterate(mp.apply, y, x0, step, cfg, callback, structure=(s, r))
-    return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
+    return _iterate(mp, y, step, cfg, callback, structure=(s, r))
 
 
 def _resolve_beta(mp: MeasurementMap, s: int, r: int, cfg: RecoveryConfig) -> float:
@@ -251,17 +256,13 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
         raise ValueError("iht_rank_one needs a rank-one measurement map")
     _check_structure_params(mp.n, s, r)
     beta = _resolve_beta(mp, s, r, cfg)
-    s2 = min(2 * s, mp.n)
-    r2 = min(2 * r, mp.n)
 
     def step(x, res):
         nu = float(np.sum(np.abs(res))) / (beta * beta)
-        h = _joint_head(mp.adjoint(np.sign(res)), s2, r2, cfg.head_choice)
+        h = _joint_head(mp.adjoint(np.sign(res)), s, r, cfg.head_choice)
         return tail_joint(x + nu * h, s, r).matrix
 
-    x0 = np.zeros((mp.n, mp.n))
-    x, trace, converged = _iterate(mp.apply, y, x0, step, cfg, callback, structure=(s, r))
-    return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
+    return _iterate(mp, y, step, cfg, callback, structure=(s, r))
 
 
 def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
@@ -280,12 +281,7 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
     if not 1 <= r <= p:
         raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
     if mp.kind == "rank-one":
-        beta = cfg.step_beta
-        if beta is None:
-            est = estimate_rip(mp, p, min(2 * r, p), BETA_TRIALS, mode="l1", seed=BETA_SEED)
-            beta = est.beta_hat
-        elif beta <= 0:
-            raise ValueError("step_beta must be positive")
+        beta = _resolve_beta(mp, p, r, cfg)
 
         def step(x, res):
             nu = float(np.sum(np.abs(res))) / (beta * beta)
@@ -299,9 +295,7 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
             mu = float(np.sum(grad * grad)) / denom if denom > 0 else 1.0
             return project_rank(x + mu * grad, r)
 
-    x0 = np.zeros((p, p))
-    x, trace, converged = _iterate(mp.apply, y, x0, step, cfg, callback, structure=(p, r))
-    return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
+    return _iterate(mp, y, step, cfg, callback, structure=(p, r))
 
 
 def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -387,29 +381,25 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
     y_inner = y / np.sqrt(mp.m) if mp.inner == "dense" else y
     stage1 = iht_lowrank(inner, y_inner, r, cfg)
     stage2 = hihtp(mp.basis, stage1.estimate, s, s, cfg)
-    est = (stage2.estimate + stage2.estimate.T) / 2.0
     return RecoveryResult(
-        est,
+        stage2.estimate,
         stage1.iterations + stage2.iterations,
         stage1.residual_trace + stage2.residual_trace,
         stage1.converged and stage2.converged,
-        _support_of(est),
+        stage2.support,
     )
 
 
-def _pair_basis_columns(mp: MeasurementMap):
-    """Measurement of every symmetric pair basis matrix E_ij + E_ji (i <= j)."""
+def _pair_basis_columns(mp: MeasurementMap) -> np.ndarray:
+    """Measurement of every symmetric pair basis matrix E_ij + E_ji, in np.triu_indices order."""
     n = mp.n
-    pairs = []
     cols = []
-    for i in range(n):
-        for j in range(i, n):
-            basis = np.zeros((n, n))
-            basis[i, j] = 1.0
-            basis[j, i] = 1.0
-            pairs.append((i, j))
-            cols.append(mp.apply(basis))
-    return pairs, np.stack(cols, axis=1)
+    for i, j in zip(*np.triu_indices(n)):
+        basis = np.zeros((n, n))
+        basis[i, j] = 1.0
+        basis[j, i] = 1.0
+        cols.append(mp.apply(basis))
+    return np.stack(cols, axis=1)
 
 
 def _objective(res: np.ndarray, mode: str) -> float:
@@ -438,51 +428,29 @@ def _fit(design: np.ndarray, y: np.ndarray, mode: str) -> np.ndarray:
     return _weighted_l1_fit(design, y)
 
 
-def _block_design(design_cols, support, pair_index):
-    local_pairs = []
-    col_ids = []
-    for a, i in enumerate(support):
-        for bpos in range(a, len(support)):
-            j = support[bpos]
-            local_pairs.append((a, bpos))
-            col_ids.append(pair_index[(i, j)])
-    return local_pairs, design_cols[:, col_ids]
+def _polish_rank(design, tri, y, block, r, mode, rounds=25):
+    """Alternating refinement: rank-project, then refit within the kept eigenspace.
 
-
-def _coeffs_from_block(block: np.ndarray, local_pairs) -> np.ndarray:
-    return np.array([block[a, b] for a, b in local_pairs])
-
-
-def _block_from_coeffs(coeffs: np.ndarray, local_pairs, size: int) -> np.ndarray:
-    block = np.zeros((size, size))
-    for val, (a, b) in zip(coeffs, local_pairs):
-        block[a, b] = val
-        block[b, a] = val
-    return block
-
-
-def _polish_rank(design, local_pairs, size, y, block, r, mode, rounds=25):
-    """Alternating refinement: rank-project, then refit within the kept eigenspace."""
+    `tri` is the np.triu_indices pair of the block; `design` has one column per pair.
+    """
     best_block = project_rank(block, r)
-    best_obj = _objective(y - design @ _coeffs_from_block(best_block, local_pairs), mode)
+    best_obj = _objective(y - design @ best_block[tri], mode)
     current = best_block
+    core_pairs = [(a, b) for a in range(r) for b in range(a, r)]
     for _ in range(rounds):
         dec = eigen(project_rank(current, r))
         vecs = dec.eigenvectors[:, :r]
-        core_pairs = [(a, b) for a in range(r) for b in range(a, r)]
-        core_cols = []
+        terms = []
         for a, b in core_pairs:
             term = np.outer(vecs[:, a], vecs[:, b])
-            term = term + term.T if a != b else term
-            core_cols.append(design @ _coeffs_from_block(term, local_pairs))
-        core_design = np.stack(core_cols, axis=1)
+            terms.append(term + term.T if a != b else term)
+        core_design = np.stack([design @ term[tri] for term in terms], axis=1)
         core = _fit(core_design, y, mode)
-        current = np.zeros((size, size))
-        for val, (a, b) in zip(core, core_pairs):
-            term = np.outer(vecs[:, a], vecs[:, b])
-            current += val * (term + term.T if a != b else term)
+        current = np.zeros_like(block)
+        for val, term in zip(core, terms):
+            current += val * term
         current = (current + current.T) / 2.0
-        obj = _objective(y - design @ _coeffs_from_block(current, local_pairs), mode)
+        obj = _objective(y - design @ current[tri], mode)
         if obj < best_obj - 1e-15:
             best_obj = obj
             best_block = current
@@ -517,23 +485,42 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int, noise_mode: str = 
             f"per-support fit has {unknowns} unknowns but only {mp.m} measurements"
         )
     y = np.asarray(y, dtype=float)
-    pairs, design_cols = _pair_basis_columns(mp)
-    pair_index = {pair: k for k, pair in enumerate(pairs)}
+    design_cols = _pair_basis_columns(mp)
+    # pair_id[i, j] is the design column of the pair (i, j), i <= j
+    pair_id = np.zeros((n, n), dtype=int)
+    pair_id[np.triu_indices(n)] = np.arange(design_cols.shape[1])
+    tri = np.triu_indices(s)
     best_obj = np.inf
     best_support = None
     best_block = None
     for cand in itertools.combinations(range(n), s):
-        local_pairs, design = _block_design(design_cols, cand, pair_index)
+        support = np.array(cand, dtype=int)
+        design = design_cols[:, pair_id[support[tri[0]], support[tri[1]]]]
         coeffs = _fit(design, y, noise_mode)
-        block = _block_from_coeffs(coeffs, local_pairs, s)
+        block = np.zeros((s, s))
+        block[tri] = coeffs
+        block[tri[::-1]] = coeffs
         if r < s:
-            block, obj = _polish_rank(design, local_pairs, s, y, block, r, noise_mode)
+            block, obj = _polish_rank(design, tri, y, block, r, noise_mode)
         else:
-            obj = _objective(y - design @ _coeffs_from_block(block, local_pairs), noise_mode)
+            obj = _objective(y - design @ block[tri], noise_mode)
         if obj < best_obj:
             best_obj = obj
-            best_support = np.array(cand, dtype=int)
+            best_support = support
             best_block = block
     estimate = np.zeros((n, n))
     estimate[np.ix_(best_support, best_support)] = best_block
     return RecoveryResult(estimate, 1, [best_obj], True, _support_of(estimate))
+
+
+def solve(algo: str, mp: MeasurementMap, y, s: int, r: int,
+          cfg: RecoveryConfig | None = None) -> RecoveryResult:
+    """Run the solver named `algo` (one of ALGOS); brute ignores cfg.
+
+    The solver is looked up in this module at call time, so rebinding it here
+    (as a profiler that wraps module functions does) also affects solve.
+    """
+    if algo not in _SOLVERS:
+        raise ValueError(f"unknown algorithm {algo!r}")
+    solver = globals()[_SOLVERS[algo]]
+    return solver(mp, y, s, r) if algo == "brute" else solver(mp, y, s, r, cfg)

@@ -36,8 +36,8 @@ SYM_ATOL = 1e-12
 READ_WARN_ATOL = 1e-9
 
 
-def sym_enforce(mat) -> np.ndarray:
-    """Return the symmetric part (M + M^T)/2 of a square matrix."""
+def _square_finite(mat) -> np.ndarray:
+    """`mat` as float64, validated to be a nonempty, finite square matrix."""
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2 or m.shape[0] != m.shape[1]:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
@@ -45,18 +45,18 @@ def sym_enforce(mat) -> np.ndarray:
         raise ValueError("matrix must be nonempty")
     if not np.all(np.isfinite(m)):
         raise ValueError("matrix entries must be finite")
+    return m
+
+
+def sym_enforce(mat) -> np.ndarray:
+    """Return the symmetric part (M + M^T)/2 of a square matrix."""
+    m = _square_finite(mat)
     return (m + m.T) / 2.0
 
 
 def check_sym(mat, atol: float = SYM_ATOL) -> np.ndarray:
     """Validate that `mat` is square, finite and symmetric; return it as float64."""
-    m = np.asarray(mat, dtype=float)
-    if m.ndim != 2 or m.shape[0] != m.shape[1]:
-        raise ValueError(f"expected a square matrix, got shape {m.shape}")
-    if m.size == 0:
-        raise ValueError("matrix must be nonempty")
-    if not np.all(np.isfinite(m)):
-        raise ValueError("matrix entries must be finite")
+    m = _square_finite(mat)
     scale = max(1.0, float(np.max(np.abs(m))))
     asym = float(np.max(np.abs(m - m.T)))
     if asym > atol * scale:
@@ -118,11 +118,9 @@ def eigen(mat) -> EigenDecomp:
     order = np.argsort(-np.abs(vals), kind="stable")
     vals = vals[order]
     vecs = vecs[:, order]
-    for k in range(vecs.shape[1]):
-        col = vecs[:, k]
-        nz = np.nonzero(col)[0]
-        if nz.size and col[nz[0]] < 0:
-            vecs[:, k] = -col
+    # flip every column whose first nonzero component is negative
+    lead = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
+    vecs[:, lead < 0] *= -1.0
     return EigenDecomp(vals, vecs)
 
 

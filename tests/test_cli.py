@@ -1,11 +1,17 @@
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
-from bisparse.cli import main
-from bisparse.measurements import read_measurement_file, sample_map, sample_structured
-from bisparse.projections import exact_project
+from bisparse import projections, recovery
+from bisparse.cli import PROJECTIONS, main
+from bisparse.measurements import (
+    read_measurement_file,
+    sample_map,
+    sample_structured,
+    write_measurement_file,
+)
 from bisparse.symcore import read_matrix, write_matrix
 
 
@@ -21,23 +27,55 @@ def diag_matrix(tmp_path):
     return path
 
 
+def _hierarchical_outcome(mat, s, t):
+    out = projections.project_hierarchical(mat, s, t)
+    support = np.nonzero(np.any(out != 0.0, axis=0))[0]
+    return projections.ProjectionOutcome(out, support, support.size, float(np.linalg.norm(out)))
+
+
+# every --op: its extra flags and the library call they must reproduce
+OP_CASES = {
+    "exact": (["--s", "2", "--r", "1"], lambda m: projections.exact_project(m, 2, 1)),
+    "tail-bisparse": (["--s", "3"], lambda m: projections.tail_bisparse(m, 3)),
+    "tail-joint": (["--s", "3", "--r", "2"], lambda m: projections.tail_joint(m, 3, 2)),
+    "head-square": (["--s", "2"], lambda m: projections.head_square(m, 2)),
+    "head-rowcol": (["--s", "2"], lambda m: projections.head_rowcol(m, 2)),
+    "head-anchor": (["--s", "3"], lambda m: projections.head_anchor(m, 3)),
+    "head-psd": (["--s", "2", "--r", "2"],
+                 lambda m: projections.head_psd_lowrank(m, 2, rank_override=2)),
+    "head-joint": (["--s", "3", "--r", "1"], lambda m: projections.head_joint(m, 3, 1)),
+    "head-square-variant": (["--s", "2", "--r", "1"],
+                            lambda m: projections.head_square_variant(m, 2, 1)),
+    "head-shrink": (["--s", "2", "--sprime", "1,3,4,6"],
+                    lambda m: projections.head_shrink(m, [0, 2, 3, 5], 2)),
+    "hierarchical": (["--s", "2", "--t", "3"], lambda m: _hierarchical_outcome(m, 2, 3)),
+}
+
+
 class TestProject:
-    def test_exact_matches_module(self, tmp_path, diag_matrix, capsys):
+    def test_op_cases_cover_every_op(self):
+        assert list(OP_CASES) == list(PROJECTIONS)
+
+    @pytest.mark.parametrize("op", list(OP_CASES))
+    def test_exact_matches_module(self, op, tmp_path, capsys):
+        g = np.random.default_rng(3).standard_normal((7, 7))
+        # PSD so that head-psd accepts it; low rank so that the ops disagree
+        mat = g[:, :3] @ g[:, :3].T if op == "head-psd" else (g + g.T) / 2
+        src = tmp_path / "m.txt"
+        write_matrix_file(src, mat)
         out = tmp_path / "out.txt"
-        code = main([
-            "project", "--op", "exact", "--s", "2", "--r", "1",
-            "--input", str(diag_matrix), "--output", str(out),
-        ])
+        flags, library_call = OP_CASES[op]
+        code = main(["project", "--op", op, *flags, "--input", str(src), "--output", str(out)])
         assert code == 0
-        lines = out.read_text().split("\n")
-        assert lines[0] == "1 2"  # 1-based support
-        expected = exact_project(np.diag([5.0, 3.0, 1.0]), 2, 1)
-        assert float(lines[1]) == pytest.approx(expected.objective)
+        expected = library_call(read_matrix(src.read_text().splitlines()))
         with open(out) as fh:
-            fh.readline()
-            fh.readline()
-            mat = read_matrix(fh)
-        assert np.allclose(mat, expected.matrix, atol=1e-12)
+            support = [int(tok) - 1 for tok in fh.readline().split()]  # 1-based on disk
+            objective = float(fh.readline())
+            # parsed raw: read_matrix would symmetrize the hierarchical output
+            got = np.array([[float(v) for v in line.split()] for line in fh.readlines()[1:]])
+        assert support == expected.support.tolist()
+        assert objective == expected.objective
+        assert np.array_equal(got, expected.matrix)
         assert "# seed none" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
@@ -114,6 +152,80 @@ class TestMeasureRecover:
                      "--beta", "1e-6", "--max-iters", "50", "--strict",
                      "--seed", "1", "--input", str(meas), "--output", str(tmp_path / "r.txt")])
         assert code == 1
+
+    # every --algo: the ensemble it measures with and the solver call it must reproduce
+    ALGO_CASES = {
+        "exact-iht": ("dense-gaussian", [], lambda mp, y, cfg: recovery.iht_exact(mp, y, 2, 1, cfg)),
+        "head-tail": ("dense-gaussian", [],
+                      lambda mp, y, cfg: recovery.iht_head_tail(mp, y, 2, 1, cfg)),
+        "rank-one": ("rank-one", [], lambda mp, y, cfg: recovery.iht_rank_one(mp, y, 2, 1, cfg)),
+        "two-step": ("factorized", ["--p", "12"],
+                     lambda mp, y, cfg: recovery.two_step_factorized(mp, y, 2, 1, cfg)),
+        "brute": ("dense-gaussian", [],
+                  lambda mp, y, cfg: recovery.brute_force_decode(mp, y, 2, 1)),
+    }
+
+    def test_algo_cases_cover_every_algo(self):
+        assert tuple(self.ALGO_CASES) == recovery.ALGOS
+
+    @pytest.mark.parametrize("algo", list(ALGO_CASES))
+    def test_recover_matches_module(self, algo, tmp_path):
+        kind, flags, library_call = self.ALGO_CASES[algo]
+        x, _ = sample_structured(8, 2, 1, np.random.default_rng(11))
+        xfile = tmp_path / "x.txt"
+        write_matrix_file(xfile, x)
+        meas = tmp_path / "meas.txt"
+        assert main(["measure", "--kind", kind, "--m", "60", *flags, "--seed", "4",
+                     "--input", str(xfile), "--output", str(meas)]) == 0
+        rec = tmp_path / "rec.txt"
+        code = main(["recover", "--algo", algo, "--s", "2", "--r", "1", "--max-iters", "300",
+                     "--seed", "1", "--input", str(meas), "--output", str(rec)])
+        assert code == 0
+        with open(meas) as fh:
+            mp, y = read_measurement_file(fh)
+        result = library_call(mp, y, recovery.RecoveryConfig(max_iters=300))
+        with open(rec) as fh:
+            header = [fh.readline().split() for _ in range(4)]
+            est = read_matrix(fh)
+        assert header[0] == ["converged", str(int(result.converged))]
+        assert header[1] == ["iterations", str(result.iterations)]
+        assert float(header[2][1]) == result.residual_trace[-1]
+        assert header[3][1:] == [str(i + 1) for i in result.support]
+        assert np.array_equal(est, result.estimate)
+
+    def _recover_text(self, tmp_path, text):
+        meas = tmp_path / "meas.txt"
+        meas.write_text(text)
+        return main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1", "--seed", "1",
+                     "--input", str(meas), "--output", str(tmp_path / "rec.txt")])
+
+    def test_oversized_header_exits_two_without_allocating(self, tmp_path, capsys):
+        # 2e12 payload entries: refused from the header alone, before any sampling
+        text = "kind dense-gaussian\nn 1000000\nm 2\nseed 1\ny\n1.0\n2.0\n"
+        tracemalloc.start()
+        try:
+            code = self._recover_text(tmp_path, text)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "exceeds the cap" in capsys.readouterr().err
+        assert peak < 10**7
+
+    def test_unknown_header_key_exits_two(self, tmp_path, capsys):
+        mp = sample_map("factorized", 4, 3, p=5, seed=3, inner="rank-one")
+        buf = io.StringIO()
+        write_measurement_file(mp, [1.0, 2.0, 3.0], buf)
+        text = buf.getvalue().replace("inner rank-one", "innr rank-one")
+        assert self._recover_text(tmp_path, text) == 2
+        assert "innr" in capsys.readouterr().err
+
+    def test_trailing_values_exit_two(self, tmp_path, capsys):
+        mp = sample_map("dense-gaussian", 4, 3, seed=3)
+        buf = io.StringIO()
+        write_measurement_file(mp, [1.0, 2.0, 3.0], buf)
+        assert self._recover_text(tmp_path, buf.getvalue() + "4.0\n") == 2
+        assert "after the 3 measurements" in capsys.readouterr().err
 
     def test_byte_stable_output(self, tmp_path):
         x, _ = sample_structured(6, 2, 1, np.random.default_rng(44))

@@ -65,6 +65,24 @@ class TestSampling:
         with pytest.raises(ValueError, match="p"):
             sample_map("factorized", 4, 10)
 
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("dense-gaussian", {"matrices": np.zeros((2, 3, 3)), "vectors": np.zeros((2, 3))}),
+        ("dense-gaussian", {"matrices": np.zeros((2, 3, 3)), "basis": np.zeros((4, 3))}),
+        ("rank-one", {"vectors": np.zeros((2, 3)), "matrices": np.zeros((2, 3, 3))}),
+        ("factorized", {"p": 4, "basis": np.zeros((4, 3)), "matrices": np.zeros((2, 4, 4)),
+                        "vectors": np.zeros((2, 4))}),
+    ])
+    def test_stray_payload_rejected(self, kind, kwargs):
+        # dispatch follows the payload layout, so a stray field would change apply
+        with pytest.raises(ValueError, match="payload takes no"):
+            MeasurementMap(kind, 3, 2, **kwargs)
+
+    def test_oversized_payload_refused_before_allocating(self):
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            sample_map("dense-gaussian", 10_000, 10_000, seed=1)
+        with pytest.raises(ValueError, match="exceeds the cap"):
+            sample_map("factorized", 10, 10**6, p=1000, seed=1)
+
     def test_injected_rank_one_payload(self):
         vectors = np.zeros((2, 3))
         vectors[0, 0] = 1.0
@@ -158,6 +176,21 @@ class TestStructuredSampler:
 
 
 class TestEstimateRip:
+    def test_isometry_hook_matches_loop_reference(self):
+        # diagonal units first, then (E_ij + E_ji)/sqrt(2) for i < j in row-major order
+        n = 4
+        ref = []
+        for i in range(n):
+            unit = np.zeros((n, n))
+            unit[i, i] = 1.0
+            ref.append(unit)
+        for i in range(n):
+            for j in range(i + 1, n):
+                pair = np.zeros((n, n))
+                pair[i, j] = pair[j, i] = 1.0 / np.sqrt(2.0)
+                ref.append(pair)
+        assert np.array_equal(isometry_map(n).matrices, np.stack(ref))
+
     def test_isometry_hook_gives_zero_delta(self):
         mp = isometry_map(5)
         est = estimate_rip(mp, 2, 1, 50, mode="l2", seed=0)
@@ -239,6 +272,19 @@ class TestSerialization:
         mp = isometry_map(3)
         with pytest.raises(ValueError, match="seed"):
             write_map_header(mp, io.StringIO())
+
+    def test_unknown_header_key_rejected(self):
+        text = "kind factorized\nn 4\nm 6\np 5\ninnr rank-one\nseed 3\n"
+        with pytest.raises(ValueError, match="innr"):
+            read_map_header(io.StringIO(text))
+
+    def test_values_after_last_measurement_rejected(self):
+        mp = sample_map("rank-one", 3, 2, seed=31)
+        buf = io.StringIO()
+        write_measurement_file(mp, [1.0, 2.0], buf)
+        read_measurement_file(io.StringIO(buf.getvalue() + "\n"))
+        with pytest.raises(ValueError, match="after the 2 measurements"):
+            read_measurement_file(io.StringIO(buf.getvalue() + "3.0\n"))
 
     def test_missing_sentinel_rejected(self):
         mp = sample_map("dense-gaussian", 3, 4, seed=29)

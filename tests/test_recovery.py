@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -310,6 +311,35 @@ class TestBruteForce:
         block = res.estimate[np.ix_(sup, sup)]
         got = [block[0, 0], block[0, 1], block[1, 1]]
         assert np.allclose(got, z, atol=1e-8)
+
+    def test_matches_loop_reference(self):
+        # the decoder's former loops: a pair -> column dict over all pairs, then
+        # per-support column lists, so lstsq sees the same design
+        n, s = 6, 3
+        mp = sample_map("dense-gaussian", n, 12, seed=28)
+        y = np.random.default_rng(29).standard_normal(12)
+        pair_index, cols = {}, []
+        for i in range(n):
+            for j in range(i, n):
+                basis = np.zeros((n, n))
+                basis[i, j] = basis[j, i] = 1.0
+                pair_index[(i, j)] = len(cols)
+                cols.append(mp.apply(basis))
+        design_cols = np.stack(cols, axis=1)
+        best = (np.inf, None)
+        for cand in itertools.combinations(range(n), s):
+            pairs = [(a, b) for a in range(s) for b in range(a, s)]
+            design = design_cols[:, [pair_index[(cand[a], cand[b])] for a, b in pairs]]
+            coeffs = np.linalg.lstsq(design, y, rcond=None)[0]
+            obj = float(np.linalg.norm(y - design @ coeffs))
+            if obj < best[0]:
+                est = np.zeros((n, n))
+                for val, (a, b) in zip(coeffs, pairs):
+                    est[cand[a], cand[b]] = est[cand[b], cand[a]] = val
+                best = (obj, est)
+        res = brute_force_decode(mp, y, s, s)
+        assert res.residual_trace[0] == best[0]
+        assert np.array_equal(res.estimate, best[1])
 
     def test_l1_mode_recovers_noiseless(self):
         mp, x, _ = planted_instance("rank-one", 8, 2, 1, 30, seed=77)

@@ -113,6 +113,19 @@ class TestEigen:
             nz = np.nonzero(col)[0]
             assert col[nz[0]] > 0
 
+    def test_signs_match_loop_reference(self):
+        # the per-column loop the vectorized sign fix replaced; a zero first row
+        # makes the first nonzero component sit below row 0
+        m = random_sym(6, 4)
+        m[0, :] = m[:, 0] = 0.0
+        vals, vecs = np.linalg.eigh(m)
+        vecs = vecs[:, np.argsort(-np.abs(vals), kind="stable")]
+        for k in range(vecs.shape[1]):
+            nz = np.nonzero(vecs[:, k])[0]
+            if nz.size and vecs[nz[0], k] < 0:
+                vecs[:, k] = -vecs[:, k]
+        assert np.array_equal(eigen(m).eigenvectors, vecs)
+
 
 class TestProjectRank:
     def test_diagonal_keeps_largest_magnitudes(self):
