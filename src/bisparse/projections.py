@@ -195,20 +195,17 @@ def head_square(mat, s: int) -> ProjectionOutcome:
     n = m.shape[0]
     _check_sparsity(s, n)
     absm = np.abs(m)
-    scores = np.empty(n)
-    partners = []
-    all_idx = np.arange(n)
-    for i in range(n):
-        others = np.delete(all_idx, i)
-        order = others[np.argsort(-absm[i, others], kind="stable")]
-        chosen = order[: s - 1]
-        partners.append(chosen)
-        scores[i] = absm[i, i] ** 2 + float(np.sum(absm[i, chosen] ** 2))
+    # rank every row's off-diagonal magnitudes; the diagonal is set to rank last
+    ranked = -absm
+    np.fill_diagonal(ranked, np.inf)
+    partners = np.argsort(ranked, axis=1, kind="stable")[:, : s - 1]
+    scores = np.diagonal(absm) ** 2 + np.sum(np.take_along_axis(absm, partners, axis=1) ** 2,
+                                             axis=1)
     anchor_rows = _top_indices(scores, s)
-    members = set(anchor_rows.tolist())
-    for i in anchor_rows:
-        members.update(partners[i].tolist())
-    support = np.array(sorted(members), dtype=int)
+    members = np.zeros(n, dtype=bool)
+    members[anchor_rows] = True
+    members[partners[anchor_rows]] = True
+    support = np.flatnonzero(members)
     out = restrict(m, support)
     return _outcome(out, support, support.size)
 

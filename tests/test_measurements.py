@@ -83,6 +83,17 @@ class TestSampling:
         with pytest.raises(ValueError, match="exceeds the cap"):
             sample_map("factorized", 10, 10**6, p=1000, seed=1)
 
+    @pytest.mark.parametrize("kind,kwargs", ALL_KINDS)
+    def test_sampled_payload_is_read_only(self, kind, kwargs):
+        mp = sample_map(kind, 5, 8, seed=2, **kwargs)
+        payloads = [a for a in (mp.matrices, mp.vectors, mp.basis) if a is not None]
+        assert payloads
+        for payload in payloads:
+            with pytest.raises(ValueError, match="read-only"):
+                payload[0] = 1.0
+            with pytest.raises(ValueError, match="read-only"):
+                payload *= 2.0
+
     def test_injected_rank_one_payload(self):
         vectors = np.zeros((2, 3))
         vectors[0, 0] = 1.0
@@ -144,6 +155,28 @@ class TestApplyAdjoint:
         assert np.max(np.abs(mp.apply(x) - dense.apply(x))) <= 1e-8 * np.max(np.abs(dense.apply(x)))
         u = np.random.default_rng(22).standard_normal(7)
         assert np.max(np.abs(mp.adjoint(u) - dense.adjoint(u))) <= 1e-8
+
+    @pytest.mark.parametrize("kind,kwargs", [
+        ("rank-one", {}),
+        ("rank-one", {"scale": "unit"}),
+        ("factorized", {"p": 7, "inner": "rank-one"}),
+    ])
+    def test_rank_one_kernel_matches_einsum(self, kind, kwargs):
+        # the einsum contraction apply replaced is the reference; a float64 sum of
+        # n^2 products agrees to 1e-12 of the summed magnitudes
+        for n, m, seed in ((1, 3, 50), (5, 8, 51), (24, 300, 52)):
+            mp = sample_map(kind, n, m, seed=seed, **kwargs)
+            x = random_sym(n, seed + 1)
+            inner = mp.basis @ x @ mp.basis.T if kind == "factorized" else x
+            ref = np.einsum("ki,ij,kj->k", mp.vectors, inner, mp.vectors)
+            scale = np.einsum("ki,ij,kj->k", np.abs(mp.vectors), np.abs(inner), np.abs(mp.vectors))
+            assert np.all(np.abs(mp.apply(x) - ref) <= 1e-12 * scale)
+
+    @pytest.mark.parametrize("kind,kwargs", ALL_KINDS)
+    def test_apply_is_odd_bitwise(self, kind, kwargs):
+        mp = sample_map(kind, 9, 40, seed=53, **kwargs)
+        x = random_sym(9, 54)
+        assert np.array_equal(mp.apply(-x), -mp.apply(x))
 
     def test_dimension_mismatch(self):
         mp = sample_map("dense-gaussian", 4, 5, seed=9)

@@ -194,6 +194,42 @@ class TestHeadSquare:
             assert out.support.size <= 4
             assert block_energy(m, out.support) >= best_block_energy(m, 2)
 
+    @staticmethod
+    def loop_reference(m, s):
+        # the per-row loop head_square replaced: each row's s-1 largest
+        # off-diagonal magnitudes (stable order) are its partners
+        n = m.shape[0]
+        absm = np.abs(m)
+        scores = np.empty(n)
+        partners = []
+        for i in range(n):
+            others = np.delete(np.arange(n), i)
+            chosen = others[np.argsort(-absm[i, others], kind="stable")][: s - 1]
+            partners.append(chosen)
+            scores[i] = absm[i, i] ** 2 + float(np.sum(absm[i, chosen] ** 2))
+        anchors = np.sort(np.argsort(-scores, kind="stable")[:s])
+        members = set(anchors.tolist())
+        for i in anchors:
+            members.update(partners[i].tolist())
+        return np.array(sorted(members), dtype=int)
+
+    @pytest.mark.parametrize("family", ["gaussian", "integer-ties", "mostly-zero"])
+    def test_matches_loop_reference(self, family):
+        rng = np.random.default_rng({"gaussian": 1, "integer-ties": 2, "mostly-zero": 3}[family])
+        for n in range(1, 41):
+            if family == "gaussian":
+                a = rng.standard_normal((n, n))
+            elif family == "integer-ties":
+                a = rng.integers(-2, 3, (n, n)).astype(float)
+            else:
+                a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+            m = a + a.T
+            for s in range(1, n + 1):
+                out = head_square(m, s)
+                support = self.loop_reference(m, s)
+                assert np.array_equal(out.support, support), (n, s)
+                assert np.array_equal(out.matrix, restrict(m, support)), (n, s)
+
 
 class TestHeadRowcol:
     def test_dominant_block_selected(self):
