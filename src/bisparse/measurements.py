@@ -10,8 +10,7 @@ Three linear measurement families on symmetric n x n matrices are supported:
 
 A map stores its payload arrays but is reproducible from (kind, n, m, p, seed,
 inner, scale) alone, which is what the text serialization records.  Payloads
-can also be injected directly for test hooks.  Sampled payloads are
-read-only, because solvers cache estimates computed from a map on the map.
+can also be injected directly for test hooks.
 
 The RIP estimators probe the structured set with random unit-Frobenius
 members; the reported constants are empirical lower bounds on the true
@@ -64,12 +63,6 @@ class MeasurementMap:
     `matrices` (m, p, p) or `vectors` (m, p) for factorized.  Payload fields
     outside the kind's layout are rejected.  `seed` is the sampling seed when
     the payload came from `sample_map`, else None.
-
-    `beta_memo` holds the l1 step normalizers the sign-modified solvers
-    estimated on this map, keyed by the estimator, its trials and seed and
-    the (s, r) probed.  It is only valid while the payload is unchanged, so a
-    payload must not be mutated once the map is built; `sample_map` makes its
-    payloads read-only to enforce that.
     """
 
     kind: str
@@ -82,7 +75,6 @@ class MeasurementMap:
     matrices: np.ndarray | None = field(default=None, repr=False)
     vectors: np.ndarray | None = field(default=None, repr=False)
     basis: np.ndarray | None = field(default=None, repr=False)
-    beta_memo: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.kind not in KINDS:
@@ -155,8 +147,7 @@ def sample_map(
     symmetrized (which halves the off-diagonal variance); rank-one vectors
     have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws the
     basis and the inner matrices/vectors with standard N(0, 1) entries.
-    Refuses payloads of more than PAYLOAD_CAP entries before allocating.  The
-    payload arrays are returned read-only (see MeasurementMap.beta_memo).
+    Refuses payloads of more than PAYLOAD_CAP entries before allocating.
     """
     if kind not in KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -174,29 +165,21 @@ def sample_map(
     if kind == "dense-gaussian":
         mats = rng.standard_normal((m, n, n)) / np.sqrt(m)
         mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        mp = MeasurementMap(kind, n, m, seed=seed, matrices=mats)
-    elif kind == "rank-one":
+        return MeasurementMap(kind, n, m, seed=seed, matrices=mats)
+    if kind == "rank-one":
         vecs = rng.standard_normal((m, n))
         if scale == "inv_m":
             vecs = vecs / np.sqrt(m)
-        mp = MeasurementMap(kind, n, m, seed=seed, scale=scale, vectors=vecs)
-    else:
-        basis = rng.standard_normal((p, n))
-        if inner == "dense":
-            mats = rng.standard_normal((m, p, p))
-            mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-            mp = MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, matrices=mats,
-                                basis=basis)
-        elif inner == "rank-one":
-            vecs = rng.standard_normal((m, p))
-            mp = MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, vectors=vecs,
-                                basis=basis)
-        else:
-            raise ValueError(f"unknown inner kind {inner!r}")
-    for payload in (mp.matrices, mp.vectors, mp.basis):
-        if payload is not None:
-            payload.flags.writeable = False
-    return mp
+        return MeasurementMap(kind, n, m, seed=seed, scale=scale, vectors=vecs)
+    basis = rng.standard_normal((p, n))
+    if inner == "dense":
+        mats = rng.standard_normal((m, p, p))
+        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+        return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, matrices=mats, basis=basis)
+    if inner == "rank-one":
+        vecs = rng.standard_normal((m, p))
+        return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, vectors=vecs, basis=basis)
+    raise ValueError(f"unknown inner kind {inner!r}")
 
 
 def isometry_map(n: int) -> MeasurementMap:

@@ -88,9 +88,8 @@ class RecoveryConfig:
 
     step_beta is the l1-RIP upper normalizer used by the sign-modified
     solvers; when None it is estimated from the map at doubled structure
-    parameters, once per map: later solves on the same map object reuse it
-    (see MeasurementMap.beta_memo).  debug=True re-checks the support/rank
-    structure of every iterate.
+    parameters.  debug=True re-checks the support/rank structure of every
+    iterate.
     """
 
     max_iters: int = 500
@@ -238,13 +237,9 @@ def _resolve_beta(mp: MeasurementMap, s: int, r: int, cfg: RecoveryConfig) -> fl
         if cfg.step_beta <= 0:
             raise ValueError("step_beta must be positive")
         return cfg.step_beta
-    s2, r2 = min(2 * s, mp.n), min(2 * r, mp.n)
-    # everything the estimate depends on besides the (immutable) payload
-    key = (estimate_rip, BETA_TRIALS, BETA_SEED, s2, r2)
-    if key not in mp.beta_memo:
-        mp.beta_memo[key] = estimate_rip(mp, s2, r2, BETA_TRIALS, mode="l1",
-                                         seed=BETA_SEED).beta_hat
-    return mp.beta_memo[key]
+    est = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS,
+                       mode="l1", seed=BETA_SEED)
+    return est.beta_hat
 
 
 def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,

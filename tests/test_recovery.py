@@ -1,11 +1,9 @@
-import dataclasses
 import itertools
 import math
 
 import numpy as np
 import pytest
 
-from bisparse import recovery
 from bisparse.measurements import (
     MeasurementMap,
     isometry_map,
@@ -160,77 +158,6 @@ class TestIhtRankOne:
             res = iht_rank_one(mp, mp.apply(x), s, r)
             hits += np.linalg.norm(res.estimate - x) <= 1e-3
         assert hits >= 5
-
-
-class TestBetaMemo:
-    @pytest.fixture
-    def rip_calls(self, monkeypatch):
-        calls = []
-        real = recovery.estimate_rip
-
-        def counting(mp, s, r, *args, **kwargs):
-            calls.append((mp, s, r))
-            return real(mp, s, r, *args, **kwargs)
-
-        monkeypatch.setattr(recovery, "estimate_rip", counting)
-        return calls
-
-    def test_second_solve_on_a_map_skips_probing(self, rip_calls):
-        mp, x, _ = planted_instance("rank-one", 12, 2, 1, 80, seed=20)
-        y = mp.apply(x)
-        cfg = RecoveryConfig(max_iters=40)
-        pos = iht_rank_one(mp, y, 2, 1, cfg)
-        assert len(rip_calls) == 1
-        neg = iht_rank_one(mp, -y, 2, 1, cfg)
-        assert len(rip_calls) == 1
-        assert np.array_equal(neg.estimate, -pos.estimate)
-        assert len(mp.beta_memo) == 1
-
-    def test_memoized_beta_equals_a_fresh_estimate(self, rip_calls):
-        mp, x, _ = planted_instance("rank-one", 12, 2, 1, 80, seed=21)
-        fresh = sample_map("rank-one", 12, 80, seed=21)
-        cfg = RecoveryConfig(max_iters=40)
-        iht_rank_one(mp, mp.apply(x), 2, 1, cfg)
-        again = iht_rank_one(mp, mp.apply(x), 2, 1, cfg)
-        first_on_fresh = iht_rank_one(fresh, fresh.apply(x), 2, 1, cfg)
-        assert len(rip_calls) == 2
-        assert mp.beta_memo == fresh.beta_memo
-        assert np.array_equal(again.estimate, first_on_fresh.estimate)
-        assert again.residual_trace == first_on_fresh.residual_trace
-
-    def test_distinct_maps_never_share_beta(self, rip_calls):
-        cfg = RecoveryConfig(max_iters=5)
-        a = sample_map("rank-one", 10, 60, seed=22)
-        b = sample_map("rank-one", 10, 60, seed=23)
-        c = dataclasses.replace(a)
-        for mp in (a, b, c):
-            iht_rank_one(mp, np.ones(60), 2, 1, cfg)
-        assert all(call[0] is mp for call, mp in zip(rip_calls, (a, b, c), strict=True))
-        assert a.beta_memo is not c.beta_memo
-        assert a.beta_memo == c.beta_memo != b.beta_memo
-        iht_rank_one(a, np.ones(60), 3, 1, cfg)
-        assert len(a.beta_memo) == 2
-        assert len(rip_calls) == 4
-
-    def test_rebound_estimator_probes_again(self, monkeypatch):
-        mp = sample_map("rank-one", 10, 60, seed=25)
-        cfg = RecoveryConfig(max_iters=5)
-        iht_rank_one(mp, np.ones(60), 2, 1, cfg)
-        calls = []
-        real = recovery.estimate_rip
-        monkeypatch.setattr(recovery, "estimate_rip",
-                            lambda *args, **kwargs: calls.append(args) or real(*args, **kwargs))
-        iht_rank_one(mp, np.ones(60), 2, 1, cfg)
-        iht_rank_one(mp, np.ones(60), 2, 1, cfg)
-        assert len(calls) == 1
-        assert len(set(mp.beta_memo.values())) == 1
-
-    def test_step_beta_skips_probing(self, rip_calls):
-        mp = sample_map("rank-one", 10, 60, seed=24)
-        iht_rank_one(mp, np.ones(60), 2, 1, RecoveryConfig(max_iters=5, step_beta=1.5))
-        iht_lowrank(mp, np.ones(60), 1, RecoveryConfig(max_iters=5, step_beta=1.5))
-        assert rip_calls == []
-        assert mp.beta_memo == {}
 
 
 class TestIhtLowrank:
