@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import check_support, check_sym, project_rank, restrict
+from .symcore import _restrict, check_support, check_sym, project_rank
 
 __all__ = [
     "ProjectionOutcome",
@@ -115,14 +115,22 @@ def rank_project_on_support(mat: np.ndarray, support: np.ndarray, rank: int) -> 
     The eigensolver can leave O(1e-17) dirt outside the block of an exactly
     restricted matrix; zeroing it keeps outputs exactly structured.
     """
-    return restrict(project_rank(mat, rank), support)
+    out = project_rank(mat, rank)
+    return _restrict(out, check_support(support, out.shape[0]))
 
 
 def _rank_truncated(mat, s: int, r: int, base_projection) -> ProjectionOutcome:
-    """base_projection(M, s), then truncated to rank r on the support it chose."""
-    m = check_sym(mat)
-    _check_rank(r, m.shape[0])
-    base = base_projection(m, s)
+    """base_projection(M, s), then truncated to rank r on the support it chose.
+
+    The base projection validates M and s; a fault in M still takes precedence
+    over one in r, and a fault in r over one in s.
+    """
+    try:
+        base = base_projection(mat, s)
+    except ValueError:
+        _check_rank(r, check_sym(mat).shape[0])
+        raise
+    _check_rank(r, base.matrix.shape[0])
     out = rank_project_on_support(base.matrix, base.support, r)
     return _outcome(out, base.support, r)
 
@@ -156,7 +164,7 @@ def exact_project(mat, s: int, r: int, cap: int = ENUMERATION_CAP) -> Projection
             best_obj = obj
             best_support = cand
     support = np.array(best_support, dtype=int)
-    out = rank_project_on_support(restrict(m, support), support, r)
+    out = rank_project_on_support(_restrict(m, support), support, r)
     return _outcome(out, support, r)
 
 
@@ -170,7 +178,7 @@ def tail_bisparse(mat, s: int) -> ProjectionOutcome:
     _check_sparsity(s, m.shape[0])
     col_norms = np.linalg.norm(m, axis=0)
     support = _top_indices(col_norms, s)
-    out = restrict(m, support)
+    out = _restrict(m, support)
     return _outcome(out, support, support.size)
 
 
@@ -206,7 +214,7 @@ def head_square(mat, s: int) -> ProjectionOutcome:
     members[anchor_rows] = True
     members[partners[anchor_rows]] = True
     support = np.flatnonzero(members)
-    out = restrict(m, support)
+    out = _restrict(m, support)
     return _outcome(out, support, support.size)
 
 
@@ -223,7 +231,7 @@ def head_rowcol(mat, s: int) -> ProjectionOutcome:
     col_energy = np.linalg.norm(m[rows, :], axis=0)
     cols = _top_indices(col_energy, s)
     support = np.union1d(rows, cols)
-    out = restrict(m, support)
+    out = _restrict(m, support)
     return _outcome(out, support, support.size)
 
 
@@ -249,7 +257,7 @@ def head_anchor(mat, s: int) -> ProjectionOutcome:
             best_val = val
             best_support = np.append(chosen, j)
     support = np.sort(best_support)
-    out = restrict(m, support)
+    out = _restrict(m, support)
     return _outcome(out, support, support.size)
 
 
@@ -286,7 +294,7 @@ def head_psd_lowrank(mat, s: int, rank_override: int | None = None) -> Projectio
         factor = np.abs(vecs[:, k])
         members.update(_top_indices(factor, s).tolist())
     support = np.array(sorted(members), dtype=int)
-    out = restrict(m, support)
+    out = _restrict(m, support)
     return _outcome(out, support, support.size)
 
 
@@ -329,7 +337,7 @@ def head_shrink(mat, sprime, s: int) -> ShrinkOutcome:
     col_scores = np.linalg.norm(m[np.ix_(rows, sp)], axis=0)
     cols = sp[_top_indices(col_scores, half)]
     support = np.union1d(rows, cols)
-    out = restrict(m, support)
+    out = _restrict(m, support)
     return ShrinkOutcome(
         out, support, support.size, float(np.linalg.norm(out)), rows=rows, cols=cols
     )

@@ -84,10 +84,14 @@ def check_support(indices, n: int) -> np.ndarray:
 def restrict(mat, support) -> np.ndarray:
     """Zero every entry of a symmetric matrix outside support x support."""
     m = check_sym(mat)
-    s = check_support(support, m.shape[0])
+    return _restrict(m, check_support(support, m.shape[0]))
+
+
+def _restrict(m: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """restrict for a validated matrix and a sorted, in-range support."""
     out = np.zeros_like(m)
-    if s.size:
-        ix = np.ix_(s, s)
+    if support.size:
+        ix = np.ix_(support, support)
         out[ix] = m[ix]
     return out
 
@@ -113,23 +117,22 @@ def eigen(mat) -> EigenDecomp:
     are bit-identical.  Raises numpy.linalg.LinAlgError if the underlying
     solver fails to converge.
     """
-    m = check_sym(mat)
-    vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vals = vals[order]
-    vecs = vecs[:, order]
+    vals, vecs = _eigen_stack(check_sym(mat)[None])
+    return EigenDecomp(vals[0], vecs[0])
+
+
+def _eigen_stack(stack: np.ndarray):
+    """`eigen` of each matrix in a (k, n, n) stack of validated symmetric matrices."""
+    vals, vecs = np.linalg.eigh(stack)
+    k, n = vals.shape
+    mats = np.arange(k)[:, None]
+    cols = np.arange(n)
+    order = np.argsort(-np.abs(vals), axis=1, kind="stable")
+    vals = vals[mats, order]
+    vecs = vecs[mats[:, :, None], cols[:, None], order[:, None, :]]
     # flip every column whose first nonzero component is negative
-    lead = vecs[np.argmax(vecs != 0, axis=0), np.arange(vecs.shape[1])]
-    vecs[:, lead < 0] *= -1.0
-    return EigenDecomp(vals, vecs)
-
-
-def _leading_sign(m: np.ndarray) -> float:
-    flat = m.ravel()
-    nz = np.nonzero(flat)[0]
-    if nz.size == 0:
-        return 0.0
-    return 1.0 if flat[nz[0]] > 0 else -1.0
+    vecs *= np.sign(vecs[mats, np.argmax(vecs != 0, axis=1), cols])[:, None, :]
+    return vals, vecs
 
 
 def project_rank(mat, rank: int) -> np.ndarray:
@@ -141,23 +144,28 @@ def project_rank(mat, rank: int) -> np.ndarray:
     m = check_sym(mat)
     if rank < 0:
         raise ValueError("rank bound must be nonnegative")
-    n = m.shape[0]
-    r = min(rank, n)
-    if r == 0:
+    if rank == 0:
         return np.zeros_like(m)
+    return _project_rank_stack(m[None], min(rank, m.shape[0]))[0]
+
+
+def _project_rank_stack(stack: np.ndarray, r: int) -> np.ndarray:
+    """`project_rank` of each validated symmetric matrix in a (k, n, n) stack, 1 <= r <= n."""
     # evaluate on a sign-canonical input so project_rank(-M) == -project_rank(M)
     # bitwise; the solvers rely on the iteration map being exactly odd.  The
-    # + 0.0 turns -0.0 entries into +0.0: LAPACK's reflector signs see the
-    # sign bit of zeros, which would break the bitwise symmetry
-    sign = _leading_sign(m)
-    if sign == 0.0:
-        return np.zeros_like(m)
-    dec = eigen((m if sign > 0 else -m) + 0.0)
-    vals = dec.eigenvalues[:r]
-    vecs = dec.eigenvectors[:, :r]
-    out = (vecs * vals) @ vecs.T
-    out = (out + out.T) / 2.0
-    return out if sign > 0 else -out
+    # sign is that of the first nonzero entry in row-major order.  The + 0.0
+    # turns -0.0 entries into +0.0: LAPACK's reflector signs see the sign bit
+    # of zeros, which would break the bitwise symmetry
+    flat = stack.reshape(len(stack), -1)
+    sign = np.sign(flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)])[:, None, None]
+    vals, vecs = _eigen_stack(stack * sign + 0.0)
+    vecs = vecs[:, :, :r]
+    out = (vecs * vals[:, None, :r]) @ np.swapaxes(vecs, 1, 2)
+    out = (out + np.swapaxes(out, 1, 2)) / 2.0
+    out *= sign
+    # a zero matrix projects to +0.0 everywhere
+    out[sign[:, 0, 0] == 0.0] = 0.0
+    return out
 
 
 def frob_inner(a, b) -> float:

@@ -3,8 +3,11 @@ import io
 import numpy as np
 import pytest
 
+from bisparse import measurements
 from bisparse.measurements import (
+    PROBE_CHUNK,
     MeasurementMap,
+    RipEstimate,
     check_rip_cross_term,
     cross_term_ratio,
     estimate_rip,
@@ -17,7 +20,7 @@ from bisparse.measurements import (
     write_map_header,
     write_measurement_file,
 )
-from bisparse.symcore import frob_inner, sym_enforce
+from bisparse.symcore import frob_inner, project_rank, sym_enforce
 
 
 def random_sym(n, seed):
@@ -195,6 +198,116 @@ class TestStructuredSampler:
             assert np.max(np.abs(x[outside])) == 0.0
             vals = np.linalg.svd(x[np.ix_(support, support)], compute_uv=False)
             assert np.sum(vals > 1e-9) <= 2
+
+
+def structured_reference(n, s, r, rng):
+    # sample_structured before probes were projected in stacks
+    while True:
+        support = np.sort(rng.choice(n, size=s, replace=False))
+        g = rng.standard_normal((s, s))
+        block = project_rank((g + g.T) / 2.0, r)
+        nrm = float(np.linalg.norm(block))
+        if nrm > 0.0:
+            break
+    out = np.zeros((n, n))
+    out[np.ix_(support, support)] = block / nrm
+    return out, support
+
+
+def estimate_rip_reference(mp, s, r, trials, mode="l2", seed=0):
+    # estimate_rip before it became one chunked pass: one probe at a time
+    delta = 0.0
+    alpha = np.inf
+    beta = -np.inf
+    for t in range(trials):
+        probe, _ = structured_reference(mp.n, s, r, np.random.default_rng([seed, t]))
+        y = mp.apply(probe)
+        zf2 = float(np.sum(probe * probe))
+        zf = np.sqrt(zf2)
+        delta = max(delta, abs(float(y @ y) - zf2) / zf2)
+        ratio1 = float(np.sum(np.abs(y))) / zf
+        alpha = min(alpha, ratio1)
+        beta = max(beta, ratio1)
+    return RipEstimate(delta, alpha, beta, trials, s, r, mode)
+
+
+class ZeroFirstBlock:
+    """A generator whose first Gaussian block is all zeros, so it projects to zero."""
+
+    def __init__(self, rng):
+        self.rng = rng
+        self.blocks = 0
+
+    def choice(self, *args, **kwargs):
+        return self.rng.choice(*args, **kwargs)
+
+    def standard_normal(self, shape):
+        self.blocks += 1
+        g = self.rng.standard_normal(shape)
+        return np.zeros(shape) if self.blocks == 1 else g
+
+
+class TestBatchedProbes:
+    @pytest.mark.parametrize("kind,kwargs", ALL_KINDS)
+    def test_estimate_matches_loop_reference(self, kind, kwargs):
+        n = 5
+        for map_seed in (0, 1):
+            mp = sample_map(kind, n, 30, seed=map_seed, **kwargs)
+            for s in (1, 2, n):
+                for r in sorted({1, s}):
+                    for seed in (0, 11):
+                        for trials in (1, PROBE_CHUNK + 3):
+                            got = estimate_rip(mp, s, r, trials, mode="l1", seed=seed)
+                            want = estimate_rip_reference(mp, s, r, trials, "l1", seed)
+                            assert got == want, (kind, map_seed, s, r, seed, trials)
+
+    def test_many_chunks_match_loop_reference(self):
+        mp = sample_map("rank-one", 12, 80, seed=4)
+        trials = 3 * PROBE_CHUNK + 5
+        assert estimate_rip(mp, 4, 2, trials, seed=9) == estimate_rip_reference(
+            mp, 4, 2, trials, "l2", 9)
+
+    def test_sample_structured_matches_reference(self):
+        for n, s, r in ((1, 1, 1), (6, 2, 1), (6, 3, 3), (9, 9, 2)):
+            a = np.random.default_rng(n * 10 + s)
+            b = np.random.default_rng(n * 10 + s)
+            for _ in range(5):
+                x, sx = sample_structured(n, s, r, a)
+                y, sy = structured_reference(n, s, r, b)
+                assert np.array_equal(sx, sy)
+                assert np.array_equal(x.view(np.uint64), y.view(np.uint64))
+
+    def test_zero_block_is_redrawn_from_its_own_stream(self):
+        a = ZeroFirstBlock(np.random.default_rng(21))
+        b = ZeroFirstBlock(np.random.default_rng(21))
+        x, sx = sample_structured(7, 3, 2, a)
+        y, sy = structured_reference(7, 3, 2, b)
+        assert a.blocks == b.blocks == 2
+        assert np.array_equal(sx, sy)
+        assert np.array_equal(x, y)
+        assert np.linalg.norm(x) == pytest.approx(1.0)
+
+    def test_zero_block_in_a_batch_matches_loop_reference(self, monkeypatch):
+        # trials on both sides of a chunk boundary draw a zero first block
+        zeroed = {3, PROBE_CHUNK - 1, PROBE_CHUNK}
+        made = []
+        real = np.random.default_rng
+
+        def default_rng(seed):
+            rng = real(seed)
+            if seed[1] in zeroed:
+                rng = ZeroFirstBlock(rng)
+                made.append(rng)
+            return rng
+
+        mp = sample_map("rank-one", 8, 40, seed=2)
+        monkeypatch.setattr(measurements.np.random, "default_rng", default_rng)
+        trials = PROBE_CHUNK + 4
+        got = estimate_rip(mp, 3, 2, trials, mode="l1", seed=5)
+        assert [rng.blocks for rng in made] == [2, 2, 2]
+        made.clear()
+        assert got == estimate_rip_reference(mp, 3, 2, trials, "l1", 5)
+        assert [rng.blocks for rng in made] == [2, 2, 2]
 
 
 class TestEstimateRip:

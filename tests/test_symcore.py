@@ -5,6 +5,7 @@ import numpy as np
 import pytest
 
 from bisparse.symcore import (
+    _project_rank_stack,
     check_support,
     eigen,
     frob_inner,
@@ -179,6 +180,78 @@ class TestProjectRank:
         for seed in range(10):
             m = restrict(random_sym(8, seed), [0, 2, 3])
             assert np.array_equal(project_rank(-m, 2), -project_rank(m, 2))
+
+    @staticmethod
+    def reference(m, rank):
+        # project_rank before it ran on stacks: one matrix, sign canonicalized
+        # by its first nonzero entry, eigenpairs by stable descending |value|,
+        # each eigenvector's first nonzero component made positive
+        r = min(rank, m.shape[0])
+        nz = np.nonzero(m.ravel())[0]
+        if r == 0 or nz.size == 0:
+            return np.zeros_like(m)
+        sign = 1.0 if m.ravel()[nz[0]] > 0 else -1.0
+        vals, vecs = np.linalg.eigh((m if sign > 0 else -m) + 0.0)
+        order = np.argsort(-np.abs(vals), kind="stable")
+        vals = vals[order]
+        vecs = vecs[:, order]
+        for k in range(vecs.shape[1]):
+            first = np.nonzero(vecs[:, k])[0][0]
+            if vecs[first, k] < 0:
+                vecs[:, k] *= -1.0
+        vecs = vecs[:, :r]
+        out = (vecs * vals[:r]) @ vecs.T
+        out = (out + out.T) / 2.0
+        return out if sign > 0 else -out
+
+    @staticmethod
+    def family(name, n, rng):
+        if name == "gaussian":
+            a = rng.standard_normal((n, n))
+        elif name == "integer-ties":
+            a = rng.integers(-2, 3, (n, n)).astype(float)
+        elif name == "mostly-zero":
+            a = rng.standard_normal((n, n)) * (rng.random((n, n)) < 0.1)
+        else:
+            # signed zeros with a few nonzero entries: -0.0 must not reach LAPACK
+            a = np.where(rng.random((n, n)) < 0.5, -0.0, 0.0)
+            a[rng.random((n, n)) < 0.15] = 1.5
+            return np.where(np.triu(np.ones((n, n), dtype=bool)), a, a.T)
+        return a + a.T
+
+    @staticmethod
+    def bits(a):
+        return a.view(np.uint64)
+
+    @pytest.mark.parametrize("name", ["gaussian", "integer-ties", "mostly-zero", "signed-zero"])
+    def test_matches_reference_bitwise(self, name):
+        rng = np.random.default_rng(["gaussian", "integer-ties", "mostly-zero",
+                                     "signed-zero"].index(name) + 70)
+        for n in range(1, 30):
+            for _ in range(3):
+                m = self.family(name, n, rng)
+                for rank in sorted({0, 1, 2, n, n + 1}):
+                    for x in (m, -m):
+                        got = project_rank(x, rank)
+                        assert np.array_equal(self.bits(got), self.bits(self.reference(x, rank))), (
+                            n, rank)
+
+    def test_zero_matrix_bitwise(self):
+        for z in (np.zeros((5, 5)), -np.zeros((5, 5))):
+            assert np.array_equal(self.bits(project_rank(z, 2)), self.bits(np.zeros((5, 5))))
+
+    def test_stack_matches_one_at_a_time(self):
+        # estimate_rip projects many probes in one stacked call
+        rng = np.random.default_rng(77)
+        for n in (1, 3, 8):
+            mats = [self.family(name, n, rng)
+                    for name in ("gaussian", "integer-ties", "mostly-zero", "signed-zero")]
+            mats.append(np.zeros((n, n)))
+            stack = np.stack(mats + [-x for x in mats])
+            for r in sorted({1, n}):
+                out = _project_rank_stack(stack, r)
+                for k, x in enumerate(stack):
+                    assert np.array_equal(self.bits(out[k]), self.bits(project_rank(x, r)))
 
 
 class TestFrobInner:
