@@ -52,7 +52,7 @@ __all__ = [
 ENSEMBLES = ("dense-gaussian", "rank-one", "factorized")
 
 CSV_HEADER = "algo,ensemble,n,s,r,m,trial,seed,noise,success,rel_error,iters,ms"
-RIP_CSV_HEADER = "ensemble,n,s,r,m,mode,trials,seed,delta_lower,alpha_hat,beta_hat"
+RIP_CSV_HEADER = "ensemble,n,s,r,m,trials,seed,delta_lower,alpha_hat,beta_hat"
 AGGREGATE_HEADER = "algo,ensemble,n,s,r,m,trials,successes,success_rate,mean_rel_error"
 
 
@@ -285,7 +285,7 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
     return records
 
 
-def run_rip_sweep(spec: ExperimentSpec, mode: str = "l2") -> list:
+def run_rip_sweep(spec: ExperimentSpec) -> list:
     """Estimate RIP statistics over the grid; returns (cell, seed, RipEstimate) rows."""
     rows = []
     for n, s, r, m in _cells(spec):
@@ -293,13 +293,12 @@ def run_rip_sweep(spec: ExperimentSpec, mode: str = "l2") -> list:
         if reason is not None:
             warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
             continue
-        cell = (spec.base_seed, "rip", spec.ensemble, n, s, r, m, mode)
+        cell = (spec.base_seed, "rip", spec.ensemble, n, s, r, m)
         mp = _cell_map(spec, n, s, m, cell)
-        est = estimate_rip(mp, s, r, spec.trials_per_cell, mode=mode,
-                           seed=derive_seed(*cell, "probes"))
+        est = estimate_rip(mp, s, r, spec.trials_per_cell, seed=derive_seed(*cell, "probes"))
         rows.append({
             "ensemble": spec.ensemble, "n": n, "s": s, "r": r, "m": m,
-            "mode": mode, "trials": spec.trials_per_cell,
+            "trials": spec.trials_per_cell,
             "seed": derive_seed(*cell), "estimate": est,
         })
     return rows
@@ -327,7 +326,7 @@ def write_rip_csv(rows, stream) -> None:
         est: RipEstimate = row["estimate"]
         stream.write(
             f"{row['ensemble']},{row['n']},{row['s']},{row['r']},{row['m']},"
-            f"{row['mode']},{row['trials']},{row['seed']},"
+            f"{row['trials']},{row['seed']},"
             f"{_fmt(est.delta_lower)},{_fmt(est.alpha_hat)},{_fmt(est.beta_hat)}\n"
         )
 

@@ -8,6 +8,7 @@ resolved seed on stderr.  Exit codes: 0 success, 2 usage or input error,
 from __future__ import annotations
 
 import argparse
+import contextlib
 import sys
 
 import numpy as np
@@ -16,12 +17,13 @@ from . import bench, measurements, projections, recovery
 from .symcore import read_matrix, write_matrix
 
 
+# "-" is the process's stdin/stdout, which a command's `with` block must not close
 def _open_in(path):
-    return sys.stdin if path == "-" else open(path, "r")
+    return contextlib.nullcontext(sys.stdin) if path == "-" else open(path, "r")
 
 
 def _open_out(path):
-    return sys.stdout if path == "-" else open(path, "w")
+    return contextlib.nullcontext(sys.stdout) if path == "-" else open(path, "w")
 
 
 def _echo_seed(seed) -> None:
@@ -121,10 +123,8 @@ def _cmd_rip(args) -> int:
         args.ensemble, args.n, args.m, p=args.p, seed=args.seed,
         inner=args.inner, scale=args.scale,
     )
-    est = measurements.estimate_rip(mp, args.s, args.r, args.trials,
-                                    mode=args.mode, seed=args.seed)
+    est = measurements.estimate_rip(mp, args.s, args.r, args.trials, seed=args.seed)
     with _open_out(args.output) as fh:
-        fh.write(f"mode {est.mode}\n")
         fh.write(f"trials {est.trials}\n")
         fh.write(f"delta_lower {format(est.delta_lower, '.17g')}\n")
         fh.write(f"alpha_hat {format(est.alpha_hat, '.17g')}\n")
@@ -153,7 +153,7 @@ def _cmd_bench(args) -> int:
             with open(args.aggregate, "w") as fh:
                 bench.write_aggregate_csv(bench.aggregate(records), fh)
     else:
-        rows = bench.run_rip_sweep(spec, mode=args.rip_mode)
+        rows = bench.run_rip_sweep(spec)
         with _open_out(args.output) as fh:
             bench.write_rip_csv(rows, fh)
     return 0
@@ -214,7 +214,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rip.add_argument("--s", type=int, required=True)
     p_rip.add_argument("--r", type=int, required=True)
     p_rip.add_argument("--trials", type=int, default=200)
-    p_rip.add_argument("--mode", default="l2", choices=("l2", "l1"))
     p_rip.add_argument("--cross-term", action="store_true",
                        help="also report the worst cross-term ratio")
     p_rip.add_argument("--delta", type=float, default=None,
@@ -226,7 +225,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench = sub.add_parser("bench", help="run a benchmark sweep from a spec file")
     p_bench.add_argument("--spec", required=True, help="spec file path ('-' for stdin)")
     p_bench.add_argument("--mode", default="phase", choices=("phase", "rip"))
-    p_bench.add_argument("--rip-mode", default="l2", choices=("l2", "l1"))
     p_bench.add_argument("--seed", type=int, default=None,
                          help="override the spec's base_seed")
     p_bench.add_argument("--threads", type=int, default=1)

@@ -281,12 +281,9 @@ class RipEstimate:
     trials: int
     s: int
     r: int
-    mode: str
 
 
-def estimate_rip(
-    mp: MeasurementMap, s: int, r: int, trials: int, mode: str = "l2", seed: int = 0
-) -> RipEstimate:
+def estimate_rip(mp: MeasurementMap, s: int, r: int, trials: int, seed: int = 0) -> RipEstimate:
     """Probe the map with `trials` random structured matrices and record extremes.
 
     Each trial draws from an independent generator seeded by (seed, trial), so
@@ -298,8 +295,6 @@ def estimate_rip(
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    if mode not in ("l2", "l1"):
-        raise ValueError(f"unknown mode {mode!r}")
     _check_probe_params(mp.n, s, r)
     delta = 0.0
     alpha = np.inf
@@ -315,7 +310,7 @@ def estimate_rip(
             ratio1 = float(np.sum(np.abs(y))) / zf
             alpha = min(alpha, ratio1)
             beta = max(beta, ratio1)
-    return RipEstimate(delta, alpha, beta, trials, s, r, mode)
+    return RipEstimate(delta, alpha, beta, trials, s, r)
 
 
 class CrossTermReport(NamedTuple):

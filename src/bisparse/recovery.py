@@ -1,8 +1,9 @@
 """Recovery solvers for jointly low-rank and bisparse symmetric matrices.
 
-Four iterative solvers plus an exhaustive decoder, all starting from the zero
-matrix and sharing the same stopping rules (relative residual, stall between
-iterates, iteration cap, and a divergence guard):
+Five hard-thresholding iterations plus an exhaustive decoder.  The iterations
+all run in one loop, `_iterate`, from the zero matrix and with the same
+stopping rules (relative residual, stall between iterates, iteration cap, and
+a divergence guard):
 
   iht_exact            hard thresholding with the exact (enumerating) joint
                        projection; desk scale only
@@ -122,12 +123,12 @@ def _support_of(mat: np.ndarray) -> np.ndarray:
     return np.nonzero(np.any(mat != 0.0, axis=0))[0]
 
 
-def _iterate(mp, y, step_fn, cfg, callback=None) -> RecoveryResult:
-    """Shared IHT driver: run step_fn from the zero matrix until a stopping rule fires."""
+def _iterate(apply, y, x0, step_fn, cfg, callback=None) -> RecoveryResult:
+    """The shared loop: run step_fn(x, y - apply(x)) from x0 until a stopping rule fires."""
     y = np.asarray(y, dtype=float)
     ynorm = float(np.linalg.norm(y))
-    x = np.zeros((mp.n, mp.n))
-    res = y - mp.apply(x)
+    x = x0
+    res = y - apply(x)
     res0 = float(np.linalg.norm(res))
     trace = []
     converged = False
@@ -136,7 +137,7 @@ def _iterate(mp, y, step_fn, cfg, callback=None) -> RecoveryResult:
         x_new = step_fn(x, res)
         if callback is not None:
             callback(x_new)
-        res = y - mp.apply(x_new)
+        res = y - apply(x_new)
         rnorm = float(np.linalg.norm(res))
         trace.append(rnorm)
         step_size = float(np.linalg.norm(x_new - x))
@@ -196,7 +197,7 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
     def step(x, res):
         return exact_project(x + mp.adjoint(res), s, r).matrix
 
-    return _iterate(mp, y, step, cfg, callback)
+    return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -215,7 +216,7 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
         h = _joint_head(mp.adjoint(res), s, r, cfg.head_choice)
         return tail_joint(x + h, s, r).matrix
 
-    return _iterate(mp, y, step, cfg, callback)
+    return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
 def _resolve_beta(mp: MeasurementMap, s: int, r: int, cfg: RecoveryConfig) -> float:
@@ -223,8 +224,7 @@ def _resolve_beta(mp: MeasurementMap, s: int, r: int, cfg: RecoveryConfig) -> fl
         if cfg.step_beta <= 0:
             raise ValueError("step_beta must be positive")
         return cfg.step_beta
-    est = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS,
-                       mode="l1", seed=BETA_SEED)
+    est = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS, seed=BETA_SEED)
     return est.beta_hat
 
 
@@ -248,7 +248,7 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
         h = _joint_head(mp.adjoint(np.sign(res)), s, r, cfg.head_choice)
         return tail_joint(x + nu * h, s, r).matrix
 
-    return _iterate(mp, y, step, cfg, callback)
+    return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
 def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
@@ -281,16 +281,17 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
             mu = float(np.sum(grad * grad)) / denom if denom > 0 else 1.0
             return project_rank(x + mu * grad, r)
 
-    return _iterate(mp, y, step, cfg, callback)
+    return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
 def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
     """Least-squares fit of B Z B^T to the target over entries of Z in the mask."""
-    n = mask.shape[0]
+    p, n = basis.shape
     idx = np.argwhere(mask)
-    design = np.stack(
-        [np.outer(basis[:, i], basis[:, j]).ravel() for i, j in idx], axis=1
-    )
+    # column k is the flattened outer product of basis columns idx[k, 0] and idx[k, 1];
+    # C order keeps the summation order of design.T @ target_vec on the ridge path
+    design = np.multiply(basis[:, None, idx[:, 0]], basis[None, :, idx[:, 1]],
+                         order="C").reshape(p * p, -1)
     sol, _, rank, _ = np.linalg.lstsq(design, target_vec, rcond=None)
     if rank < design.shape[1]:
         warnings.warn("restricted least-squares system is rank-deficient; using ridge 1e-10")
@@ -307,8 +308,11 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
 
     Recovers an (s, t)-sparse n x n matrix X from a p x p observation of
     B X B^T: identify a candidate support from a normalized gradient step,
-    then least-squares fit the (at most s*t) selected entries; stop when the
-    candidate support stops changing.  The returned estimate is symmetrized.
+    then least-squares fit the (at most s*t) selected entries.  It stops on
+    the shared rules of `_iterate`: an unchanged support refits the same
+    least squares, so the iterate repeats exactly and the stall rule fires,
+    as it does when the support changes only among entries fitted to zero.
+    The returned estimate is symmetrized.
     """
     cfg = cfg or RecoveryConfig()
     b = np.asarray(basis, dtype=float)
@@ -325,28 +329,15 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
     tau = float(np.trace(b.T @ b)) / n
     scale = tau * tau
     target_vec = yhat.ravel()
-    tnorm = float(np.linalg.norm(yhat))
-    x = np.zeros((n, n))
-    prev_mask = None
-    trace = []
-    converged = False
-    for _ in range(cfg.max_iters):
-        grad = b.T @ (yhat - b @ x @ b.T) @ b / scale
-        mask = hierarchical_mask(x + grad, s, t)
-        x = _restricted_lstsq(b, target_vec, mask)
-        rnorm = float(np.linalg.norm(yhat - b @ x @ b.T))
-        trace.append(rnorm)
-        if callback is not None:
-            callback(x)
-        if prev_mask is not None and np.array_equal(mask, prev_mask):
-            converged = True
-            break
-        if rnorm <= cfg.tol_residual * tnorm:
-            converged = True
-            break
-        prev_mask = mask
-    est = (x + x.T) / 2.0
-    return RecoveryResult(est, len(trace), trace, converged, _support_of(est))
+
+    def step(x, res):
+        grad = b.T @ res @ b / scale
+        return _restricted_lstsq(b, target_vec, hierarchical_mask(x + grad, s, t))
+
+    fit = _iterate(lambda z: b @ z @ b.T, yhat, np.zeros((n, n)), step, cfg, callback)
+    est = (fit.estimate + fit.estimate.T) / 2.0
+    return RecoveryResult(est, fit.iterations, fit.residual_trace, fit.converged,
+                          _support_of(est))
 
 
 def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,

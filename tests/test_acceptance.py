@@ -238,7 +238,7 @@ def test_criterion_7_idealized_iht():
 
 def test_criterion_8_cross_term_lemma():
     mp = sample_map("dense-gaussian", 16, 150, seed=808)
-    delta_hat = estimate_rip(mp, 4, 2, 1000, mode="l2", seed=1).delta_lower
+    delta_hat = estimate_rip(mp, 4, 2, 1000, seed=1).delta_lower
     report = check_rip_cross_term(mp, 2, 1, 1000, delta_hat, seed=2)
     check(8, f"worst cross-term ratio {report.worst_ratio:.4f} <= delta_hat {delta_hat:.4f} + 0.05",
           report.worst_ratio <= delta_hat + 0.05)
@@ -292,7 +292,7 @@ def test_criterion_11_l1_rip_trend():
         ratios = []
         for sd in range(5):
             mp = sample_map("rank-one", 20, m_count, seed=101 + sd)
-            est = estimate_rip(mp, 3, 1, 300, mode="l1", seed=17 + sd)
+            est = estimate_rip(mp, 3, 1, 300, seed=17 + sd)
             ratios.append(est.beta_hat / est.alpha_hat)
         medians.append(float(np.median(ratios)))
     check(11, f"median beta/alpha strictly decreasing over m=100,200,400: "

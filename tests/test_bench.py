@@ -195,14 +195,14 @@ class TestPhaseTransition:
 class TestRipSweep:
     def test_rows_and_determinism(self):
         spec = small_spec(trials_per_cell=50, m=["30", "60"])
-        rows1 = run_rip_sweep(spec, mode="l2")
-        rows2 = run_rip_sweep(spec, mode="l2")
+        rows1 = run_rip_sweep(spec)
+        rows2 = run_rip_sweep(spec)
         assert len(rows1) == 2
         assert rows1[0]["estimate"] == rows2[0]["estimate"]
         buf = io.StringIO()
         write_rip_csv(rows1, buf)
         header = buf.getvalue().split("\n")[0]
-        assert header == "ensemble,n,s,r,m,mode,trials,seed,delta_lower,alpha_hat,beta_hat"
+        assert header == "ensemble,n,s,r,m,trials,seed,delta_lower,alpha_hat,beta_hat"
 
     def test_unstructured_probing_large_delta_when_undersampled(self):
         spec = ExperimentSpec(
@@ -215,7 +215,7 @@ class TestRipSweep:
             trials_per_cell=50,
             base_seed=2,
         )
-        rows = run_rip_sweep(spec, mode="l2")
+        rows = run_rip_sweep(spec)
         assert rows[0]["estimate"].delta_lower > 0.5
 
     def test_aggregate_csv_writer(self):

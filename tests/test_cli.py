@@ -127,6 +127,20 @@ class TestProject:
         assert "per-column sparsity must satisfy 1 <= t <= 3, got 0" in err
 
 
+    def test_stdout_stays_open_across_calls(self, diag_matrix, capsys):
+        # "-" is the process's stdout; one command must not close it for the next
+        argv = ["project", "--op", "tail-bisparse", "--s", "1", "--input", str(diag_matrix)]
+        assert main(argv) == 0
+        assert main(argv) == 0
+        assert capsys.readouterr().out == "1\n5\n3\n5 0 0\n0 0 0\n0 0 0\n" * 2
+
+    def test_stdin_stays_open(self, diag_matrix, monkeypatch, capsys):
+        stdin = io.StringIO(diag_matrix.read_text())
+        monkeypatch.setattr(sys, "stdin", stdin)
+        assert main(["project", "--op", "tail-bisparse", "--s", "1"]) == 0
+        assert not stdin.closed
+
+
 class TestMeasureRecover:
     def test_pipeline_roundtrip(self, tmp_path, capsys):
         x, _ = sample_structured(8, 2, 1, np.random.default_rng(42))
@@ -308,7 +322,7 @@ class TestRip:
                      "--output", str(out)])
         assert code == 0
         text = out.read_text()
-        assert text.startswith("mode l2")
+        assert text.startswith("trials 50\n")
         assert "delta_lower" in text
 
     def test_cross_term_flag(self, tmp_path):
@@ -318,6 +332,13 @@ class TestRip:
                      "--cross-term", "--delta", "0.9", "--output", str(out)])
         assert code == 0
         assert "cross_within 1" in out.read_text()
+
+    def test_mode_flag_is_gone(self, tmp_path, capsys):
+        code = main(["rip", "--ensemble", "dense-gaussian", "--n", "10", "--m", "60",
+                     "--s", "2", "--r", "1", "--mode", "l1", "--seed", "3",
+                     "--output", str(tmp_path / "rip.txt")])
+        assert code == 2
+        assert "unrecognized arguments: --mode l1" in capsys.readouterr().err
 
 
 class TestBench:
@@ -358,7 +379,15 @@ class TestBench:
         out = tmp_path / "rip.csv"
         code = main(["bench", "--spec", str(spec), "--mode", "rip", "--output", str(out)])
         assert code == 0
-        assert out.read_text().startswith("ensemble,n,s,r,m,mode,")
+        assert out.read_text().startswith("ensemble,n,s,r,m,trials,")
+
+    def test_rip_mode_flag_is_gone(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC)
+        code = main(["bench", "--spec", str(spec), "--mode", "rip", "--rip-mode", "l1",
+                     "--output", str(tmp_path / "rip.csv")])
+        assert code == 2
+        assert "unrecognized arguments: --rip-mode l1" in capsys.readouterr().err
 
     def test_seed_override(self, tmp_path):
         spec = tmp_path / "spec.txt"

@@ -36,10 +36,10 @@ def test_manifest_covers_every_cli_choice():
     assert any(argv[0] == "rip" for argv in argvs)
 
 
-@pytest.mark.parametrize("cmd", COMMANDS, ids=[cmd["name"] for cmd in COMMANDS])
-def test_exit_code(regenerated, cmd):
+@pytest.mark.parametrize("pos", range(len(COMMANDS)), ids=[cmd["name"] for cmd in COMMANDS])
+def test_exit_code(regenerated, pos):
     _, codes = regenerated
-    assert codes[COMMANDS.index(cmd)] == cmd["exit"]
+    assert codes[pos] == COMMANDS[pos]["exit"]
 
 
 @pytest.mark.parametrize("name", OUTPUT_NAMES)

@@ -214,7 +214,7 @@ def structured_reference(n, s, r, rng):
     return out, support
 
 
-def estimate_rip_reference(mp, s, r, trials, mode="l2", seed=0):
+def estimate_rip_reference(mp, s, r, trials, seed=0):
     # estimate_rip before it became one chunked pass: one probe at a time
     delta = 0.0
     alpha = np.inf
@@ -228,7 +228,7 @@ def estimate_rip_reference(mp, s, r, trials, mode="l2", seed=0):
         ratio1 = float(np.sum(np.abs(y))) / zf
         alpha = min(alpha, ratio1)
         beta = max(beta, ratio1)
-    return RipEstimate(delta, alpha, beta, trials, s, r, mode)
+    return RipEstimate(delta, alpha, beta, trials, s, r)
 
 
 class ZeroFirstBlock:
@@ -257,15 +257,15 @@ class TestBatchedProbes:
                 for r in sorted({1, s}):
                     for seed in (0, 11):
                         for trials in (1, PROBE_CHUNK + 3):
-                            got = estimate_rip(mp, s, r, trials, mode="l1", seed=seed)
-                            want = estimate_rip_reference(mp, s, r, trials, "l1", seed)
+                            got = estimate_rip(mp, s, r, trials, seed=seed)
+                            want = estimate_rip_reference(mp, s, r, trials, seed)
                             assert got == want, (kind, map_seed, s, r, seed, trials)
 
     def test_many_chunks_match_loop_reference(self):
         mp = sample_map("rank-one", 12, 80, seed=4)
         trials = 3 * PROBE_CHUNK + 5
         assert estimate_rip(mp, 4, 2, trials, seed=9) == estimate_rip_reference(
-            mp, 4, 2, trials, "l2", 9)
+            mp, 4, 2, trials, 9)
 
     def test_sample_structured_matches_reference(self):
         for n, s, r in ((1, 1, 1), (6, 2, 1), (6, 3, 3), (9, 9, 2)):
@@ -303,10 +303,10 @@ class TestBatchedProbes:
         mp = sample_map("rank-one", 8, 40, seed=2)
         monkeypatch.setattr(measurements.np.random, "default_rng", default_rng)
         trials = PROBE_CHUNK + 4
-        got = estimate_rip(mp, 3, 2, trials, mode="l1", seed=5)
+        got = estimate_rip(mp, 3, 2, trials, seed=5)
         assert [rng.blocks for rng in made] == [2, 2, 2]
         made.clear()
-        assert got == estimate_rip_reference(mp, 3, 2, trials, "l1", 5)
+        assert got == estimate_rip_reference(mp, 3, 2, trials, 5)
         assert [rng.blocks for rng in made] == [2, 2, 2]
 
 
@@ -328,12 +328,12 @@ class TestEstimateRip:
 
     def test_isometry_hook_gives_zero_delta(self):
         mp = isometry_map(5)
-        est = estimate_rip(mp, 2, 1, 50, mode="l2", seed=0)
+        est = estimate_rip(mp, 2, 1, 50, seed=0)
         assert est.delta_lower <= 1e-12
 
     def test_fields_and_ordering(self):
         mp = sample_map("rank-one", 10, 60, seed=13)
-        est = estimate_rip(mp, 2, 1, 100, mode="l1", seed=5)
+        est = estimate_rip(mp, 2, 1, 100, seed=5)
         assert est.alpha_hat <= est.beta_hat
         assert est.delta_lower >= 0.0
         assert est.trials == 100
@@ -360,7 +360,7 @@ class TestEstimateRip:
             per_seed = []
             for sd in range(3):
                 mp = sample_map("rank-one", 20, m, seed=401 + sd)
-                est = estimate_rip(mp, 3, 1, 200, mode="l1", seed=31 + sd)
+                est = estimate_rip(mp, 3, 1, 200, seed=31 + sd)
                 per_seed.append(est.beta_hat / est.alpha_hat)
             ratios.append(float(np.median(per_seed)))
         assert ratios[0] > ratios[1] > 1.0

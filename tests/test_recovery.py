@@ -1,18 +1,22 @@
 import itertools
 import math
+import warnings
 
 import numpy as np
 import pytest
 
 from bisparse.measurements import (
     MeasurementMap,
+    factorized_inner_map,
     isometry_map,
     sample_map,
     sample_structured,
 )
-from bisparse.projections import head_square_variant, tail_bisparse, tail_joint
+from bisparse.projections import head_square_variant, hierarchical_mask, tail_bisparse, tail_joint
 from bisparse.recovery import (
     RecoveryConfig,
+    TOL_STALL,
+    _restricted_lstsq,
     brute_force_decode,
     hihtp,
     iht_exact,
@@ -265,8 +269,6 @@ class TestTwoStep:
             two_step_factorized(mp, np.zeros(20), 2, 1)
 
     def test_equals_stage_composition(self):
-        from bisparse.measurements import factorized_inner_map
-
         n, s, r = 20, 2, 1
         p, m = 20, 60
         mp, x, _ = planted_instance("factorized", n, s, r, m, seed=22, p=p)
@@ -294,6 +296,160 @@ class TestTwoStep:
         lifted = mp.basis @ x @ mp.basis.T
         res = hihtp(mp.basis, lifted, s, s)
         assert np.linalg.norm(res.estimate - x) <= 1e-6
+
+
+def restricted_lstsq_reference(basis, target_vec, mask):
+    # _restricted_lstsq before its design was built from index arrays: one np.outer per entry
+    n = mask.shape[0]
+    idx = np.argwhere(mask)
+    design = np.stack([np.outer(basis[:, i], basis[:, j]).ravel() for i, j in idx], axis=1)
+    sol, _, rank, _ = np.linalg.lstsq(design, target_vec, rcond=None)
+    if rank < design.shape[1]:
+        warnings.warn("restricted least-squares system is rank-deficient; using ridge 1e-10")
+        gram = design.T @ design + 1e-10 * np.eye(design.shape[1])
+        sol = np.linalg.solve(gram, design.T @ target_vec)
+    out = np.zeros((n, n))
+    out[idx[:, 0], idx[:, 1]] = sol
+    return out
+
+
+def hihtp_reference(basis, target, s, t, cfg):
+    """hihtp before it ran on _iterate: its own loop, which stopped on the
+    residual or when the mask repeated.
+
+    Returns (estimate, iterations, residual trace, converged, support) and
+    (iterations, estimate) at the first iterate that moved by at most TOL_STALL
+    of the previous one's norm, or None when none did before the loop stopped.
+    """
+    b = np.asarray(basis, dtype=float)
+    yhat = np.asarray(target, dtype=float)
+    n = b.shape[1]
+    tau = float(np.trace(b.T @ b)) / n
+    scale = tau * tau
+    target_vec = yhat.ravel()
+    tnorm = float(np.linalg.norm(yhat))
+    x = np.zeros((n, n))
+    prev_mask = None
+    trace = []
+    converged = False
+    stall = None
+    for _ in range(cfg.max_iters):
+        grad = b.T @ (yhat - b @ x @ b.T) @ b / scale
+        mask = hierarchical_mask(x + grad, s, t)
+        x_prev, x = x, restricted_lstsq_reference(b, target_vec, mask)
+        rnorm = float(np.linalg.norm(yhat - b @ x @ b.T))
+        trace.append(rnorm)
+        if stall is None and np.linalg.norm(x - x_prev) <= TOL_STALL * np.linalg.norm(x_prev):
+            stall = (len(trace), (x + x.T) / 2.0)
+        if prev_mask is not None and np.array_equal(mask, prev_mask):
+            converged = True
+            break
+        if rnorm <= cfg.tol_residual * tnorm:
+            converged = True
+            break
+        prev_mask = mask
+    est = (x + x.T) / 2.0
+    support = np.nonzero(np.any(est != 0.0, axis=0))[0]
+    return (est, len(trace), trace, converged, support), stall
+
+
+def hihtp_cases():
+    """(basis, target, s, t, cfg) inputs for the loop-reference comparison."""
+    cfgs = (RecoveryConfig(max_iters=3), RecoveryConfig(max_iters=100), RecoveryConfig(max_iters=30))
+    # stage-one outputs of factorized maps, the two-step pipeline's HiHTP inputs
+    shapes = [(40, 3, 43, 258)] + [(12, 2, 16, 48)] * 12
+    for k, (n, s, p, m) in enumerate(shapes):
+        mp, x, _ = planted_instance("factorized", n, s, 1, m, seed=4200 + k, p=p)
+        stage1 = iht_lowrank(factorized_inner_map(mp), mp.apply(x) / np.sqrt(m), 1)
+        for t in sorted({1, s, min(s + 2, n)}):
+            yield mp.basis, stage1.estimate, s, t, RecoveryConfig()
+    rng = np.random.default_rng(4300)
+    # exact and noisy lifts B X B^T of structured X, t in {1, s, s + 2}
+    for k in range(120):
+        n = int(rng.integers(2, 16))
+        s = int(rng.integers(1, min(4, n) + 1))
+        p = int(rng.integers(2, 20))
+        basis = rng.standard_normal((p, n))
+        x, _ = sample_structured(n, s, int(rng.integers(1, s + 1)), rng)
+        lift = basis @ x @ basis.T
+        for noise in (0.0, 1e-3, 1e-1):
+            noisy = lift + noise * sym_enforce(rng.standard_normal((p, p)))
+            for t in sorted({1, s, min(s + 2, n)}):
+                yield basis, noisy, s, t, cfgs[k % 3]
+    # small random cases: square and non-symmetric targets, ridge fits where
+    # p * p < s * t, the iteration cap, zero targets, and targets outside the
+    # range of B, whose first fit is zero
+    for k in range(600):
+        p, n = (int(v) for v in rng.integers(1, 8, size=2))
+        s, t = (int(v) for v in rng.integers(1, n + 1, size=2))
+        basis = rng.standard_normal((p, n))
+        target = rng.standard_normal((p, p)) if k % 10 else np.zeros((p, p))
+        if k % 2:
+            target = sym_enforce(target)
+        if k % 50 == 7:
+            basis = np.vstack([basis, np.zeros((1, n))])
+            target = np.zeros((p + 1, p + 1))
+            target[p, p] = 1.0
+        yield basis, target, s, t, cfgs[k % 3]
+
+
+class TestHihtpMatchesLoopReference:
+    def test_restricted_lstsq_matches_outer_product_columns(self):
+        rng = np.random.default_rng(4000)
+        ridge = 0
+        for _ in range(2000):
+            p, n = (int(v) for v in rng.integers(1, 9, size=2))
+            basis = rng.standard_normal((p, n))
+            mask = rng.random((n, n)) < rng.random()
+            mask[rng.integers(n), rng.integers(n)] = True
+            target_vec = rng.standard_normal(p * p)
+            with warnings.catch_warnings(record=True) as got_warns:
+                warnings.simplefilter("always")
+                got = _restricted_lstsq(basis, target_vec, mask)
+            with warnings.catch_warnings(record=True) as want_warns:
+                warnings.simplefilter("always")
+                want = restricted_lstsq_reference(basis, target_vec, mask)
+            assert np.array_equal(got, want)
+            assert len(got_warns) == len(want_warns)
+            ridge += bool(want_warns)
+        assert 0 < ridge < 2000
+
+    def test_hihtp_matches_loop_reference(self):
+        # the shared stall rule replaces the mask-repeat rule: an unchanged mask
+        # refits the same least squares, so the iterate repeats and the stall
+        # rule fires on the same iteration.  The rules part only where the
+        # iterate stalls while the mask still changes (entries whose fitted
+        # value is zero or at rounding level trade places); hihtp now stops
+        # there, at the former loop's state at that iteration, as settled.
+        count = ridge = capped = zero = stopped_sooner = 0
+        for basis, target, s, t, cfg in hihtp_cases():
+            with warnings.catch_warnings(record=True) as got_warns:
+                warnings.simplefilter("always")
+                got = hihtp(basis, target, s, t, cfg)
+            with warnings.catch_warnings(record=True) as want_warns:
+                warnings.simplefilter("always")
+                want, stall = hihtp_reference(basis, target, s, t, cfg)
+            est, iterations, trace, converged, support = want
+            if stall is not None and (stall[0] < iterations or not converged):
+                iterations, est = stall
+                trace, converged = trace[:iterations], True
+                support = np.nonzero(np.any(est != 0.0, axis=0))[0]
+                stopped_sooner += 1
+            else:
+                assert len(got_warns) == len(want_warns)
+            case = (count, basis.shape, s, t, cfg.max_iters)
+            assert np.array_equal(got.estimate, est), case
+            assert got.iterations == iterations, case
+            assert got.residual_trace == trace, case
+            assert got.converged == converged, case
+            assert np.array_equal(got.support, support), case
+            count += 1
+            ridge += bool(want_warns)
+            capped += got.iterations == cfg.max_iters == 3
+            zero += not np.any(target)
+        assert count >= 1000
+        assert ridge and capped and zero
+        assert stopped_sooner
 
 
 class TestBruteForce:

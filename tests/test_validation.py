@@ -108,10 +108,8 @@ PARAMETER_FAULTS = {
                             "sparsity must satisfy 1 <= s <= 4"),
     "sample_structured r": (lambda: M.sample_structured(4, 2, 3, np.random.default_rng(0)),
                             "rank must satisfy 1 <= r <= s=2"),
-    "estimate_rip trials": (lambda: M.estimate_rip(_RANK_ONE, 5, 3, 0, mode="x"),
+    "estimate_rip trials": (lambda: M.estimate_rip(_RANK_ONE, 5, 3, 0),
                             "need at least one trial"),
-    "estimate_rip mode": (lambda: M.estimate_rip(_RANK_ONE, 5, 3, 1, mode="x"),
-                          "unknown mode 'x'"),
     "estimate_rip s": (lambda: M.estimate_rip(_RANK_ONE, 5, 1, 1),
                        "sparsity must satisfy 1 <= s <= 4"),
     "estimate_rip r": (lambda: M.estimate_rip(_RANK_ONE, 2, 3, 1),
