@@ -151,6 +151,15 @@ def project_rank(mat, rank: int) -> np.ndarray:
 
 def _project_rank_stack(stack: np.ndarray, r: int) -> np.ndarray:
     """`project_rank` of each validated symmetric matrix in a (k, n, n) stack, 1 <= r <= n."""
+    return _project_rank_vectors(stack, r)[0]
+
+
+def _project_rank_vectors(stack: np.ndarray, r: int):
+    """`_project_rank_stack` plus the kept eigenvectors, a (k, n, r) stack.
+
+    The vectors span the column space of each nonzero projection and are the
+    same bits for M and -M (they come from the sign-canonical input).
+    """
     # evaluate on a sign-canonical input so project_rank(-M) == -project_rank(M)
     # bitwise; the solvers rely on the iteration map being exactly odd.  The
     # sign is that of the first nonzero entry in row-major order.  The + 0.0
@@ -165,7 +174,7 @@ def _project_rank_stack(stack: np.ndarray, r: int) -> np.ndarray:
     out *= sign
     # a zero matrix projects to +0.0 everywhere
     out[sign[:, 0, 0] == 0.0] = 0.0
-    return out
+    return out, vecs
 
 
 def frob_inner(a, b) -> float:

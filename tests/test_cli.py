@@ -180,6 +180,23 @@ class TestMeasureRecover:
                      "--seed", "1", "--input", str(meas), "--output", str(tmp_path / "r.txt")])
         assert code == 1
 
+    def test_strict_two_step_fails_on_measurement_residual(self, tmp_path):
+        # the golden factorized input: both stages settle, but the estimate
+        # leaves a relative residual of about 0.57 on y
+        meas = Path(__file__).parent / "golden" / "outputs" / "measure-factorized.txt"
+        out = tmp_path / "r.txt"
+        argv = ["recover", "--algo", "two-step", "--s", "2", "--r", "1", "--seed", "1",
+                "--input", str(meas), "--output", str(out)]
+        assert main(argv) == 0
+        with open(meas) as fh:
+            mp, y = read_measurement_file(fh)
+        with open(out) as fh:
+            header = [fh.readline().split() for _ in range(4)]
+            est = read_matrix(fh)
+        assert header[0] == ["converged", "0"]
+        assert float(header[2][1]) == float(np.linalg.norm(y - mp.apply(est)))
+        assert main(argv + ["--strict"]) == 1
+
     # every --algo: the ensemble it measures with and the solver call it must reproduce
     ALGO_CASES = {
         "exact-iht": ("dense-gaussian", [], lambda mp, y, cfg: recovery.iht_exact(mp, y, 2, 1, cfg)),

@@ -51,6 +51,16 @@ def planted_instance(kind, n, s, r, m, seed, **kwargs):
     return mp, x, support
 
 
+def criterion_10_stage_one(t):
+    """Stage-one map and measurements of criterion 10's instance t (n=40, s=3, r=1)."""
+    n, s, r = 40, 3, 1
+    p = math.ceil(3 * s * math.log(math.e * n / s)) + 10
+    m = math.ceil(6 * r * p)
+    mp = sample_map("factorized", n, m, p=p, seed=3000 + t)
+    x, _ = sample_structured(n, s, r, np.random.default_rng(4000 + t))
+    return factorized_inner_map(mp), mp.apply(x) / np.sqrt(m)
+
+
 class TestConfig:
     def test_rejects_bad_values(self):
         with pytest.raises(ValueError):
@@ -207,6 +217,28 @@ class TestIhtLowrank:
             hits += np.linalg.norm(res.estimate - x) <= 1e-6
         assert hits >= 45
 
+    def test_dense_odd_symmetry_bitwise(self):
+        # the tangent basis comes from the rank kernel's sign-canonical evaluation;
+        # a basis taken from eigh of the raw update x + mu P_T(G) breaks this
+        for t in range(10):
+            inner, y = criterion_10_stage_one(t)
+            pos, neg = [], []
+            a = iht_lowrank(inner, y, 1, callback=pos.append)
+            b = iht_lowrank(inner, -y, 1, callback=neg.append)
+            assert a.iterations == b.iterations == len(pos) == len(neg)
+            for k, (u, v) in enumerate(zip(pos, neg)):
+                assert np.array_equal(v, -u), (t, k)
+            assert np.array_equal(b.estimate, -a.estimate)
+
+    def test_iteration_budget_on_criterion_10(self):
+        # total stage-one iterations on criterion 10's first 20 instances (one BLAS
+        # thread): 4467 with the full-gradient step, 918 with the tangent-space step
+        total = 0
+        for t in range(20):
+            inner, y = criterion_10_stage_one(t)
+            total += iht_lowrank(inner, y, 1).iterations
+        assert total <= 1200
+
     def test_rank_one_payload_variant(self):
         p, r = 12, 1
         mp = sample_map("rank-one", p, 8 * p, seed=12)
@@ -278,15 +310,41 @@ class TestTwoStep:
         stage2 = hihtp(mp.basis, stage1.estimate, s, s)
         assert np.array_equal(combined.estimate, (stage2.estimate + stage2.estimate.T) / 2)
         assert combined.iterations == stage1.iterations + stage2.iterations
-        assert combined.converged == (stage1.converged and stage2.converged)
+        # the last residual is the measurement residual of the returned estimate, and
+        # converged also needs it within sqrt(tol_residual) of ||y||
+        rnorm = float(np.linalg.norm(y - mp.apply(combined.estimate)))
+        assert combined.residual_trace[-1] == rnorm
+        assert combined.residual_trace[:-1] == (stage1.residual_trace
+                                                + stage2.residual_trace[:-1])
+        assert combined.converged == (
+            stage1.converged and stage2.converged
+            and rnorm <= math.sqrt(RecoveryConfig().tol_residual) * float(np.linalg.norm(y)))
 
     def test_recovery_at_theorem_scaling(self):
         n, s, r = 40, 3, 1
         p = math.ceil(3 * s * math.log(math.e * n / s)) + 10
         m = 6 * r * p
         mp, x, _ = planted_instance("factorized", n, s, r, m, seed=3000, p=p)
-        res = two_step_factorized(mp, mp.apply(x), s, r)
+        y = mp.apply(x)
+        res = two_step_factorized(mp, y, s, r)
         assert np.linalg.norm(res.estimate - x) <= 1e-6
+        assert res.converged
+        assert res.residual_trace[-1] <= 1e-8 * np.linalg.norm(y)
+
+    def test_failed_recovery_is_not_converged(self):
+        # a signal on 4 indices solved at s=2: stage one recovers B X B^T and HiHTP
+        # settles on its best 2-sparse fit, so both stages converge, yet the
+        # estimate leaves a relative measurement residual of about 0.66
+        mp = sample_map("factorized", 10, 64, p=16, seed=0)
+        x, _ = sample_structured(10, 4, 1, np.random.default_rng(0))
+        y = mp.apply(x)
+        stage1 = iht_lowrank(factorized_inner_map(mp), y / 8.0, 1)
+        stage2 = hihtp(mp.basis, stage1.estimate, 2, 2)
+        assert stage1.converged and stage2.converged
+        res = two_step_factorized(mp, y, 2, 1)
+        assert not res.converged
+        assert res.residual_trace[-1] == float(np.linalg.norm(y - mp.apply(res.estimate)))
+        assert res.residual_trace[-1] > 0.1 * np.linalg.norm(y)
 
     def test_injected_stage_one_output(self):
         # bypassing stage one with the exact lifted matrix isolates HiHTP

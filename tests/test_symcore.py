@@ -6,6 +6,7 @@ import pytest
 
 from bisparse.symcore import (
     _project_rank_stack,
+    _project_rank_vectors,
     check_support,
     eigen,
     frob_inner,
@@ -252,6 +253,23 @@ class TestProjectRank:
                 out = _project_rank_stack(stack, r)
                 for k, x in enumerate(stack):
                     assert np.array_equal(self.bits(out[k]), self.bits(project_rank(x, r)))
+
+    def test_kept_vectors_span_projection_and_ignore_sign(self):
+        # iht_lowrank takes the tangent space of its iterate from these vectors,
+        # so they must be the same bits for M and -M
+        rng = np.random.default_rng(78)
+        for n in (1, 3, 8):
+            for name in ("gaussian", "integer-ties", "mostly-zero", "signed-zero"):
+                x = self.family(name, n, rng)
+                pair = np.stack([x, -x])
+                for r in sorted({1, n}):
+                    out, vecs = _project_rank_vectors(pair, r)
+                    assert np.array_equal(self.bits(out), self.bits(_project_rank_stack(pair, r)))
+                    assert vecs.shape == (2, n, r)
+                    assert np.array_equal(self.bits(vecs[0]), self.bits(vecs[1]))
+                    u = vecs[0]
+                    assert np.allclose(u.T @ u, np.eye(r), atol=1e-12)
+                    assert np.allclose(u @ (u.T @ out[0]), out[0], atol=1e-12)
 
 
 class TestFrobInner:
