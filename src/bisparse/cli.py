@@ -196,7 +196,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--max-iters", type=int, default=500)
     p_rec.add_argument("--tol", type=float, default=1e-9)
     p_rec.add_argument("--head", default="square", choices=recovery.HEAD_CHOICES)
-    p_rec.add_argument("--beta", type=float, default=None, help="l1 step normalizer")
+    p_rec.add_argument("--beta", type=float, default=None,
+                       help="l1 step normalizer of --algo rank-one (ignored by the others)")
     p_rec.add_argument("--seed", type=int, required=True)
     p_rec.add_argument("--strict", action="store_true",
                        help="exit 1 when the solver does not converge")

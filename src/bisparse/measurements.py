@@ -208,15 +208,14 @@ def isometry_map(n: int) -> MeasurementMap:
 def factorized_inner_map(mp: MeasurementMap) -> MeasurementMap:
     """The p x p stage-one map of a factorized map (measuring Y = B X B^T).
 
-    Dense inner matrices are rescaled by 1/sqrt(m), so the map follows the
-    N(0, 1/m) convention expected by plain gradient steps; divide the
-    measurements by sqrt(m) to match.  Rank-one inner payloads are returned
-    as sampled (the modified solver absorbs the scale in its step).
+    The inner payload is returned as sampled, with standard Gaussian entries
+    and no N(0, 1/m) rescale, so the inner map measures B X B^T to the same
+    y as the factorized map.
     """
     if mp.kind != "factorized":
         raise ValueError("inner map is only defined for factorized maps")
     if mp.inner == "dense":
-        return MeasurementMap("dense-gaussian", mp.p, mp.m, matrices=mp.matrices / np.sqrt(mp.m))
+        return MeasurementMap("dense-gaussian", mp.p, mp.m, matrices=mp.matrices)
     return MeasurementMap("rank-one", mp.p, mp.m, scale="unit", vectors=mp.vectors)
 
 

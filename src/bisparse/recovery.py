@@ -52,7 +52,7 @@ from .projections import (
     rank_project_on_support,
     tail_joint,
 )
-from .symcore import _project_rank_stack, _project_rank_vectors, eigen, project_rank
+from .symcore import _project_rank_vectors, eigen, project_rank
 
 __all__ = [
     "ALGOS",
@@ -92,9 +92,9 @@ BETA_SEED = 0
 class RecoveryConfig:
     """Solver parameters shared by all iterative recovery algorithms.
 
-    step_beta is the l1-RIP upper normalizer used by the sign-modified
-    solvers; when None it is estimated from the map at doubled structure
-    parameters.
+    step_beta is the l1-RIP upper normalizer of iht_rank_one (--algo
+    rank-one) and affects no other solver; when None it is estimated from the
+    map at doubled structure parameters.
     """
 
     max_iters: int = 500
@@ -222,15 +222,6 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
     return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
-def _resolve_beta(mp: MeasurementMap, s: int, r: int, cfg: RecoveryConfig) -> float:
-    if cfg.step_beta is not None:
-        if cfg.step_beta <= 0:
-            raise ValueError("step_beta must be positive")
-        return cfg.step_beta
-    est = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS, seed=BETA_SEED)
-    return est.beta_hat
-
-
 def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
                  callback=None) -> RecoveryResult:
     """Sign-modified head-tail iteration for rank-one measurements.
@@ -244,7 +235,12 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     if mp.kind != "rank-one":
         raise ValueError("iht_rank_one needs a rank-one measurement map")
     _check_structure_params(mp.n, s, r)
-    beta = _resolve_beta(mp, s, r, cfg)
+    beta = cfg.step_beta
+    if beta is None:
+        beta = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS,
+                            seed=BETA_SEED).beta_hat
+    elif beta <= 0:
+        raise ValueError("step_beta must be positive")
 
     def step(x, res):
         nu = float(np.sum(np.abs(res))) / (beta * beta)
@@ -270,40 +266,32 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
                 callback=None) -> RecoveryResult:
     """Rank-only iterative hard thresholding on p x p symmetric matrices.
 
-    For dense payloads the update is the Riemannian gradient step (Wei, Cai,
-    Chan and Leung, 2016): the gradient G is projected onto the tangent space
-    of the rank-r iterate, P_T(G), the step size is
-    <P_T(G), G> / ||A(P_T(G))||^2 (the exact line search along P_T(G)), and
-    x + step * P_T(G) is rank-projected.  The zero start has no tangent space,
-    so the first step runs along G itself.  The column basis of the iterate
-    comes with its rank projection, so no second eigendecomposition is paid.
-    Rank-one payloads get the sign-modified step as in iht_rank_one (without
-    any support projection).  Either iteration map is exactly odd: negating y
+    Every step is the Riemannian gradient step (Wei, Cai, Chan and Leung,
+    2016): the gradient G is projected onto the tangent space of the rank-r
+    iterate, P_T(G), the step size is <P_T(G), G> / ||A(P_T(G))||^2 (the
+    exact line search along P_T(G)), and x + step * P_T(G) is rank-projected.
+    The step is invariant to the scale of the map and of y.  The zero start
+    has no tangent space, so the first step runs along G itself.  The column
+    basis of the iterate comes with its rank projection, so no second
+    eigendecomposition is paid.  The iteration map is exactly odd: negating y
     negates every iterate bitwise.
     """
     cfg = cfg or RecoveryConfig()
     p = mp.n
     if not 1 <= r <= p:
         raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
-    if mp.kind == "rank-one":
-        beta = _resolve_beta(mp, p, r, cfg)
+    basis = None    # column basis of the current iterate; None while it is zero
 
-        def step(x, res):
-            nu = float(np.sum(np.abs(res))) / (beta * beta)
-            return _project_rank_stack((x + nu * mp.adjoint(np.sign(res)))[None], r)[0]
-    else:
-        basis = None    # column basis of the current iterate; None while it is zero
-
-        def step(x, res):
-            nonlocal basis
-            grad = mp.adjoint(res)
-            direction = grad if basis is None else _tangent_project(basis, grad)
-            measured = mp._apply(direction)
-            denom = float(measured @ measured)
-            mu = float(np.sum(direction * grad)) / denom if denom > 0 else 1.0
-            out, vecs = _project_rank_vectors((x + mu * direction)[None], r)
-            basis = vecs[0] if np.any(out) else None
-            return out[0]
+    def step(x, res):
+        nonlocal basis
+        grad = mp.adjoint(res)
+        direction = grad if basis is None else _tangent_project(basis, grad)
+        measured = mp._apply(direction)
+        denom = float(measured @ measured)
+        mu = float(np.sum(direction * grad)) / denom if denom > 0 else 1.0
+        out, vecs = _project_rank_vectors((x + mu * direction)[None], r)
+        basis = vecs[0] if np.any(out) else None
+        return out[0]
 
     return _iterate(mp._apply, y, np.zeros((p, p)), step, cfg, callback)
 
@@ -370,20 +358,19 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
 
     Step one recovers the p x p matrix B X B^T by low-rank hard thresholding
     on the inner measurement matrices; step two recovers X from that matrix by
-    HiHTP with per-column sparsity equal to the bisparsity s.  The residual
-    trace is stage one's then stage two's, except that its last entry is the
-    measurement residual ||y - A(X)|| of the returned estimate.  `converged`
-    needs both stages settled and that residual at most sqrt(tol_residual)
-    times ||y||.
+    HiHTP with per-column sparsity equal to the bisparsity s.  Stage one runs
+    on y itself, since its step is invariant to the scale of the inner map.
+    The residual trace is stage one's residuals on y, then HiHTP's on the
+    p x p target, except that its last entry is the measurement residual
+    ||y - A(X)|| of the returned estimate.  `converged` needs both stages
+    settled and that residual at most sqrt(tol_residual) times ||y||.
     """
     cfg = cfg or RecoveryConfig()
     if mp.kind != "factorized":
         raise ValueError("two_step_factorized needs a factorized measurement map")
     _check_structure_params(mp.n, s, r)
     y = np.asarray(y, dtype=float)
-    inner = factorized_inner_map(mp)
-    y_inner = y / np.sqrt(mp.m) if mp.inner == "dense" else y
-    stage1 = iht_lowrank(inner, y_inner, r, cfg)
+    stage1 = iht_lowrank(factorized_inner_map(mp), y, r, cfg)
     stage2 = hihtp(mp.basis, stage1.estimate, s, s, cfg)
     rnorm = float(np.linalg.norm(y - mp._apply(stage2.estimate)))
     return RecoveryResult(

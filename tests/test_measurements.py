@@ -178,12 +178,13 @@ class TestApplyAdjoint:
             mp.adjoint(np.zeros(6))
 
     def test_inner_map_consistency(self):
-        mp = sample_map("factorized", 5, 7, p=6, seed=30)
-        inner = factorized_inner_map(mp)
+        # the inner map measures B X B^T to the factorized map's own y, unscaled
         x = random_sym(5, 31)
-        y = mp.apply(x) / np.sqrt(7)
-        lifted = mp.basis @ x @ mp.basis.T
-        assert np.max(np.abs(inner.apply(sym_enforce(lifted)) - y)) <= 1e-10
+        for inner_kind in ("dense", "rank-one"):
+            mp = sample_map("factorized", 5, 7, p=6, seed=30, inner=inner_kind)
+            lifted = sym_enforce(mp.basis @ x @ mp.basis.T)
+            got = factorized_inner_map(mp).apply(lifted)
+            assert np.max(np.abs(got - mp.apply(x))) <= 1e-10, inner_kind
 
 
 class TestStructuredSampler:

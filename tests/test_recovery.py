@@ -51,14 +51,20 @@ def planted_instance(kind, n, s, r, m, seed, **kwargs):
     return mp, x, support
 
 
-def criterion_10_stage_one(t):
-    """Stage-one map and measurements of criterion 10's instance t (n=40, s=3, r=1)."""
+def criterion_10_instance(t, inner="dense"):
+    """Factorized map, signal and measurements of criterion 10's instance t (n=40, s=3, r=1)."""
     n, s, r = 40, 3, 1
     p = math.ceil(3 * s * math.log(math.e * n / s)) + 10
     m = math.ceil(6 * r * p)
-    mp = sample_map("factorized", n, m, p=p, seed=3000 + t)
+    mp = sample_map("factorized", n, m, p=p, seed=3000 + t, inner=inner)
     x, _ = sample_structured(n, s, r, np.random.default_rng(4000 + t))
-    return factorized_inner_map(mp), mp.apply(x) / np.sqrt(m)
+    return mp, x, mp.apply(x)
+
+
+def criterion_10_stage_one(t, inner="dense"):
+    """Stage-one map and measurements of criterion 10's instance t."""
+    mp, _, y = criterion_10_instance(t, inner)
+    return factorized_inner_map(mp), y
 
 
 class TestConfig:
@@ -217,11 +223,12 @@ class TestIhtLowrank:
             hits += np.linalg.norm(res.estimate - x) <= 1e-6
         assert hits >= 45
 
-    def test_dense_odd_symmetry_bitwise(self):
+    @pytest.mark.parametrize("inner_kind", ["dense", "rank-one"])
+    def test_odd_symmetry_bitwise(self, inner_kind):
         # the tangent basis comes from the rank kernel's sign-canonical evaluation;
         # a basis taken from eigh of the raw update x + mu P_T(G) breaks this
         for t in range(10):
-            inner, y = criterion_10_stage_one(t)
+            inner, y = criterion_10_stage_one(t, inner_kind)
             pos, neg = [], []
             a = iht_lowrank(inner, y, 1, callback=pos.append)
             b = iht_lowrank(inner, -y, 1, callback=neg.append)
@@ -306,7 +313,7 @@ class TestTwoStep:
         mp, x, _ = planted_instance("factorized", n, s, r, m, seed=22, p=p)
         y = mp.apply(x)
         combined = two_step_factorized(mp, y, s, r)
-        stage1 = iht_lowrank(factorized_inner_map(mp), y / np.sqrt(m), r)
+        stage1 = iht_lowrank(factorized_inner_map(mp), y, r)
         stage2 = hihtp(mp.basis, stage1.estimate, s, s)
         assert np.array_equal(combined.estimate, (stage2.estimate + stage2.estimate.T) / 2)
         assert combined.iterations == stage1.iterations + stage2.iterations
@@ -319,6 +326,16 @@ class TestTwoStep:
         assert combined.converged == (
             stage1.converged and stage2.converged
             and rnorm <= math.sqrt(RecoveryConfig().tol_residual) * float(np.linalg.norm(y)))
+
+    def test_rank_one_inner_recovery_rate(self):
+        # criterion 10's first 20 instances on rank-one inner maps: 20/20 with the
+        # tangent-space stage one; the sign-modified stage one recovered 6/20
+        hits = 0
+        for t in range(20):
+            mp, x, y = criterion_10_instance(t, inner="rank-one")
+            res = two_step_factorized(mp, y, 3, 1)
+            hits += np.linalg.norm(res.estimate - x) <= 1e-6
+        assert hits >= 18
 
     def test_recovery_at_theorem_scaling(self):
         n, s, r = 40, 3, 1
@@ -338,7 +355,7 @@ class TestTwoStep:
         mp = sample_map("factorized", 10, 64, p=16, seed=0)
         x, _ = sample_structured(10, 4, 1, np.random.default_rng(0))
         y = mp.apply(x)
-        stage1 = iht_lowrank(factorized_inner_map(mp), y / 8.0, 1)
+        stage1 = iht_lowrank(factorized_inner_map(mp), y, 1)
         stage2 = hihtp(mp.basis, stage1.estimate, 2, 2)
         assert stage1.converged and stage2.converged
         res = two_step_factorized(mp, y, 2, 1)
@@ -418,7 +435,7 @@ def hihtp_cases():
     shapes = [(40, 3, 43, 258)] + [(12, 2, 16, 48)] * 12
     for k, (n, s, p, m) in enumerate(shapes):
         mp, x, _ = planted_instance("factorized", n, s, 1, m, seed=4200 + k, p=p)
-        stage1 = iht_lowrank(factorized_inner_map(mp), mp.apply(x) / np.sqrt(m), 1)
+        stage1 = iht_lowrank(factorized_inner_map(mp), mp.apply(x), 1)
         for t in sorted({1, s, min(s + 2, n)}):
             yield mp.basis, stage1.estimate, s, t, RecoveryConfig()
     rng = np.random.default_rng(4300)
