@@ -27,7 +27,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import RipEstimate, estimate_rip, sample_map, sample_structured
+from .measurements import KINDS, RipEstimate, estimate_rip, sample_map, sample_structured
 from .projections import ENUMERATION_CAP
 from .recovery import ALGOS, solve
 
@@ -49,7 +49,7 @@ __all__ = [
     "write_aggregate_csv",
 ]
 
-ENSEMBLES = ("dense-gaussian", "rank-one", "factorized")
+ENSEMBLES = KINDS
 
 CSV_HEADER = "algo,ensemble,n,s,r,m,trial,seed,noise,success,rel_error,iters,ms"
 RIP_CSV_HEADER = "ensemble,n,s,r,m,trials,seed,delta_lower,alpha_hat,beta_hat"

@@ -97,12 +97,7 @@ def _cmd_recover(args) -> int:
     _echo_seed(args.seed)
     with _open_in(args.input) as fh:
         mp, y = measurements.read_measurement_file(fh)
-    cfg = recovery.RecoveryConfig(
-        max_iters=args.max_iters,
-        tol_residual=args.tol,
-        head_choice=args.head,
-        step_beta=args.beta,
-    )
+    cfg = recovery.RecoveryConfig(max_iters=args.max_iters, tol_residual=args.tol)
     result = recovery.solve(args.algo, mp, y, args.s, args.r, cfg)
     final_res = result.residual_trace[-1] if result.residual_trace else float("nan")
     with _open_out(args.output) as fh:
@@ -195,9 +190,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--r", type=int, required=True)
     p_rec.add_argument("--max-iters", type=int, default=500)
     p_rec.add_argument("--tol", type=float, default=1e-9)
-    p_rec.add_argument("--head", default="square", choices=recovery.HEAD_CHOICES)
-    p_rec.add_argument("--beta", type=float, default=None,
-                       help="l1 step normalizer of --algo rank-one (ignored by the others)")
     p_rec.add_argument("--seed", type=int, required=True)
     p_rec.add_argument("--strict", action="store_true",
                        help="exit 1 when the solver does not converge")

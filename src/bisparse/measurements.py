@@ -26,7 +26,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import _project_rank_stack, check_sym, frob_inner
+from .symcore import _project_rank_vectors, check_sym, frob_inner
 
 __all__ = [
     "KINDS",
@@ -219,11 +219,11 @@ def factorized_inner_map(mp: MeasurementMap) -> MeasurementMap:
     return MeasurementMap("rank-one", mp.p, mp.m, scale="unit", vectors=mp.vectors)
 
 
-def _check_probe_params(n: int, s: int, r: int) -> None:
+def _check_structure_params(n: int, s: int, r: int) -> None:
     if not 1 <= s <= n:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= {n}")
+        raise ValueError(f"sparsity must satisfy 1 <= s <= {n}, got {s}")
     if not 1 <= r <= s:
-        raise ValueError(f"rank must satisfy 1 <= r <= s={s}")
+        raise ValueError(f"rank must satisfy 1 <= r <= s={s}, got {r}")
 
 
 def _draw_block(n: int, s: int, rng: np.random.Generator):
@@ -239,12 +239,12 @@ def _structured_probes(n: int, s: int, r: int, rngs):
     block that projects to zero is redrawn from its own generator.
     """
     drawn = [_draw_block(n, s, rng) for rng in rngs]
-    blocks = _project_rank_stack(np.array([g for _, g in drawn]), r)
+    blocks = _project_rank_vectors(np.array([g for _, g in drawn]), r)[0]
     for rng, (support, _), block in zip(rngs, drawn, blocks):
         nrm = float(np.linalg.norm(block))
         while nrm == 0.0:
             support, g = _draw_block(n, s, rng)
-            block = _project_rank_stack(g[None], r)[0]
+            block = _project_rank_vectors(g[None], r)[0][0]
             nrm = float(np.linalg.norm(block))
         out = np.zeros((n, n))
         out[support[:, None], support] = block / nrm
@@ -258,7 +258,7 @@ def sample_structured(n: int, s: int, r: int, rng: np.random.Generator):
     Gaussian projected to rank r, so the spectrum is signed.  Returns the
     matrix and its support.
     """
-    _check_probe_params(n, s, r)
+    _check_structure_params(n, s, r)
     return next(_structured_probes(n, s, r, [rng]))
 
 
@@ -294,7 +294,7 @@ def estimate_rip(mp: MeasurementMap, s: int, r: int, trials: int, seed: int = 0)
     """
     if trials < 1:
         raise ValueError("need at least one trial")
-    _check_probe_params(mp.n, s, r)
+    _check_structure_params(mp.n, s, r)
     delta = 0.0
     alpha = np.inf
     beta = -np.inf

@@ -7,7 +7,7 @@ a divergence guard):
 
   iht_exact            hard thresholding with the exact (enumerating) joint
                        projection; desk scale only
-  iht_head_tail        hard thresholding with a polynomial head projection at
+  iht_head_tail        hard thresholding with the polynomial square head at
                        doubled parameters followed by a tail projection
   iht_rank_one         the head-tail iteration adapted to rank-one
                        measurements: sign of the residual in the gradient and
@@ -40,23 +40,24 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import MeasurementMap, estimate_rip, factorized_inner_map
+from .measurements import (
+    MeasurementMap,
+    _check_structure_params,
+    estimate_rip,
+    factorized_inner_map,
+)
 from .projections import (
     ENUMERATION_CAP,
     EnumerationCapError,
     exact_project,
-    head_joint,
-    head_rowcol,
     head_square_variant,
     hierarchical_mask,
-    rank_project_on_support,
     tail_joint,
 )
 from .symcore import _project_rank_vectors, eigen, project_rank
 
 __all__ = [
     "ALGOS",
-    "HEAD_CHOICES",
     "RecoveryConfig",
     "RecoveryResult",
     "iht_exact",
@@ -68,8 +69,6 @@ __all__ = [
     "brute_force_decode",
     "solve",
 ]
-
-HEAD_CHOICES = ("square", "anchor", "rowcol")
 
 # algorithm names used by the bench and the CLI -> names of their solvers in this module
 _SOLVERS = {"exact-iht": "iht_exact", "head-tail": "iht_head_tail", "rank-one": "iht_rank_one",
@@ -83,32 +82,23 @@ DIVERGENCE_PATIENCE = 20
 # an iterate that moves by at most this fraction of the previous one has stalled
 TOL_STALL = 1e-12
 
-# defaults for deriving the l1 step normalizer when cfg.step_beta is unset
+# probes of the estimate_rip call that derives iht_rank_one's l1 step normalizer
 BETA_TRIALS = 200
 BETA_SEED = 0
 
 
 @dataclass
 class RecoveryConfig:
-    """Solver parameters shared by all iterative recovery algorithms.
-
-    step_beta is the l1-RIP upper normalizer of iht_rank_one (--algo
-    rank-one) and affects no other solver; when None it is estimated from the
-    map at doubled structure parameters.
-    """
+    """Stopping rules shared by all iterative solvers."""
 
     max_iters: int = 500
     tol_residual: float = 1e-9
-    head_choice: str = "square"
-    step_beta: float | None = None
 
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
         if self.tol_residual <= 0:
             raise ValueError("tolerances must be positive")
-        if self.head_choice not in HEAD_CHOICES:
-            raise ValueError(f"unknown head choice {self.head_choice!r}")
 
 
 @dataclass
@@ -163,23 +153,10 @@ def _iterate(apply, y, x0, step_fn, cfg, callback=None) -> RecoveryResult:
     return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
 
 
-def _joint_head(grad: np.ndarray, s: int, r: int, choice: str) -> np.ndarray:
-    """Head projection of a gradient at the doubled parameters (2s, 2r), capped at n."""
-    s2 = min(2 * s, grad.shape[0])
-    r2 = min(2 * r, grad.shape[0])
-    if choice == "square":
-        return head_square_variant(grad, s2, r2).matrix
-    if choice == "anchor":
-        return head_joint(grad, s2, r2).matrix
-    base = head_rowcol(grad, s2)
-    return rank_project_on_support(base.matrix, base.support, r2)
-
-
-def _check_structure_params(n: int, s: int, r: int) -> None:
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= {n}, got {s}")
-    if not 1 <= r <= s:
-        raise ValueError(f"rank must satisfy 1 <= r <= s={s}, got {r}")
+def _joint_head(grad: np.ndarray, s: int, r: int) -> np.ndarray:
+    """Square head projection of a gradient at the doubled parameters (2s, 2r), capped at n."""
+    n = grad.shape[0]
+    return head_square_variant(grad, min(2 * s, n), min(2 * r, n)).matrix
 
 
 def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -207,16 +184,16 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
                   callback=None) -> RecoveryResult:
     """Head-tail iterative hard thresholding.
 
-    The gradient is compressed by a head projection run at doubled structure
+    The gradient is compressed by the square head run at doubled structure
     parameters (the update direction lives in the doubled set), the summed
     iterate is then pulled back by the near-best tail projection.  Polynomial
-    time; the default square head grows the intermediate support to (2s)^2.
+    time; the head grows the intermediate support to at most (2s)^2.
     """
     cfg = cfg or RecoveryConfig()
     _check_structure_params(mp.n, s, r)
 
     def step(x, res):
-        h = _joint_head(mp.adjoint(res), s, r, cfg.head_choice)
+        h = _joint_head(mp.adjoint(res), s, r)
         return tail_joint(x + h, s, r).matrix
 
     return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
@@ -235,16 +212,12 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     if mp.kind != "rank-one":
         raise ValueError("iht_rank_one needs a rank-one measurement map")
     _check_structure_params(mp.n, s, r)
-    beta = cfg.step_beta
-    if beta is None:
-        beta = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS,
-                            seed=BETA_SEED).beta_hat
-    elif beta <= 0:
-        raise ValueError("step_beta must be positive")
+    beta = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS,
+                        seed=BETA_SEED).beta_hat
 
     def step(x, res):
         nu = float(np.sum(np.abs(res))) / (beta * beta)
-        h = _joint_head(mp.adjoint(np.sign(res)), s, r, cfg.head_choice)
+        h = _joint_head(mp.adjoint(np.sign(res)), s, r)
         return tail_joint(x + nu * h, s, r).matrix
 
     return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)

@@ -146,18 +146,14 @@ def project_rank(mat, rank: int) -> np.ndarray:
         raise ValueError("rank bound must be nonnegative")
     if rank == 0:
         return np.zeros_like(m)
-    return _project_rank_stack(m[None], min(rank, m.shape[0]))[0]
-
-
-def _project_rank_stack(stack: np.ndarray, r: int) -> np.ndarray:
-    """`project_rank` of each validated symmetric matrix in a (k, n, n) stack, 1 <= r <= n."""
-    return _project_rank_vectors(stack, r)[0]
+    return _project_rank_vectors(m[None], min(rank, m.shape[0]))[0][0]
 
 
 def _project_rank_vectors(stack: np.ndarray, r: int):
-    """`_project_rank_stack` plus the kept eigenvectors, a (k, n, r) stack.
+    """Rank-project a (k, n, n) stack of validated symmetric matrices, 1 <= r <= n.
 
-    The vectors span the column space of each nonzero projection and are the
+    Returns `project_rank` of each matrix and the kept eigenvectors, a
+    (k, n, r) stack.  The vectors span the column space of each nonzero projection and are the
     same bits for M and -M (they come from the sign-canonical input).
     """
     # evaluate on a sign-canonical input so project_rank(-M) == -project_rank(M)

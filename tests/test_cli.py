@@ -167,7 +167,6 @@ class TestMeasureRecover:
             est = read_matrix(fh)
         assert np.linalg.norm(est - x) <= 1e-6
 
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_strict_flag_reports_failure(self, tmp_path):
         x, _ = sample_structured(8, 2, 1, np.random.default_rng(43))
         xfile = tmp_path / "x.txt"
@@ -176,7 +175,7 @@ class TestMeasureRecover:
         main(["measure", "--kind", "rank-one", "--m", "60", "--seed", "8",
               "--input", str(xfile), "--output", str(meas)])
         code = main(["recover", "--algo", "rank-one", "--s", "2", "--r", "1",
-                     "--beta", "1e-6", "--max-iters", "50", "--strict",
+                     "--max-iters", "2", "--strict",
                      "--seed", "1", "--input", str(meas), "--output", str(tmp_path / "r.txt")])
         assert code == 1
 
@@ -196,6 +195,14 @@ class TestMeasureRecover:
         assert header[0] == ["converged", "0"]
         assert float(header[2][1]) == float(np.linalg.norm(y - mp.apply(est)))
         assert main(argv + ["--strict"]) == 1
+
+    @pytest.mark.parametrize("flag", [["--head", "anchor"], ["--beta", "1"]], ids=["head", "beta"])
+    def test_head_and_beta_flags_are_gone(self, tmp_path, capsys, flag):
+        meas = Path(__file__).parent / "golden" / "outputs" / "measure-dense.txt"
+        code = main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1", *flag,
+                     "--seed", "1", "--input", str(meas), "--output", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
     # every --algo: the ensemble it measures with and the solver call it must reproduce
     ALGO_CASES = {
@@ -313,9 +320,8 @@ def test_library_never_imports_numpy_ma(tmp_path):
                  "--input", str(xfile), "--output", str(meas)]) == 0
     runs = [["project", "--op", op, *flags, "--input", str(psd if op == "head-psd" else sym),
              "--output", os.devnull] for op, (flags, _) in OP_CASES.items()]
-    runs += [["recover", "--algo", "head-tail", "--s", "2", "--r", "1", "--head", head,
-              "--seed", "1", "--input", str(meas), "--output", os.devnull]
-             for head in recovery.HEAD_CHOICES]
+    runs.append(["recover", "--algo", "head-tail", "--s", "2", "--r", "1",
+                 "--seed", "1", "--input", str(meas), "--output", os.devnull])
     script = (
         "import json, sys\n"
         "from bisparse.cli import main\n"

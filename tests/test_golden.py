@@ -36,6 +36,11 @@ def test_manifest_covers_every_cli_choice():
     assert any(argv[0] == "rip" for argv in argvs)
 
 
+def test_outputs_directory_holds_exactly_the_manifest_files():
+    # a deleted manifest entry must take its output file with it
+    assert sorted(path.name for path in OUTPUTS.iterdir()) == sorted(OUTPUT_NAMES)
+
+
 @pytest.mark.parametrize("pos", range(len(COMMANDS)), ids=[cmd["name"] for cmd in COMMANDS])
 def test_exit_code(regenerated, pos):
     _, codes = regenerated

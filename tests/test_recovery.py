@@ -73,8 +73,6 @@ class TestConfig:
             RecoveryConfig(max_iters=0)
         with pytest.raises(ValueError):
             RecoveryConfig(tol_residual=0.0)
-        with pytest.raises(ValueError):
-            RecoveryConfig(head_choice="nope")
 
 
 class TestIhtExact:
@@ -148,13 +146,6 @@ class TestIhtHeadTail:
         res = iht_head_tail(mp, mp.apply(x), s, r, callback=assert_structured(s, r))
         assert np.linalg.norm(res.estimate - x) <= 1e-6
 
-    @pytest.mark.parametrize("head", ["anchor", "rowcol"])
-    def test_other_heads_run_and_stay_structured(self, head):
-        mp, x, _ = planted_instance("dense-gaussian", 12, 2, 1, 70, seed=5)
-        cfg = RecoveryConfig(head_choice=head, max_iters=50)
-        res = iht_head_tail(mp, mp.apply(x), 2, 1, cfg, callback=assert_structured(2, 1))
-        assert res.support.size <= 2
-
 
 class TestIhtRankOne:
     def test_residual_zero_is_stationary(self):
@@ -170,11 +161,6 @@ class TestIhtRankOne:
         mp = sample_map("dense-gaussian", 6, 20, seed=7)
         with pytest.raises(ValueError, match="rank-one"):
             iht_rank_one(mp, np.zeros(20), 2, 1)
-
-    def test_rejects_nonpositive_beta(self):
-        mp = sample_map("rank-one", 6, 20, seed=8)
-        with pytest.raises(ValueError, match="beta"):
-            iht_rank_one(mp, np.zeros(20), 2, 1, RecoveryConfig(step_beta=-1.0))
 
     def test_sign_symmetry_bitwise(self):
         n, s, r = 24, 2, 1
@@ -620,11 +606,12 @@ class TestTailRestrictionAnalogue:
 
 
 class TestDivergenceFlag:
-    @pytest.mark.filterwarnings("ignore:overflow")
     def test_bad_beta_flags_not_converged(self):
-        # a tiny beta makes the step size enormous and the iteration explode
-        mp, x, _ = planted_instance("rank-one", 10, 2, 1, 60, seed=31)
-        cfg = RecoveryConfig(step_beta=1e-6, max_iters=200)
-        res = iht_rank_one(mp, mp.apply(x), 2, 1, cfg)
+        # an injected payload 10x its N(0, 1/m) scale makes the unit step
+        # overshoot by about 100x, so the iteration explodes
+        sampled, x, _ = planted_instance("dense-gaussian", 10, 2, 1, 60, seed=31)
+        mp = MeasurementMap("dense-gaussian", 10, 60, matrices=10 * sampled.matrices)
+        cfg = RecoveryConfig(max_iters=200)
+        res = iht_head_tail(mp, mp.apply(x), 2, 1, cfg)
         assert not res.converged
         assert res.iterations < 200

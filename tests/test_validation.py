@@ -105,15 +105,15 @@ PARAMETER_FAULTS = {
     "project_hierarchical t": (lambda: P.project_hierarchical(SYM4, 1, 0),
                                "per-column sparsity must satisfy 1 <= t <= 4, got 0"),
     "sample_structured s": (lambda: M.sample_structured(4, 5, 1, np.random.default_rng(0)),
-                            "sparsity must satisfy 1 <= s <= 4"),
+                            "sparsity must satisfy 1 <= s <= 4, got 5"),
     "sample_structured r": (lambda: M.sample_structured(4, 2, 3, np.random.default_rng(0)),
-                            "rank must satisfy 1 <= r <= s=2"),
+                            "rank must satisfy 1 <= r <= s=2, got 3"),
     "estimate_rip trials": (lambda: M.estimate_rip(_RANK_ONE, 5, 3, 0),
                             "need at least one trial"),
     "estimate_rip s": (lambda: M.estimate_rip(_RANK_ONE, 5, 1, 1),
-                       "sparsity must satisfy 1 <= s <= 4"),
+                       "sparsity must satisfy 1 <= s <= 4, got 5"),
     "estimate_rip r": (lambda: M.estimate_rip(_RANK_ONE, 2, 3, 1),
-                       "rank must satisfy 1 <= r <= s=2"),
+                       "rank must satisfy 1 <= r <= s=2, got 3"),
     "apply dimension": (lambda: _RANK_ONE.apply(np.eye(3)),
                         "matrix dimension 3 != map dimension 4"),
     "apply asymmetric": (lambda: _RANK_ONE.apply(np.triu(np.ones((4, 4)))),
