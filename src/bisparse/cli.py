@@ -2,7 +2,7 @@
 
 All stochastic subcommands require an explicit --seed; every run echoes the
 resolved seed on stderr.  Exit codes: 0 success, 2 usage or input error,
-1 numerical failure (non-convergence under --strict).
+1 numerical failure (non-convergence under --strict, or a LinAlgError).
 """
 
 from __future__ import annotations
@@ -238,12 +238,12 @@ def main(argv=None) -> int:
         return exc.code if exc.code is not None else 0
     try:
         return args.func(args)
+    except np.linalg.LinAlgError as exc:  # a ValueError subclass, so it is caught first
+        print(f"numerical error: {exc}", file=sys.stderr)
+        return 1
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    except np.linalg.LinAlgError as exc:
-        print(f"numerical error: {exc}", file=sys.stderr)
-        return 1
 
 
 if __name__ == "__main__":

@@ -19,6 +19,7 @@ extremal constants, never certificates.
 
 from __future__ import annotations
 
+import functools
 import itertools
 import math
 from dataclasses import dataclass, field
@@ -55,6 +56,7 @@ _HEADER_KEYS = ("kind", "n", "m", "p", "inner", "scale", "seed")
 PAYLOAD_CAP = 100_000_000
 # probes estimate_rip rank-projects in one stacked call; bounds its memory for any trial count
 PROBE_CHUNK = 32
+PROBE_CACHE_CHUNKS = 16
 
 
 @dataclass(frozen=True)
@@ -251,6 +253,17 @@ def _structured_probes(n: int, s: int, r: int, rngs):
         yield out, support
 
 
+@functools.lru_cache(maxsize=PROBE_CACHE_CHUNKS)
+def _probe_chunk(n: int, s: int, r: int, seed, start: int, stop: int) -> tuple:
+    """Probes of trials start..stop-1 as (support, read-only s x s block, ||Z||_F^2 on n x n)."""
+    rngs = [np.random.default_rng([seed, t]) for t in range(start, stop)]
+    chunk = tuple((support, probe[support[:, None], support], float(np.sum(probe * probe)))
+                  for probe, support in _structured_probes(n, s, r, rngs))
+    for support, block, _ in chunk:
+        support.flags.writeable = block.flags.writeable = False
+    return chunk
+
+
 def sample_structured(n: int, s: int, r: int, rng: np.random.Generator):
     """Random unit-Frobenius symmetric matrix of rank <= r on a random s x s block.
 
@@ -290,7 +303,8 @@ def estimate_rip(mp: MeasurementMap, s: int, r: int, trials: int, seed: int = 0)
     probes are drawn PROBE_CHUNK at a time, rank-projected in one stacked pass
     and measured one by one without re-validation; the statistics are
     bit-identical to sampling each probe with sample_structured and measuring
-    it with apply.
+    it with apply.  The probes do not depend on the map: the last PROBE_CACHE_CHUNKS
+    chunks stay cached, keyed on (n, s, r, seed, trial range), as s x s blocks.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
@@ -299,11 +313,11 @@ def estimate_rip(mp: MeasurementMap, s: int, r: int, trials: int, seed: int = 0)
     alpha = np.inf
     beta = -np.inf
     for start in range(0, trials, PROBE_CHUNK):
-        rngs = [np.random.default_rng([seed, t])
-                for t in range(start, min(start + PROBE_CHUNK, trials))]
-        for probe, _ in _structured_probes(mp.n, s, r, rngs):
+        for support, block, zf2 in _probe_chunk(mp.n, s, r, seed, start,
+                                                min(start + PROBE_CHUNK, trials)):
+            probe = np.zeros((mp.n, mp.n))
+            probe[support[:, None], support] = block
             y = mp._apply(probe)
-            zf2 = float(np.sum(probe * probe))
             zf = np.sqrt(zf2)
             delta = max(delta, abs(float(y @ y) - zf2) / zf2)
             ratio1 = float(np.sum(np.abs(y))) / zf

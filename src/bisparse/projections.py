@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import _restrict, check_support, check_sym, project_rank
+from .symcore import _project_rank_vectors, _restrict, check_support, check_sym, project_rank
 
 __all__ = [
     "ProjectionOutcome",
@@ -148,20 +148,25 @@ def rank_project_on_support(mat: np.ndarray, support: np.ndarray, rank: int) -> 
     return _restrict(out, check_support(support, out.shape[0]))
 
 
-def _rank_truncated(mat, s: int, r: int, base_projection) -> ProjectionOutcome:
-    """base_projection(M, s), then truncated to rank r on the support it chose.
+def _truncate(m: np.ndarray, s: int, r: int, pick) -> np.ndarray:
+    """Unchecked _rank_truncated matrix, for M as check_sym returns it and 1 <= s, r <= n."""
+    support = pick(m, s)
+    return _restrict(_project_rank_vectors(_restrict(m, support)[None], r)[0][0], support)
 
-    The base projection validates M and s; a fault in M still takes precedence
-    over one in r, and a fault in r over one in s.
-    """
-    try:
-        base = base_projection(mat, s)
-    except ValueError:
-        _check_rank(r, check_sym(mat).shape[0])
-        raise
-    _check_rank(r, base.matrix.shape[0])
-    out = rank_project_on_support(base.matrix, base.support, r)
-    return _outcome(out, base.support, r)
+
+def _rank_truncated(mat, s: int, r: int, pick) -> ProjectionOutcome:
+    """M restricted to pick(M, s), truncated to rank r; M faults first, then r, then s."""
+    _check_rank(r, check_sym(mat).shape[0])
+    base = _projection(mat, s, pick)
+    return _outcome(rank_project_on_support(base.matrix, base.support, r), base.support, r)
+
+
+def _projection(mat, s: int, pick) -> ProjectionOutcome:
+    """Validated restriction of M to the support pick(M, s)."""
+    m = check_sym(mat)
+    _check_sparsity(s, m.shape[0])
+    support = pick(m, s)
+    return _outcome(_restrict(m, support), support, support.size)
 
 
 def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
@@ -203,11 +208,11 @@ def tail_bisparse(mat, s: int) -> ProjectionOutcome:
     The residual is within a factor sqrt(2) of the best possible over all
     size-s supports.
     """
-    m = check_sym(mat)
-    _check_sparsity(s, m.shape[0])
-    support = np.sort(_select(np.linalg.norm(m, axis=0), s))
-    out = _restrict(m, support)
-    return _outcome(out, support, support.size)
+    return _projection(mat, s, _tail_support)
+
+
+def _tail_support(m: np.ndarray, s: int) -> np.ndarray:
+    return np.sort(_select(np.linalg.norm(m, axis=0), s))
 
 
 def tail_joint(mat, s: int, r: int) -> ProjectionOutcome:
@@ -216,7 +221,7 @@ def tail_joint(mat, s: int, r: int) -> ProjectionOutcome:
     Composing the sqrt(2)-tail with the exact rank projection gives a tail
     operator for the joint structure with constant 1 + 2*sqrt(2).
     """
-    return _rank_truncated(mat, s, r, tail_bisparse)
+    return _rank_truncated(mat, s, r, _tail_support)
 
 
 def head_square(mat, s: int) -> ProjectionOutcome:
@@ -227,14 +232,13 @@ def head_square(mat, s: int) -> ProjectionOutcome:
     the s best rows together with their partners.  The restriction to the
     resulting index set carries at least as much energy as any s x s block.
     """
-    m = check_sym(mat)
-    n = m.shape[0]
-    _check_sparsity(s, n)
+    return _projection(mat, s, _square_support)
+
+
+def _square_support(m: np.ndarray, s: int) -> np.ndarray:
     partners, scores = _partners(np.abs(m), s - 1)
     anchors = _select(scores, s)
-    support = _support(n, anchors, partners[anchors])
-    out = _restrict(m, support)
-    return _outcome(out, support, support.size)
+    return _support(m.shape[0], anchors, partners[anchors])
 
 
 def head_rowcol(mat, s: int) -> ProjectionOutcome:
@@ -243,14 +247,13 @@ def head_rowcol(mat, s: int) -> ProjectionOutcome:
     The union has at most 2s indices and retains at least an s/n fraction of
     the energy of the best s x s block.
     """
-    m = check_sym(mat)
-    n = m.shape[0]
-    _check_sparsity(s, n)
+    return _projection(mat, s, _rowcol_support)
+
+
+def _rowcol_support(m: np.ndarray, s: int) -> np.ndarray:
     rows = np.sort(_select(np.linalg.norm(m, axis=1), s))
     cols = _select(np.linalg.norm(m[rows, :], axis=0), s)
-    support = _support(n, rows, cols)
-    out = _restrict(m, support)
-    return _outcome(out, support, support.size)
+    return _support(m.shape[0], rows, cols)
 
 
 def head_anchor(mat, s: int) -> ProjectionOutcome:
@@ -260,15 +263,14 @@ def head_anchor(mat, s: int) -> ProjectionOutcome:
     that column; keep the anchor whose column segment has the largest norm
     (the first such anchor on ties).
     """
-    m = check_sym(mat)
-    n = m.shape[0]
-    _check_sparsity(s, n)
+    return _projection(mat, s, _anchor_support)
+
+
+def _anchor_support(m: np.ndarray, s: int) -> np.ndarray:
     # the partner rule on columns: row j of |M|^T is column j of |M|
     partners, scores = _partners(np.abs(m).T, s - 1)
     best = np.argmax(scores)  # the first of equally good anchors
-    support = _support(n, partners[best], best)
-    out = _restrict(m, support)
-    return _outcome(out, support, support.size)
+    return _support(m.shape[0], partners[best], best)
 
 
 def head_psd_lowrank(mat, s: int, rank_override: int | None = None) -> ProjectionOutcome:
@@ -308,7 +310,7 @@ def head_joint(mat, s: int, r: int) -> ProjectionOutcome:
     """Head for the joint structure: rank-truncated head_anchor, constant sqrt(r)/s."""
     if r > s:
         raise ValueError(f"rank bound must not exceed sparsity, got r={r} > s={s}")
-    return _rank_truncated(mat, s, r, head_anchor)
+    return _rank_truncated(mat, s, r, _anchor_support)
 
 
 def head_square_variant(mat, s: int, r: int) -> ProjectionOutcome:
@@ -317,7 +319,7 @@ def head_square_variant(mat, s: int, r: int) -> ProjectionOutcome:
     Maps into matrices of rank <= r supported on at most s^2 indices; keeps at
     least an r/s^2 fraction (in squared norm) of the best rank-r s x s block.
     """
-    return _rank_truncated(mat, s, r, head_square)
+    return _rank_truncated(mat, s, r, _square_support)
 
 
 def head_shrink(mat, sprime, s: int) -> ShrinkOutcome:

@@ -49,12 +49,15 @@ from .measurements import (
 from .projections import (
     ENUMERATION_CAP,
     EnumerationCapError,
+    _square_support,
+    _tail_support,
+    _truncate,
     exact_project,
     head_square_variant,
     hierarchical_mask,
     tail_joint,
 )
-from .symcore import _project_rank_vectors, eigen, project_rank
+from .symcore import _project_rank_vectors, _square_finite, eigen, project_rank
 
 __all__ = [
     "ALGOS",
@@ -153,10 +156,18 @@ def _iterate(apply, y, x0, step_fn, cfg, callback=None) -> RecoveryResult:
     return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
 
 
-def _joint_head(grad: np.ndarray, s: int, r: int) -> np.ndarray:
-    """Square head projection of a gradient at the doubled parameters (2s, 2r), capped at n."""
+def _head_tail_step(x: np.ndarray, grad: np.ndarray, nu: float, s: int, r: int) -> np.ndarray:
+    """tail_joint(x + nu * H, s, r) for H the square head of grad at (2s, 2r), capped at n.
+
+    From zero it runs the checked public projections, as a profiler wrapping them sees; later
+    steps run their kernels on the exactly symmetric matrices it built, after a finiteness check.
+    """
     n = grad.shape[0]
-    return head_square_variant(grad, min(2 * s, n), min(2 * r, n)).matrix
+    if not x.any():
+        head = head_square_variant(grad, min(2 * s, n), min(2 * r, n)).matrix
+        return tail_joint(x + nu * head, s, r).matrix
+    head = _truncate(_square_finite(grad), min(2 * s, n), min(2 * r, n), _square_support)
+    return _truncate(_square_finite(x + nu * head), s, r, _tail_support)
 
 
 def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -177,7 +188,7 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
     def step(x, res):
         return exact_project(x + mp.adjoint(res), s, r).matrix
 
-    return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
+    return _iterate(mp._apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -193,10 +204,9 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
     _check_structure_params(mp.n, s, r)
 
     def step(x, res):
-        h = _joint_head(mp.adjoint(res), s, r)
-        return tail_joint(x + h, s, r).matrix
+        return _head_tail_step(x, mp.adjoint(res), 1.0, s, r)
 
-    return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
+    return _iterate(mp._apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
 def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -217,10 +227,9 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
 
     def step(x, res):
         nu = float(np.sum(np.abs(res))) / (beta * beta)
-        h = _joint_head(mp.adjoint(np.sign(res)), s, r)
-        return tail_joint(x + nu * h, s, r).matrix
+        return _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
 
-    return _iterate(mp.apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
+    return _iterate(mp._apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
 
 
 def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:

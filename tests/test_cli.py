@@ -134,6 +134,17 @@ class TestProject:
         assert main(argv) == 0
         assert capsys.readouterr().out == "1\n5\n3\n5 0 0\n0 0 0\n0 0 0\n" * 2
 
+    def test_eigensolver_failure_exits_one(self, diag_matrix, monkeypatch, capsys):
+        # LinAlgError subclasses ValueError, so it must not be reported as an input error
+        def fail(*args, **kwargs):
+            raise np.linalg.LinAlgError("Eigenvalues did not converge")
+
+        monkeypatch.setattr(np.linalg, "eigh", fail)
+        code = main(["project", "--op", "tail-joint", "--s", "2", "--r", "1",
+                     "--input", str(diag_matrix)])
+        assert code == 1
+        assert "numerical error: Eigenvalues did not converge" in capsys.readouterr().err
+
     def test_stdin_stays_open(self, diag_matrix, monkeypatch, capsys):
         stdin = io.StringIO(diag_matrix.read_text())
         monkeypatch.setattr(sys, "stdin", stdin)

@@ -5,6 +5,7 @@ import pytest
 
 from bisparse import measurements
 from bisparse.measurements import (
+    PROBE_CACHE_CHUNKS,
     PROBE_CHUNK,
     MeasurementMap,
     RipEstimate,
@@ -248,6 +249,14 @@ class ZeroFirstBlock:
         return np.zeros(shape) if self.blocks == 1 else g
 
 
+@pytest.fixture
+def fresh_probe_cache():
+    """Empty estimate_rip's probe cache before and after the test."""
+    measurements._probe_chunk.cache_clear()
+    yield measurements._probe_chunk
+    measurements._probe_chunk.cache_clear()
+
+
 class TestBatchedProbes:
     @pytest.mark.parametrize("kind,kwargs", ALL_KINDS)
     def test_estimate_matches_loop_reference(self, kind, kwargs):
@@ -288,7 +297,7 @@ class TestBatchedProbes:
         assert np.array_equal(x, y)
         assert np.linalg.norm(x) == pytest.approx(1.0)
 
-    def test_zero_block_in_a_batch_matches_loop_reference(self, monkeypatch):
+    def test_zero_block_in_a_batch_matches_loop_reference(self, monkeypatch, fresh_probe_cache):
         # trials on both sides of a chunk boundary draw a zero first block
         zeroed = {3, PROBE_CHUNK - 1, PROBE_CHUNK}
         made = []
@@ -309,6 +318,36 @@ class TestBatchedProbes:
         made.clear()
         assert got == estimate_rip_reference(mp, 3, 2, trials, 5)
         assert [rng.blocks for rng in made] == [2, 2, 2]
+
+
+class TestProbeCache:
+    def test_cold_and_warm_estimates_are_identical(self, fresh_probe_cache):
+        maps = [sample_map("rank-one", 12, 80, seed=seed) for seed in (4, 5)]
+        trials = 2 * PROBE_CHUNK + 5
+        for first, second in (maps, maps[::-1]):
+            fresh_probe_cache.cache_clear()
+            cold = estimate_rip(first, 4, 2, trials, seed=9)
+            hits = fresh_probe_cache.cache_info().hits
+            other = estimate_rip(second, 4, 2, trials, seed=9)
+            warm = estimate_rip(first, 4, 2, trials, seed=9)
+            assert fresh_probe_cache.cache_info().hits == hits + 6
+            assert warm == cold == estimate_rip_reference(first, 4, 2, trials, 9)
+            assert other == estimate_rip_reference(second, 4, 2, trials, 9)
+
+    def test_cache_is_bounded_and_holds_only_blocks(self, fresh_probe_cache):
+        assert fresh_probe_cache.cache_info().maxsize == PROBE_CACHE_CHUNKS
+        mp = sample_map("dense-gaussian", 6, 20, seed=1)
+        estimate_rip(mp, 2, 1, (PROBE_CACHE_CHUNKS + 3) * PROBE_CHUNK, seed=2)
+        assert fresh_probe_cache.cache_info().currsize == PROBE_CACHE_CHUNKS
+        n, s, r, trials = 9, 3, 2, PROBE_CHUNK + 7
+        estimate_rip(sample_map("rank-one", n, 40, seed=3), s, r, trials, seed=4)
+        misses = fresh_probe_cache.cache_info().misses
+        for start in range(0, trials, PROBE_CHUNK):
+            chunk = fresh_probe_cache(n, s, r, 4, start, min(start + PROBE_CHUNK, trials))
+            for support, block, _ in chunk:
+                assert support.size == s and block.shape == (s, s)
+                assert not support.flags.writeable and not block.flags.writeable
+        assert fresh_probe_cache.cache_info().misses == misses
 
 
 class TestEstimateRip:

@@ -5,6 +5,7 @@ import warnings
 import numpy as np
 import pytest
 
+from bisparse import measurements, projections, symcore
 from bisparse.measurements import (
     MeasurementMap,
     factorized_inner_map,
@@ -615,3 +616,59 @@ class TestDivergenceFlag:
         res = iht_head_tail(mp, mp.apply(x), 2, 1, cfg)
         assert not res.converged
         assert res.iterations < 200
+
+
+class TestStepValidation:
+    """The head-tail step validates at the start of a solve, then runs unchecked kernels."""
+
+    @staticmethod
+    def _nan_payload(kind):
+        sampled, x, _ = planted_instance(kind, 10, 2, 1, 60, seed=31)
+        payload = (sampled.vectors if kind == "rank-one" else sampled.matrices).copy()
+        payload[3, 4] = np.nan
+        field = "vectors" if kind == "rank-one" else "matrices"
+        mp = MeasurementMap(kind, 10, 60, **{field: payload})
+        return mp, sampled.apply(x)
+
+    @pytest.mark.parametrize("kind, solver", [("rank-one", iht_rank_one),
+                                              ("dense-gaussian", iht_head_tail)])
+    def test_nan_payload_fails_as_non_finite(self, kind, solver):
+        mp, y = self._nan_payload(kind)
+        with np.errstate(invalid="ignore"), pytest.raises(ValueError,
+                                                          match="matrix entries must be finite"):
+            solver(mp, y, 2, 1)
+
+    def test_overflow_after_the_first_step_fails_as_non_finite(self):
+        # a 1e200 payload on 1e-270 measurements: the first step and its residual
+        # are finite, the second gradient overflows, so the unchecked kernels'
+        # finiteness check is the one that fires
+        sampled, x, _ = planted_instance("dense-gaussian", 10, 2, 1, 60, seed=31)
+        mp = MeasurementMap("dense-gaussian", 10, 60, matrices=1e200 * sampled.matrices)
+        steps = []
+        with np.errstate(over="ignore", invalid="ignore"), \
+                pytest.raises(ValueError, match="matrix entries must be finite"):
+            iht_head_tail(mp, 1e-270 * sampled.apply(x), 2, 1, callback=steps.append)
+        assert len(steps) == 1 and np.all(np.isfinite(steps[0])) and np.any(steps[0])
+
+    @pytest.mark.parametrize("kind, solver, n, m", [("rank-one", iht_rank_one, 24, 300),
+                                                    ("dense-gaussian", iht_head_tail, 16, 60)])
+    def test_check_sym_calls_do_not_grow_with_iterations(self, monkeypatch, kind, solver, n, m):
+        calls = []
+        original = symcore.check_sym
+
+        def counting(mat):
+            calls.append(1)
+            return original(mat)
+
+        for module in (symcore, projections, measurements):
+            monkeypatch.setattr(module, "check_sym", counting)
+        mp, x, _ = planted_instance(kind, n, 2, 1, m, seed=8)
+        y = mp.apply(x)
+        counts, iterations = [], []
+        for max_iters in (2, 20):
+            calls.clear()
+            res = solver(mp, y, 2, 1, RecoveryConfig(max_iters=max_iters))
+            counts.append(len(calls))
+            iterations.append(res.iterations)
+        assert iterations[0] == 2 and iterations[1] > 10
+        assert counts[0] == counts[1]
