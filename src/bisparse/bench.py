@@ -17,6 +17,7 @@ the CSV; pass timing=True to include them.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import itertools
 import math
@@ -27,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import KINDS, RipEstimate, estimate_rip, sample_map, sample_structured
+from .measurements import KINDS, estimate_rip, sample_map, sample_structured
 from .projections import ENUMERATION_CAP
 from .recovery import ALGOS, solve
 
@@ -232,10 +233,14 @@ def _cell_map(spec: ExperimentSpec, n: int, s: int, m: int, cell: tuple):
     )
 
 
-def _run_single_trial(spec: ExperimentSpec, n: int, s: int, r: int, m: int,
-                      trial: int) -> TrialRecord:
+def _run_single_trial(spec: ExperimentSpec, job: tuple) -> TrialRecord:
+    """One (n, s, r, m, trial, infeasible) job; an infeasible cell's row is a NaN placeholder."""
+    n, s, r, m, trial, infeasible = job
     cell = (spec.base_seed, spec.algo, spec.ensemble, n, s, r, m, trial)
     seed = derive_seed(*cell)
+    if infeasible:
+        return TrialRecord(spec.algo, spec.ensemble, n, s, r, m, trial, seed,
+                           spec.noise_level, False, float("nan"), 0, 0.0)
     start = time.perf_counter()
     mp = _cell_map(spec, n, s, m, cell)
     signal, _ = sample_structured(n, s, r, np.random.default_rng(derive_seed(*cell, "signal")))
@@ -256,33 +261,20 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
     """Run every (cell, trial) of the sweep; rows come back in grid order.
 
     Infeasible cells are skipped with a warning and produce placeholder rows
-    with rel_error = nan so the CSV stays rectangular.
+    with rel_error = nan so the CSV stays rectangular.  With threads=1 the
+    trials run on the calling thread.
     """
-    tasks = []
-    records = []
+    jobs = []
     for n, s, r, m in _cells(spec):
         reason = _cell_feasible(spec, n, s, r, m)
-        for trial in range(spec.trials_per_cell):
-            if reason is None:
-                tasks.append((len(records), (n, s, r, m, trial)))
-                records.append(None)
-            else:
-                seed = derive_seed(spec.base_seed, spec.algo, spec.ensemble, n, s, r, m, trial)
-                records.append(TrialRecord(
-                    spec.algo, spec.ensemble, n, s, r, m, trial, seed,
-                    spec.noise_level, False, float("nan"), 0, 0.0,
-                ))
         if reason is not None:
             warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
-    if threads > 1 and tasks:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            results = pool.map(lambda job: _run_single_trial(spec, *job[1]), tasks)
-            for (pos, _), rec in zip(tasks, results):
-                records[pos] = rec
-    else:
-        for pos, args in tasks:
-            records[pos] = _run_single_trial(spec, *args)
-    return records
+        jobs += [(n, s, r, m, t, reason is not None) for t in range(spec.trials_per_cell)]
+    run = functools.partial(_run_single_trial, spec)
+    if threads <= 1:
+        return list(map(run, jobs))
+    with ThreadPoolExecutor(max_workers=threads) as pool:
+        return list(pool.map(run, jobs))
 
 
 def run_rip_sweep(spec: ExperimentSpec) -> list:
@@ -304,31 +296,30 @@ def run_rip_sweep(spec: ExperimentSpec) -> list:
     return rows
 
 
-def _fmt(value: float) -> str:
-    return format(value, ".17g")
+def _write_rows(stream, header: str, rows) -> None:
+    """Write a CSV: floats as .17g, booleans as 0/1, everything else with str."""
+    stream.write(header + "\n")
+    for row in rows:
+        stream.write(",".join(
+            format(v, ".17g") if isinstance(v, float)
+            else str(int(v)) if isinstance(v, (bool, np.bool_)) else str(v)
+            for v in row) + "\n")
 
 
 def write_csv(records, stream, timing: bool = False) -> None:
     """Write trial records as CSV; ms is 0 unless timing=True (not reproducible)."""
-    stream.write(CSV_HEADER + "\n")
-    for rec in records:
-        ms = int(round(rec.wall_ms)) if timing else 0
-        stream.write(
-            f"{rec.algo},{rec.ensemble},{rec.n},{rec.s},{rec.r},{rec.m},"
-            f"{rec.trial},{rec.seed},{_fmt(rec.noise)},{int(rec.success)},"
-            f"{_fmt(rec.rel_error)},{rec.iterations},{ms}\n"
-        )
+    _write_rows(stream, CSV_HEADER, (
+        (rec.algo, rec.ensemble, rec.n, rec.s, rec.r, rec.m, rec.trial, rec.seed,
+         float(rec.noise), rec.success, rec.rel_error, rec.iterations,
+         int(round(rec.wall_ms)) if timing else 0)
+        for rec in records))
 
 
 def write_rip_csv(rows, stream) -> None:
-    stream.write(RIP_CSV_HEADER + "\n")
-    for row in rows:
-        est: RipEstimate = row["estimate"]
-        stream.write(
-            f"{row['ensemble']},{row['n']},{row['s']},{row['r']},{row['m']},"
-            f"{row['trials']},{row['seed']},"
-            f"{_fmt(est.delta_lower)},{_fmt(est.alpha_hat)},{_fmt(est.beta_hat)}\n"
-        )
+    _write_rows(stream, RIP_CSV_HEADER, (
+        (row["ensemble"], row["n"], row["s"], row["r"], row["m"], row["trials"], row["seed"],
+         row["estimate"].delta_lower, row["estimate"].alpha_hat, row["estimate"].beta_hat)
+        for row in rows))
 
 
 def aggregate(records) -> list:
@@ -356,10 +347,5 @@ def aggregate(records) -> list:
 
 
 def write_aggregate_csv(rows, stream) -> None:
-    stream.write(AGGREGATE_HEADER + "\n")
-    for row in rows:
-        stream.write(
-            f"{row['algo']},{row['ensemble']},{row['n']},{row['s']},{row['r']},"
-            f"{row['m']},{row['trials']},{row['successes']},"
-            f"{_fmt(row['success_rate'])},{_fmt(row['mean_rel_error'])}\n"
-        )
+    _write_rows(stream, AGGREGATE_HEADER,
+                ([row[key] for key in AGGREGATE_HEADER.split(",")] for row in rows))

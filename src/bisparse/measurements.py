@@ -59,6 +59,36 @@ PROBE_CHUNK = 32
 PROBE_CACHE_CHUNKS = 16
 
 
+# the map options each kind takes, in map-header order; any other option must keep its default
+_OPTIONS = {"dense-gaussian": (), "rank-one": ("scale",), "factorized": ("p", "inner")}
+
+
+def _payload_shapes(kind: str, n: int, m: int, p, inner: str, scale: str) -> dict:
+    """{payload field: shape} of a map, listed in draw order; refuses options it does not take."""
+    if kind not in KINDS:
+        raise ValueError(f"unknown measurement kind {kind!r}")
+    if m < 1 or n < 1:
+        raise ValueError("dimensions must be positive")
+    if inner not in INNER_KINDS:
+        raise ValueError(f"unknown inner kind {inner!r}")
+    if scale not in SCALES:
+        raise ValueError(f"unknown scale {scale!r}")
+    given = [name for name, value, default in (("p", p, None), ("inner", inner, "dense"),
+                                               ("scale", scale, "inv_m"))
+             if value != default and name not in _OPTIONS[kind]]
+    if given:
+        raise ValueError(f"{kind} maps take no {' or '.join(given)}")
+    if kind == "dense-gaussian":
+        return {"matrices": (m, n, n)}
+    if kind == "rank-one":
+        return {"vectors": (m, n)}
+    if p is None or p < 1:
+        raise ValueError("factorized maps need a positive inner dimension p")
+    if inner == "dense":
+        return {"basis": (p, n), "matrices": (m, p, p)}
+    return {"basis": (p, n), "vectors": (m, p)}
+
+
 @dataclass(frozen=True)
 class MeasurementMap:
     """A tagged linear map from symmetric n x n matrices to R^m.
@@ -66,8 +96,10 @@ class MeasurementMap:
     Exactly one payload layout per kind: `matrices` (m, n, n) for
     dense-gaussian; `vectors` (m, n) for rank-one; `basis` (p, n) plus either
     `matrices` (m, p, p) or `vectors` (m, p) for factorized.  Payload fields
-    outside the kind's layout are rejected.  `seed` is the sampling seed when
-    the payload came from `sample_map`, else None.
+    outside the kind's layout are rejected, and so are options the kind does
+    not take: only rank-one maps take a `scale`, only factorized maps `p` and
+    `inner`.  `seed` is the sampling seed when the payload came from
+    `sample_map`, else None.
     """
 
     kind: str
@@ -82,35 +114,14 @@ class MeasurementMap:
     basis: np.ndarray | None = field(default=None, repr=False)
 
     def __post_init__(self):
-        if self.kind not in KINDS:
-            raise ValueError(f"unknown measurement kind {self.kind!r}")
-        if self.m < 1 or self.n < 1:
-            raise ValueError("dimensions must be positive")
-        if self.kind == "dense-gaussian":
-            if self.matrices is None or self.matrices.shape != (self.m, self.n, self.n):
-                raise ValueError("dense-gaussian payload must be m symmetric n x n matrices")
-        elif self.kind == "rank-one":
-            if self.vectors is None or self.vectors.shape != (self.m, self.n):
-                raise ValueError("rank-one payload must be m vectors of length n")
-        else:
-            if self.p is None or self.p < 1:
-                raise ValueError("factorized maps need a positive inner dimension p")
-            if self.basis is None or self.basis.shape != (self.p, self.n):
-                raise ValueError("factorized payload must include a p x n basis matrix")
-            if self.inner == "dense":
-                if self.matrices is None or self.matrices.shape != (self.m, self.p, self.p):
-                    raise ValueError("factorized dense payload must be m p x p matrices")
-            elif self.inner == "rank-one":
-                if self.vectors is None or self.vectors.shape != (self.m, self.p):
-                    raise ValueError("factorized rank-one payload must be m vectors of length p")
-            else:
-                raise ValueError(f"unknown inner kind {self.inner!r}")
-        layout = {"dense-gaussian": ("matrices",), "rank-one": ("vectors",)}.get(
-            self.kind, ("basis", "matrices" if self.inner == "dense" else "vectors"))
+        shapes = _payload_shapes(self.kind, self.n, self.m, self.p, self.inner, self.scale)
         stray = [name for name in ("matrices", "vectors", "basis")
-                 if name not in layout and getattr(self, name) is not None]
+                 if name not in shapes and getattr(self, name) is not None]
         if stray:
             raise ValueError(f"{self.kind} payload takes no {' or '.join(stray)}")
+        for name, shape in shapes.items():
+            if getattr(self, name) is None or getattr(self, name).shape != shape:
+                raise ValueError(f"{self.kind} payload needs {name} of shape {shape}")
 
     def apply(self, mat) -> np.ndarray:
         """Measure a symmetric n x n matrix; linear in the input."""
@@ -156,39 +167,22 @@ def sample_map(
     symmetrized (which halves the off-diagonal variance); rank-one vectors
     have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws the
     basis and the inner matrices/vectors with standard N(0, 1) entries.
-    Refuses payloads of more than PAYLOAD_CAP entries before allocating.
+    Refuses options the kind does not take, and payloads of more than
+    PAYLOAD_CAP entries, before allocating.
     """
-    if kind not in KINDS:
-        raise ValueError(f"unknown measurement kind {kind!r}")
-    if scale not in SCALES:
-        raise ValueError(f"unknown scale {scale!r}")
-    if kind == "factorized":
-        if p is None:
-            raise ValueError("factorized maps need the inner dimension p")
-        entries = p * n + (m * p * p if inner == "dense" else m * p)
-    else:
-        entries = m * n * n if kind == "dense-gaussian" else m * n
+    shapes = _payload_shapes(kind, n, m, p, inner, scale)
+    entries = sum(math.prod(shape) for shape in shapes.values())
     if entries > PAYLOAD_CAP:
         raise ValueError(f"a {kind} payload of {entries} entries exceeds the cap {PAYLOAD_CAP}")
     rng = np.random.default_rng(seed)
-    if kind == "dense-gaussian":
-        mats = rng.standard_normal((m, n, n)) / np.sqrt(m)
-        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        return MeasurementMap(kind, n, m, seed=seed, matrices=mats)
-    if kind == "rank-one":
-        vecs = rng.standard_normal((m, n))
-        if scale == "inv_m":
-            vecs = vecs / np.sqrt(m)
-        return MeasurementMap(kind, n, m, seed=seed, scale=scale, vectors=vecs)
-    basis = rng.standard_normal((p, n))
-    if inner == "dense":
-        mats = rng.standard_normal((m, p, p))
-        mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, matrices=mats, basis=basis)
-    if inner == "rank-one":
-        vecs = rng.standard_normal((m, p))
-        return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, vectors=vecs, basis=basis)
-    raise ValueError(f"unknown inner kind {inner!r}")
+    inv_m = kind != "factorized" and scale == "inv_m"
+    # drawn in table order, so a factorized basis comes before its inner payload
+    payload = {name: (rng.standard_normal(shape) / np.sqrt(m) if inv_m
+                      else rng.standard_normal(shape)) for name, shape in shapes.items()}
+    mats = payload.get("matrices")
+    if mats is not None:
+        payload["matrices"] = (mats + mats.transpose(0, 2, 1)) / 2.0
+    return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, scale=scale, **payload)
 
 
 def isometry_map(n: int) -> MeasurementMap:
@@ -364,15 +358,8 @@ def write_map_header(mp: MeasurementMap, stream) -> None:
     """Serialize a sampled map as a compact text header (payload not stored)."""
     if mp.seed is None:
         raise ValueError("only maps sampled from a seed can be serialized")
-    stream.write(f"kind {mp.kind}\n")
-    stream.write(f"n {mp.n}\n")
-    stream.write(f"m {mp.m}\n")
-    if mp.kind == "factorized":
-        stream.write(f"p {mp.p}\n")
-        stream.write(f"inner {mp.inner}\n")
-    if mp.kind == "rank-one":
-        stream.write(f"scale {mp.scale}\n")
-    stream.write(f"seed {mp.seed}\n")
+    for key in ("kind", "n", "m", *_OPTIONS[mp.kind], "seed"):
+        stream.write(f"{key} {getattr(mp, key)}\n")
 
 
 def _parse_header_lines(it) -> dict:

@@ -6,6 +6,7 @@ import pytest
 
 from bisparse.bench import (
     ExperimentSpec,
+    TrialRecord,
     aggregate,
     baseline_m,
     default_inner_dim,
@@ -19,6 +20,7 @@ from bisparse.bench import (
     write_csv,
     write_rip_csv,
 )
+from bisparse.measurements import RipEstimate
 
 
 def small_spec(**overrides):
@@ -126,6 +128,18 @@ class TestPhaseTransition:
         assert all(math.isnan(rec.rel_error) for rec in records)
         assert aggregate(records) == []
 
+    @pytest.mark.parametrize("overrides,reason", [
+        ({"m": ["0"]}, "m=0 < 1"),
+        ({"s": [7]}, r"s=7 outside \[1, 6\]"),
+        ({"r": [3]}, r"r=3 outside \[1, s=2\]"),
+        ({"n": [100], "s": [5]}, r"C\(100,5\) exceeds the cap"),
+    ])
+    def test_every_infeasible_reason_is_named(self, overrides, reason):
+        with pytest.warns(UserWarning, match=reason):
+            records = run_phase_transition(small_spec(**overrides))
+        assert len(records) == 3
+        assert all(math.isnan(rec.rel_error) and not rec.success for rec in records)
+
     def test_noise_level_recorded_and_applied(self):
         spec = small_spec(noise_level=0.5, trials_per_cell=2)
         records = run_phase_transition(spec)
@@ -204,6 +218,12 @@ class TestRipSweep:
         header = buf.getvalue().split("\n")[0]
         assert header == "ensemble,n,s,r,m,trials,seed,delta_lower,alpha_hat,beta_hat"
 
+    def test_infeasible_cell_is_skipped(self):
+        spec = small_spec(trials_per_cell=5, s=[2, 7], m=["30"])
+        with pytest.warns(UserWarning, match="s=7 outside"):
+            rows = run_rip_sweep(spec)
+        assert [row["s"] for row in rows] == [2]
+
     def test_unstructured_probing_large_delta_when_undersampled(self):
         spec = ExperimentSpec(
             algo="exact-iht",
@@ -224,3 +244,45 @@ class TestRipSweep:
         buf = io.StringIO()
         write_aggregate_csv(rows, buf)
         assert buf.getvalue().startswith("algo,ensemble,n,s,r,m,trials,successes,")
+
+
+class TestCsvBytes:
+    """The writers' exact bytes: floats as .17g, booleans as 0/1, integers as written."""
+
+    RECORDS = [
+        TrialRecord("head-tail", "dense-gaussian", 30, 2, 1, 238, 0, 9007199254740993,
+                    0.001, True, 1 / 3, 17, 12.6),
+        TrialRecord("brute", "dense-gaussian", 6, 2, 1, 1, 1, 5, 0, False, float("nan"), 0, 0.0),
+    ]
+
+    @pytest.mark.parametrize("timing,ms", [(False, "0"), (True, "13")])
+    def test_trial_csv(self, timing, ms):
+        buf = io.StringIO()
+        write_csv(self.RECORDS, buf, timing=timing)
+        assert buf.getvalue() == (
+            "algo,ensemble,n,s,r,m,trial,seed,noise,success,rel_error,iters,ms\n"
+            f"head-tail,dense-gaussian,30,2,1,238,0,9007199254740993,0.001,1,0.33333333333333331,17,{ms}\n"
+            "brute,dense-gaussian,6,2,1,1,1,5,0,0,nan,0,0\n"
+        )
+
+    def test_aggregate_csv(self):
+        buf = io.StringIO()
+        write_aggregate_csv([{
+            "algo": "rank-one", "ensemble": "rank-one", "n": 24, "s": 2, "r": 1, "m": 140,
+            "trials": 3, "successes": 2, "success_rate": 2 / 3, "mean_rel_error": 0.1,
+        }], buf)
+        assert buf.getvalue() == (
+            "algo,ensemble,n,s,r,m,trials,successes,success_rate,mean_rel_error\n"
+            "rank-one,rank-one,24,2,1,140,3,2,0.66666666666666663,0.10000000000000001\n"
+        )
+
+    def test_rip_csv(self):
+        buf = io.StringIO()
+        write_rip_csv([{
+            "ensemble": "rank-one", "n": 10, "s": 2, "r": 1, "m": 40, "trials": 20, "seed": 77,
+            "estimate": RipEstimate(0.25, 1 / 3, 2.0, 20, 2, 1),
+        }], buf)
+        assert buf.getvalue() == (
+            "ensemble,n,s,r,m,trials,seed,delta_lower,alpha_hat,beta_hat\n"
+            "rank-one,10,2,1,40,20,77,0.25,0.33333333333333331,2\n"
+        )

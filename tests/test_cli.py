@@ -367,6 +367,25 @@ class TestRip:
         assert code == 0
         assert "cross_within 1" in out.read_text()
 
+    @pytest.mark.parametrize("command,flags", [
+        (["rip", "--ensemble", "dense-gaussian", "--n", "4", "--s", "2", "--r", "1"],
+         ["--scale", "unit"]),
+        (["rip", "--ensemble", "rank-one", "--n", "4", "--s", "2", "--r", "1"],
+         ["--inner", "rank-one"]),
+        (["measure", "--kind", "dense-gaussian"], ["--p", "5"]),
+        (["measure", "--kind", "factorized", "--p", "5"], ["--scale", "unit"]),
+    ])
+    def test_option_the_kind_does_not_take_exits_two(self, command, flags, tmp_path,
+                                                     diag_matrix, capsys):
+        # diag_matrix is the --input of measure; rip takes no input
+        out = tmp_path / "out.txt"
+        argv = [*command, "--m", "20", *flags, "--seed", "3", "--output", str(out)]
+        if command[0] == "measure":
+            argv += ["--input", str(diag_matrix)]
+        assert main(argv) == 2
+        assert f"take no {flags[0][2:]}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_mode_flag_is_gone(self, tmp_path, capsys):
         code = main(["rip", "--ensemble", "dense-gaussian", "--n", "10", "--m", "60",
                      "--s", "2", "--r", "1", "--mode", "l1", "--seed", "3",

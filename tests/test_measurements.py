@@ -81,6 +81,52 @@ class TestSampling:
         with pytest.raises(ValueError, match="payload takes no"):
             MeasurementMap(kind, 3, 2, **kwargs)
 
+    @pytest.mark.parametrize("args,kwargs,match", [
+        (("gaussian", 3, 2), {}, "kind"),
+        (("rank-one", 3, 0), {"vectors": np.zeros((0, 3))}, "positive"),
+        (("dense-gaussian", 3, 2), {}, "dense-gaussian.*matrices"),
+        (("dense-gaussian", 3, 2), {"matrices": np.zeros((2, 3, 4))}, "dense-gaussian.*matrices"),
+        (("rank-one", 3, 2), {"vectors": np.zeros((2, 4))}, "rank-one.*vectors"),
+        (("factorized", 3, 2), {"basis": np.zeros((4, 3)), "matrices": np.zeros((2, 4, 4))},
+         "factorized.*p"),
+        (("factorized", 3, 2), {"p": 4, "basis": np.zeros((3, 3)), "matrices": np.zeros((2, 4, 4))},
+         "factorized.*basis"),
+        (("factorized", 3, 2), {"p": 4, "basis": np.zeros((4, 3)), "matrices": np.zeros((2, 3, 3))},
+         "factorized.*matrices"),
+        (("factorized", 3, 2), {"p": 4, "inner": "rank-one", "basis": np.zeros((4, 3)),
+                                "vectors": np.zeros((2, 3))}, "factorized.*vectors"),
+        (("factorized", 3, 2), {"p": 4, "inner": "sparse", "basis": np.zeros((4, 3)),
+                                "vectors": np.zeros((2, 4))}, "inner"),
+    ])
+    def test_payload_layout_enforced(self, args, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            MeasurementMap(*args, **kwargs)
+
+    @pytest.mark.parametrize("kind,kwargs,match", [
+        ("rank-one", {"scale": "half"}, "scale"),
+        ("factorized", {"p": 4, "inner": "sparse"}, "inner"),
+    ])
+    def test_unknown_option_refused(self, kind, kwargs, match):
+        with pytest.raises(ValueError, match=match):
+            sample_map(kind, 3, 2, seed=1, **kwargs)
+
+    @pytest.mark.parametrize("kind,kwargs,option", [
+        ("dense-gaussian", {"scale": "unit"}, "scale"),
+        ("dense-gaussian", {"p": 4}, "p"),
+        ("dense-gaussian", {"inner": "rank-one"}, "inner"),
+        ("rank-one", {"p": 4}, "p"),
+        ("rank-one", {"inner": "rank-one"}, "inner"),
+        ("factorized", {"p": 4, "scale": "unit"}, "scale"),
+    ])
+    def test_option_the_kind_does_not_take_is_refused(self, kind, kwargs, option):
+        # an option that does not apply would otherwise be dropped without a word
+        with pytest.raises(ValueError, match=rf"{kind}.*\b{option}\b"):
+            sample_map(kind, 3, 2, seed=1, **kwargs)
+        payload = sample_map(kind, 3, 2, seed=1, p=4 if kind == "factorized" else None)
+        with pytest.raises(ValueError, match=rf"{kind}.*\b{option}\b"):
+            MeasurementMap(kind, 3, 2, **kwargs, matrices=payload.matrices,
+                           vectors=payload.vectors, basis=payload.basis)
+
     def test_oversized_payload_refused_before_allocating(self):
         with pytest.raises(ValueError, match="exceeds the cap"):
             sample_map("dense-gaussian", 10_000, 10_000, seed=1)
@@ -451,6 +497,11 @@ class TestSerialization:
     def test_unknown_header_key_rejected(self):
         text = "kind factorized\nn 4\nm 6\np 5\ninnr rank-one\nseed 3\n"
         with pytest.raises(ValueError, match="innr"):
+            read_map_header(io.StringIO(text))
+
+    def test_header_option_the_kind_does_not_take_rejected(self):
+        text = "kind dense-gaussian\nn 4\nm 6\nscale unit\ninner rank-one\nseed 3\n"
+        with pytest.raises(ValueError, match="dense-gaussian.*inner.*scale"):
             read_map_header(io.StringIO(text))
 
     def test_values_after_last_measurement_rejected(self):
