@@ -28,7 +28,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import KINDS, estimate_rip, sample_map, sample_structured
+from .measurements import (KINDS, _check_structure_params, estimate_rip, sample_map,
+                           sample_structured)
 from .projections import ENUMERATION_CAP
 from .recovery import ALGOS, solve
 
@@ -205,10 +206,10 @@ def _structure_infeasible(n: int, s: int, r: int, m: int) -> str | None:
     """Why no structured matrix or map exists for the cell, or None."""
     if m < 1:
         return f"m={m} < 1"
-    if not 1 <= s <= n:
-        return f"s={s} outside [1, {n}]"
-    if not 1 <= r <= s:
-        return f"r={r} outside [1, s={s}]"
+    try:
+        _check_structure_params(n, s, r)
+    except ValueError as exc:
+        return str(exc)
     return None
 
 

@@ -138,6 +138,15 @@ class MeasurementMap:
             return np.einsum("kij,ij->k", self.matrices, x)
         return ((self.vectors @ x) * self.vectors).sum(axis=1)
 
+    def _compress(self, q: np.ndarray) -> np.ndarray:
+        """(m, k, k) Q^T A_i Q for an n x k Q: A(Q C Q^T) = blocks.reshape(m, -1) @ C.ravel()."""
+        if self.kind == "factorized":
+            q = self.basis @ q
+        if self.matrices is not None:
+            return q.T @ (self.matrices.reshape(-1, len(q)) @ q).reshape(self.m, len(q), -1)
+        v = self.vectors @ q
+        return v[:, :, None] * v[:, None, :]
+
     def adjoint(self, u) -> np.ndarray:
         """Adjoint sum_i u_i A_i; always lands on a symmetric matrix."""
         w = np.asarray(u, dtype=float)

@@ -119,13 +119,12 @@ def _support_of(mat: np.ndarray) -> np.ndarray:
     return np.nonzero(np.any(mat != 0.0, axis=0))[0]
 
 
-def _iterate(apply, y, x0, step_fn, cfg, callback=None) -> RecoveryResult:
-    """The shared loop: run step_fn(x, y - apply(x)) from x0 until a stopping rule fires."""
+def _iterate(apply, y, n, step_fn, cfg, callback=None) -> RecoveryResult:
+    """The shared loop: run step_fn(x, y - apply(x)) from x = 0 until a stopping rule fires."""
     y = np.asarray(y, dtype=float)
     ynorm = float(np.linalg.norm(y))
-    x = x0
-    res = y - apply(x)
-    res0 = float(np.linalg.norm(res))
+    x = np.zeros((n, n))
+    res = y.copy()    # A(0) is +0.0 for every map, so the start is not measured
     trace = []
     converged = False
     grow_streak = 0
@@ -147,7 +146,7 @@ def _iterate(apply, y, x0, step_fn, cfg, callback=None) -> RecoveryResult:
             break
         if not np.isfinite(rnorm):
             break
-        if rnorm > DIVERGENCE_FACTOR * res0:
+        if rnorm > DIVERGENCE_FACTOR * ynorm:
             grow_streak += 1
             if grow_streak >= DIVERGENCE_PATIENCE:
                 break
@@ -188,7 +187,7 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
     def step(x, res):
         return exact_project(x + mp.adjoint(res), s, r).matrix
 
-    return _iterate(mp._apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
+    return _iterate(mp._apply, y, mp.n, step, cfg, callback)
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -206,7 +205,7 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
     def step(x, res):
         return _head_tail_step(x, mp.adjoint(res), 1.0, s, r)
 
-    return _iterate(mp._apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
+    return _iterate(mp._apply, y, mp.n, step, cfg, callback)
 
 
 def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -229,19 +228,16 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
         nu = float(np.sum(np.abs(res))) / (beta * beta)
         return _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
 
-    return _iterate(mp._apply, y, np.zeros((mp.n, mp.n)), step, cfg, callback)
+    return _iterate(mp._apply, y, mp.n, step, cfg, callback)
 
 
-def _tangent_project(u: np.ndarray, g: np.ndarray) -> np.ndarray:
-    """Project a symmetric g onto the tangent space at a matrix with orthonormal column basis u.
+def _tangent_factor(u: np.ndarray, g: np.ndarray):
+    """K = G U - U (U^T G U) / 2 and G U, at an iterate with orthonormal column basis u.
 
-    P_T(G) = UU^T G + G UU^T - UU^T G UU^T, evaluated as H + H^T with
-    H = U (U^T G - (U^T G U) U^T / 2), so the result is exactly symmetric and
-    exactly odd in G.
+    K factors the tangent-space projection UU^T G + G UU^T - UU^T G UU^T = U K^T + K U^T.
     """
-    ug = u.T @ g
-    h = u @ (ug - 0.5 * (ug @ u) @ u.T)
-    return h + h.T
+    gu = g @ u
+    return gu - 0.5 * u @ (u.T @ gu), gu
 
 
 def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
@@ -253,29 +249,48 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
     iterate, P_T(G), the step size is <P_T(G), G> / ||A(P_T(G))||^2 (the
     exact line search along P_T(G)), and x + step * P_T(G) is rank-projected.
     The step is invariant to the scale of the map and of y.  The zero start
-    has no tangent space, so the first step runs along G itself.  The column
-    basis of the iterate comes with its rank projection, so no second
-    eigendecomposition is paid.  The iteration map is exactly odd: negating y
-    negates every iterate bitwise.
+    has no tangent space, so the first step runs along G itself.  Later steps
+    run in span Q = span{U, K}, which holds x and P_T(G) = U K^T + K U^T: an
+    adjoint, one pass for the blocks Q^T A_i Q and a 2r x 2r rank projection.
+    The iteration map is exactly odd: negating y negates every iterate bitwise.
     """
     cfg = cfg or RecoveryConfig()
     p = mp.n
     if not 1 <= r <= p:
         raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
     basis = None    # column basis of the current iterate; None while it is zero
+    measured = (None, None)    # a subspace step's iterate and its measurement
+
+    def apply(x):
+        return measured[1] if x is measured[0] else mp._apply(x)
 
     def step(x, res):
-        nonlocal basis
+        nonlocal basis, measured
         grad = mp.adjoint(res)
-        direction = grad if basis is None else _tangent_project(basis, grad)
-        measured = mp._apply(direction)
-        denom = float(measured @ measured)
-        mu = float(np.sum(direction * grad)) / denom if denom > 0 else 1.0
-        out, vecs = _project_rank_vectors((x + mu * direction)[None], r)
-        basis = vecs[0] if np.any(out) else None
-        return out[0]
+        if basis is None:
+            ag = mp._apply(grad)
+            denom = float(ag @ ag)
+            mu = float(np.sum(grad * grad)) / denom if denom > 0 else 1.0
+            out, vecs = _project_rank_vectors((x + mu * grad)[None], r)
+            basis = vecs[0] if np.any(out) else None
+            return out[0]
+        k, gu = _tangent_factor(basis, grad)
+        q = np.linalg.qr(np.hstack([basis, k]))[0]
+        blocks = mp._compress(q).reshape(mp.m, -1)
+        direction = (q.T @ basis) @ (k.T @ q)
+        direction += direction.T    # Q^T P_T(G) Q
+        ad = blocks @ direction.ravel()
+        denom = float(ad @ ad)
+        mu = 2.0 * float(np.sum(k * gu)) / denom if denom > 0 else 1.0
+        core = q.T @ x @ q + mu * direction
+        core, vecs = _project_rank_vectors(((core + core.T) / 2.0)[None], r)
+        out = q @ core[0] @ q.T
+        out = (out + out.T) / 2.0
+        basis = q @ vecs[0] if np.any(core) else None
+        measured = (out, blocks @ core[0].ravel())
+        return out
 
-    return _iterate(mp._apply, y, np.zeros((p, p)), step, cfg, callback)
+    return _iterate(apply, y, p, step, cfg, callback)
 
 
 def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -328,7 +343,7 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
         grad = b.T @ res @ b / scale
         return _restricted_lstsq(b, target_vec, hierarchical_mask(x + grad, s, t))
 
-    fit = _iterate(lambda z: b @ z @ b.T, yhat, np.zeros((n, n)), step, cfg, callback)
+    fit = _iterate(lambda z: b @ z @ b.T, yhat, n, step, cfg, callback)
     est = (fit.estimate + fit.estimate.T) / 2.0
     return RecoveryResult(est, fit.iterations, fit.residual_trace, fit.converged,
                           _support_of(est))

@@ -9,9 +9,11 @@ ones wrote.  Every command writes to files, never to stdout.
     PYTHONPATH=src python tests/golden/golden.py            # report
     PYTHONPATH=src python tests/golden/golden.py --update   # re-baseline
 
-The report prints one line per output, `same` or `DIFFERS`, and exits 0
-either way; it exits non-zero only when it cannot run.  `--update` rewrites
-the manifest's exit codes and hashes and copies the outputs into `outputs/`.
+The report prints one line per output, `same` or `DIFFERS`; a differing
+output also gets how many of its tokens differ from `outputs/` and the largest
+difference between two float tokens.  It exits 0 either way; it exits
+non-zero only when it cannot run.  `--update` rewrites the manifest's exit
+codes and hashes and copies the outputs into `outputs/`.
 `tests/test_golden.py` compares the regenerated outputs with `outputs/`
 token by token: integers and words exactly, floats to a relative 1e-9.
 """
@@ -76,10 +78,13 @@ def _float(tok: str):
         return None
 
 
+def _tokens(text: str) -> list:
+    return re.split(r"[\s,]+", text.strip())
+
+
 def token_mismatches(expected: str, actual: str) -> list:
     """Where two outputs disagree: integer pairs and words exactly, floats to REL_TOL."""
-    exp = re.split(r"[\s,]+", expected.strip())
-    act = re.split(r"[\s,]+", actual.strip())
+    exp, act = _tokens(expected), _tokens(actual)
     if len(exp) != len(act):
         return [f"{len(exp)} tokens expected, got {len(act)}"]
     bad = []
@@ -94,8 +99,27 @@ def token_mismatches(expected: str, actual: str) -> list:
     return bad
 
 
+def token_differences(expected: str, actual: str) -> str:
+    """How far two outputs are apart: unequal tokens and the largest float difference."""
+    exp, act = _tokens(expected), _tokens(actual)
+    if len(exp) != len(act):
+        return f"{len(exp)} tokens expected, got {len(act)}"
+    unequal = [(a, b) for a, b in zip(exp, act) if a != b]
+    floats = [(_float(a), _float(b)) for a, b in unequal]
+    gaps = [(abs(fa - fb) if not math.isnan(fa - fb) else math.inf, fa)
+            for fa, fb in floats if fa is not None and fb is not None]
+    text = f"{len(unequal)} of {len(exp)} tokens differ"
+    if gaps:
+        gap, at = max(gaps)
+        text += f", largest float difference {gap:.3g} at {at:.6g}"
+    return text
+
+
 def report(commands, codes, out_dir: Path) -> int:
-    """Print one line per exit code and output; returns how many differ."""
+    """Print one line per exit code and output; returns how many differ.
+
+    A differing output that was regenerated also says how far it is from `outputs/`.
+    """
     differ = 0
     for cmd, code in zip(commands, codes):
         rows = [(f"{cmd['name']} exit", cmd["exit"] == code)]
@@ -103,7 +127,11 @@ def report(commands, codes, out_dir: Path) -> int:
                  for name, digest in cmd["outputs"].items()]
         for label, same in rows:
             differ += not same
-            print(f"{'same' if same else 'DIFFERS'}  {label}")
+            detail = ""
+            if not same and (out_dir / label).is_file() and (OUTPUTS / label).is_file():
+                detail = "  (" + token_differences((OUTPUTS / label).read_text(),
+                                                   (out_dir / label).read_text()) + ")"
+            print(f"{'same' if same else 'DIFFERS'}  {label}{detail}")
     return differ
 
 

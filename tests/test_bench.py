@@ -130,8 +130,8 @@ class TestPhaseTransition:
 
     @pytest.mark.parametrize("overrides,reason", [
         ({"m": ["0"]}, "m=0 < 1"),
-        ({"s": [7]}, r"s=7 outside \[1, 6\]"),
-        ({"r": [3]}, r"r=3 outside \[1, s=2\]"),
+        ({"s": [7]}, "sparsity must satisfy 1 <= s <= 6, got 7"),
+        ({"r": [3]}, "rank must satisfy 1 <= r <= s=2, got 3"),
         ({"n": [100], "s": [5]}, r"C\(100,5\) exceeds the cap"),
     ])
     def test_every_infeasible_reason_is_named(self, overrides, reason):
@@ -220,7 +220,7 @@ class TestRipSweep:
 
     def test_infeasible_cell_is_skipped(self):
         spec = small_spec(trials_per_cell=5, s=[2, 7], m=["30"])
-        with pytest.warns(UserWarning, match="s=7 outside"):
+        with pytest.warns(UserWarning, match="sparsity must satisfy 1 <= s <= 6, got 7"):
             rows = run_rip_sweep(spec)
         assert [row["s"] for row in rows] == [2]
 

@@ -8,7 +8,8 @@ with its recorded code.  Exact bytes are a same-machine check made by
 
 import pytest
 
-from golden.golden import OUTPUTS, load_manifest, run_commands, token_mismatches
+from golden.golden import (OUTPUTS, load_manifest, run_commands, token_differences,
+                           token_mismatches)
 
 COMMANDS = load_manifest()
 OUTPUT_NAMES = [name for cmd in COMMANDS for name in cmd["outputs"]]
@@ -71,3 +72,10 @@ class TestTokenMismatches:
     def test_words_and_shape_must_match(self):
         assert token_mismatches("mode l2", "mode l1") != []
         assert token_mismatches("1 2 3", "1 2") != []
+
+    def test_differences_count_unequal_tokens_and_largest_float_gap(self):
+        assert token_differences("a 1 0.5", "a 1 0.5") == "0 of 3 tokens differ"
+        assert (token_differences("iters 7 res 5e-08 x 0.25", "iters 7 res 5.1e-08 x 0.2500001")
+                == "2 of 6 tokens differ, largest float difference 1e-07 at 0.25")
+        assert token_differences("1 2 3", "1 2") == "3 tokens expected, got 2"
+        assert token_differences("mode l2", "mode l1") == "1 of 2 tokens differ"

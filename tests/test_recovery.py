@@ -17,6 +17,7 @@ from bisparse.projections import head_square_variant, hierarchical_mask, tail_bi
 from bisparse.recovery import (
     RecoveryConfig,
     TOL_STALL,
+    _iterate,
     _restricted_lstsq,
     brute_force_decode,
     hihtp,
@@ -26,7 +27,7 @@ from bisparse.recovery import (
     iht_rank_one,
     two_step_factorized,
 )
-from bisparse.symcore import project_rank, restrict, sym_enforce
+from bisparse.symcore import _project_rank_vectors, project_rank, restrict, sym_enforce
 
 
 def assert_structured(s, r):
@@ -223,6 +224,55 @@ class TestIhtLowrank:
             for k, (u, v) in enumerate(zip(pos, neg)):
                 assert np.array_equal(v, -u), (t, k)
             assert np.array_equal(b.estimate, -a.estimate)
+
+    @pytest.mark.parametrize("inner_kind", ["dense", "rank-one"])
+    def test_matches_dense_reference_loop(self, inner_kind):
+        # the Riemannian step done densely: adjoint, P_T(G) as a p x p matrix, a full
+        # p x p rank projection and a measurement of the iterate; iht_lowrank takes
+        # the same steps inside span{U, K}
+        def dense_step(mp):
+            basis = None
+
+            def step(x, res):
+                nonlocal basis
+                grad = mp.adjoint(res)
+                direction = grad
+                if basis is not None:
+                    uu = basis @ basis.T
+                    direction = sym_enforce(uu @ grad + grad @ uu - uu @ grad @ uu)
+                measured = mp._apply(direction)
+                denom = float(measured @ measured)
+                mu = float(np.sum(direction * grad)) / denom if denom > 0 else 1.0
+                out, vecs = _project_rank_vectors((x + mu * direction)[None], 1)
+                basis = vecs[0] if np.any(out) else None
+                return out[0]
+
+            return step
+
+        for t in range(5):
+            inner, y = criterion_10_stage_one(t, inner_kind)
+            ref, got = [], []
+            want = _iterate(inner._apply, y, inner.n, dense_step(inner), RecoveryConfig(),
+                            ref.append)
+            res = iht_lowrank(inner, y, 1, callback=got.append)
+            assert res.iterations == want.iterations == len(got) == len(ref)
+            for k, (a, b) in enumerate(zip(got, ref)):
+                assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), (t, k)
+
+    def test_subspace_steps_measure_nothing_twice(self, monkeypatch):
+        # after the first step, a step's only payload passes are one adjoint and one
+        # _compress; the new iterate's measurement comes from the compressed blocks
+        inner, y = criterion_10_stage_one(0)
+        calls = {"_apply": 0, "_compress": 0, "adjoint": 0}
+        for name in calls:
+            def counted(self, arg, _name=name, _orig=getattr(MeasurementMap, name)):
+                calls[_name] += 1
+                return _orig(self, arg)
+            monkeypatch.setattr(MeasurementMap, name, counted)
+        res = iht_lowrank(inner, y, 1)
+        assert res.iterations > 2
+        assert calls == {"_apply": 2, "_compress": res.iterations - 1,
+                         "adjoint": res.iterations}
 
     def test_iteration_budget_on_criterion_10(self):
         # total stage-one iterations on criterion 10's first 20 instances (one BLAS
