@@ -138,14 +138,14 @@ class MeasurementMap:
             return np.einsum("kij,ij->k", self.matrices, x)
         return ((self.vectors @ x) * self.vectors).sum(axis=1)
 
-    def _compress(self, q: np.ndarray) -> np.ndarray:
-        """(m, k, k) Q^T A_i Q for an n x k Q: A(Q C Q^T) = blocks.reshape(m, -1) @ C.ravel()."""
-        if self.kind == "factorized":
-            q = self.basis @ q
+    def _times(self, q: np.ndarray) -> np.ndarray:
+        """(m, n, k) stack A_i Q for an n x k Q, in one payload pass: A_i(Q W^T) = <A_i Q, W>."""
+        bq = q if self.kind != "factorized" else self.basis @ q
         if self.matrices is not None:
-            return q.T @ (self.matrices.reshape(-1, len(q)) @ q).reshape(self.m, len(q), -1)
-        v = self.vectors @ q
-        return v[:, :, None] * v[:, None, :]
+            out = (self.matrices.reshape(-1, len(bq)) @ bq).reshape(self.m, len(bq), -1)
+        else:
+            out = self.vectors[:, :, None] * (self.vectors @ bq)[:, None, :]
+        return out if self.kind != "factorized" else self.basis.T @ out
 
     def adjoint(self, u) -> np.ndarray:
         """Adjoint sum_i u_i A_i; always lands on a symmetric matrix."""

@@ -13,8 +13,8 @@ a divergence guard):
                        measurements: sign of the residual in the gradient and
                        an l1-residual step size
   iht_lowrank          rank-only hard thresholding on p x p matrices (stage
-                       one of the factorized pipeline); Riemannian steps along
-                       the tangent space of the rank-r iterate
+                       one of the factorized pipeline); Gauss-Newton steps
+                       over the tangent space of the rank-r iterate
   hihtp                hard thresholding pursuit with the hierarchical
                        (s, t)-sparse projection against the map Z -> B Z B^T
   two_step_factorized  iht_lowrank then hihtp for factorized measurements
@@ -231,63 +231,62 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     return _iterate(mp._apply, y, mp.n, step, cfg, callback)
 
 
-def _tangent_factor(u: np.ndarray, g: np.ndarray):
-    """K = G U - U (U^T G U) / 2 and G U, at an iterate with orthonormal column basis u.
-
-    K factors the tangent-space projection UU^T G + G UU^T - UU^T G UU^T = U K^T + K U^T.
-    """
-    gu = g @ u
-    return gu - 0.5 * u @ (u.T @ gu), gu
+def _tangent_lstsq(times: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """W = argmin ||res - A(U W^T + W U^T)|| for times = A_i U: A_i(U W^T + W U^T) = 2<A_i U, W>."""
+    m, p, r = times.shape
+    return np.linalg.lstsq(times.reshape(m, -1), res, rcond=None)[0].reshape(p, r) / 2.0
 
 
 def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
                 callback=None) -> RecoveryResult:
     """Rank-only iterative hard thresholding on p x p symmetric matrices.
 
-    Every step is the Riemannian gradient step (Wei, Cai, Chan and Leung,
-    2016): the gradient G is projected onto the tangent space of the rank-r
-    iterate, P_T(G), the step size is <P_T(G), G> / ||A(P_T(G))||^2 (the
-    exact line search along P_T(G)), and x + step * P_T(G) is rank-projected.
-    The step is invariant to the scale of the map and of y.  The zero start
-    has no tangent space, so the first step runs along G itself.  Later steps
-    run in span Q = span{U, K}, which holds x and P_T(G) = U K^T + K U^T: an
-    adjoint, one pass for the blocks Q^T A_i Q and a 2r x 2r rank projection.
-    The iteration map is exactly odd: negating y negates every iterate bitwise.
+    The first step, from zero, runs along the gradient G with the exact line
+    search mu = ||G||^2 / ||A(G)||^2 and rank-projects x + mu G.  Every later
+    step is a Gauss-Newton step on the rank-r manifold (Luo, Huang, Li and
+    Zhang, 2023): at x = U L U^T it solves the least squares over the tangent
+    space, W = argmin ||res - A(U W^T + W U^T)|| over p x r matrices W, whose
+    design is 2 A_i U since A_i(U W^T + W U^T) = 2 <A_i U, W> for symmetric
+    A_i.  Then x + U W^T + W U^T, which lies in span Q = span{U, W}, is
+    rank-projected through its 2r x 2r core Q^T (.) Q.  The new iterate is
+    measured from A_i U_new, which is also the next step's design, so a step
+    makes one pass over the payload.  The step is invariant to the scale of
+    the map and of y.  The iteration map is exactly odd: negating y negates
+    every iterate bitwise.
     """
     cfg = cfg or RecoveryConfig()
     p = mp.n
     if not 1 <= r <= p:
         raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
-    basis = None    # column basis of the current iterate; None while it is zero
-    measured = (None, None)    # a subspace step's iterate and its measurement
+    basis = None    # kept eigenbasis U of the current iterate; None while it is zero
+    times = None    # the (m, p, r) stack A_i U
+    measured = (None, None)    # the last iterate with a basis and its measurement
 
     def apply(x):
         return measured[1] if x is measured[0] else mp._apply(x)
 
     def step(x, res):
-        nonlocal basis, measured
-        grad = mp.adjoint(res)
+        nonlocal basis, times, measured
         if basis is None:
+            grad = mp.adjoint(res)
             ag = mp._apply(grad)
             denom = float(ag @ ag)
             mu = float(np.sum(grad * grad)) / denom if denom > 0 else 1.0
-            out, vecs = _project_rank_vectors((x + mu * grad)[None], r)
-            basis = vecs[0] if np.any(out) else None
-            return out[0]
-        k, gu = _tangent_factor(basis, grad)
-        q = np.linalg.qr(np.hstack([basis, k]))[0]
-        blocks = mp._compress(q).reshape(mp.m, -1)
-        direction = (q.T @ basis) @ (k.T @ q)
-        direction += direction.T    # Q^T P_T(G) Q
-        ad = blocks @ direction.ravel()
-        denom = float(ad @ ad)
-        mu = 2.0 * float(np.sum(k * gu)) / denom if denom > 0 else 1.0
-        core = q.T @ x @ q + mu * direction
-        core, vecs = _project_rank_vectors(((core + core.T) / 2.0)[None], r)
-        out = q @ core[0] @ q.T
-        out = (out + out.T) / 2.0
-        basis = q @ vecs[0] if np.any(core) else None
-        measured = (out, blocks @ core[0].ravel())
+            core, vecs = _project_rank_vectors((x + mu * grad)[None], r)
+            out, basis = core[0], vecs[0]
+        else:
+            w = _tangent_lstsq(times, res)
+            q = np.linalg.qr(np.hstack([basis, w]))[0]
+            uq, wq = q.T @ basis, q.T @ w
+            core = q.T @ x @ q + uq @ wq.T + wq @ uq.T
+            core, vecs = _project_rank_vectors(((core + core.T) / 2.0)[None], r)
+            out = q @ core[0] @ q.T
+            out, basis = (out + out.T) / 2.0, q @ vecs[0]
+        if not np.any(core):
+            basis = None
+            return out
+        times = mp._times(basis)
+        measured = (out, times.reshape(mp.m, -1) @ (out @ basis).ravel())
         return out
 
     return _iterate(apply, y, p, step, cfg, callback)

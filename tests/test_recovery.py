@@ -227,24 +227,29 @@ class TestIhtLowrank:
 
     @pytest.mark.parametrize("inner_kind", ["dense", "rank-one"])
     def test_matches_dense_reference_loop(self, inner_kind):
-        # the Riemannian step done densely: adjoint, P_T(G) as a p x p matrix, a full
-        # p x p rank projection and a measurement of the iterate; iht_lowrank takes
-        # the same steps inside span{U, K}
+        # the Gauss-Newton step done densely: a design column per tangent basis matrix
+        # U E^T + E U^T measured with _apply, lstsq, and a full p x p rank projection of
+        # x + U W^T + W U^T; iht_lowrank takes the same steps inside span{U, W}
         def dense_step(mp):
             basis = None
 
             def step(x, res):
                 nonlocal basis
-                grad = mp.adjoint(res)
-                direction = grad
-                if basis is not None:
-                    uu = basis @ basis.T
-                    direction = sym_enforce(uu @ grad + grad @ uu - uu @ grad @ uu)
-                measured = mp._apply(direction)
-                denom = float(measured @ measured)
-                mu = float(np.sum(direction * grad)) / denom if denom > 0 else 1.0
-                out, vecs = _project_rank_vectors((x + mu * direction)[None], 1)
-                basis = vecs[0] if np.any(out) else None
+                if basis is None:
+                    grad = mp.adjoint(res)
+                    measured = mp._apply(grad)
+                    mu = float(np.sum(grad * grad)) / float(measured @ measured)
+                    update = x + mu * grad
+                else:
+                    cols = []
+                    for e in np.eye(basis.size):
+                        h = basis @ e.reshape(basis.shape).T
+                        cols.append(mp._apply(h + h.T))
+                    w = np.linalg.lstsq(np.stack(cols, axis=1), res, rcond=None)[0]
+                    h = basis @ w.reshape(basis.shape).T
+                    update = sym_enforce(x + h + h.T)
+                out, vecs = _project_rank_vectors(update[None], 1)
+                basis = vecs[0]
                 return out[0]
 
             return step
@@ -260,10 +265,11 @@ class TestIhtLowrank:
                 assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), (t, k)
 
     def test_subspace_steps_measure_nothing_twice(self, monkeypatch):
-        # after the first step, a step's only payload passes are one adjoint and one
-        # _compress; the new iterate's measurement comes from the compressed blocks
+        # a solve makes one adjoint and one _apply (the first step's gradient and its line
+        # search); every step then makes one _times, A_i U of its new basis, which measures
+        # the new iterate and is the next step's design
         inner, y = criterion_10_stage_one(0)
-        calls = {"_apply": 0, "_compress": 0, "adjoint": 0}
+        calls = {"_apply": 0, "_times": 0, "adjoint": 0}
         for name in calls:
             def counted(self, arg, _name=name, _orig=getattr(MeasurementMap, name)):
                 calls[_name] += 1
@@ -271,17 +277,32 @@ class TestIhtLowrank:
             monkeypatch.setattr(MeasurementMap, name, counted)
         res = iht_lowrank(inner, y, 1)
         assert res.iterations > 2
-        assert calls == {"_apply": 2, "_compress": res.iterations - 1,
-                         "adjoint": res.iterations}
+        assert calls["adjoint"] == 1 and calls["_times"] == res.iterations
+        assert calls["_apply"] <= 2
 
     def test_iteration_budget_on_criterion_10(self):
         # total stage-one iterations on criterion 10's first 20 instances (one BLAS
-        # thread): 4467 with the full-gradient step, 918 with the tangent-space step
+        # thread): 4467 with the full-gradient step, 918 with the Riemannian gradient
+        # step, 100 with the Gauss-Newton step
         total = 0
         for t in range(20):
             inner, y = criterion_10_stage_one(t)
             total += iht_lowrank(inner, y, 1).iterations
-        assert total <= 1200
+        assert total <= 150
+
+    @pytest.mark.parametrize("kind,m", [("dense-gaussian", 15), ("rank-one", 10)])
+    def test_fewer_measurements_than_tangent_dimensions(self, kind, m):
+        # p = 20, r = 1: the tangent space has 20 dimensions, so every Gauss-Newton
+        # least-squares problem is underdetermined and lstsq takes its minimum-norm solution
+        mp = sample_map(kind, 20, m, seed=24)
+        y = np.random.default_rng(25).standard_normal(m)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            res = iht_lowrank(mp, y, 1, RecoveryConfig(max_iters=100))
+            zero = iht_lowrank(mp, np.zeros(m), 1)
+        assert np.all(np.isfinite(res.estimate))
+        assert np.array_equal(res.estimate, res.estimate.T)
+        assert np.array_equal(zero.estimate, np.zeros((20, 20)))
 
     def test_rank_one_payload_variant(self):
         p, r = 12, 1

@@ -1,11 +1,12 @@
-"""Properties of the pieces behind iht_lowrank's Riemannian step.
+"""Properties of the pieces behind iht_lowrank's Gauss-Newton step.
 
-At a rank-r symmetric matrix x = U L U^T, P_T(G) = UU^T G + G UU^T - UU^T G UU^T
-is the orthogonal projection onto the tangent space of the rank-r manifold, so
-it is symmetric, idempotent, self-adjoint in the Frobenius inner product, and
-fixes x.  The solver holds it in factor form, P_T(G) = U K^T + K U^T with
-K = G U - U (U^T G U) / 2; the bases come from the rank kernel the solver uses.
-It measures a matrix Q C Q^T through the blocks Q^T A_i Q of `_compress`.
+At a rank-r symmetric matrix x = U L U^T, the tangent space of the rank-r
+manifold is {U W^T + W U^T}, and P_T(G) = UU^T G + G UU^T - UU^T G UU^T is the
+orthogonal projection onto it.  The solver measures a tangent matrix through
+the stack A_i U of `MeasurementMap._times`, since A_i(U W^T + W U^T) =
+2 <A_i U, W> for symmetric A_i, and takes W from the least squares of
+`_tangent_lstsq` on that design; the bases come from the rank kernel the
+solver uses.
 """
 
 import numpy as np
@@ -15,98 +16,88 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bisparse.measurements import sample_map  # noqa: E402
-from bisparse.recovery import _tangent_factor  # noqa: E402
+from bisparse.recovery import _tangent_lstsq  # noqa: E402
 from bisparse.symcore import _project_rank_vectors, sym_enforce  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 
 
 def tangent_project(u, g):
-    """P_T(G) assembled from the solver's factor K as H + H^T, H = U K^T."""
-    h = u @ _tangent_factor(u, g)[0].T
-    return h + h.T
+    """P_T(G) = UU^T G + G UU^T - UU^T G UU^T for an orthonormal basis u."""
+    uu = u @ u.T
+    return uu @ g + g @ uu - uu @ g @ uu
 
 
 @st.composite
 def tangent_case(draw):
-    """An iterate x of rank <= r, its kept basis u, and two symmetric directions."""
-    p = draw(st.integers(1, 12))
-    r = draw(st.integers(1, p))
-    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    """A small map of each kind, an iterate x of rank <= r, its kept basis u, and a residual."""
+    kind, inner = draw(st.sampled_from([("dense-gaussian", "dense"), ("rank-one", "dense"),
+                                        ("factorized", "dense"), ("factorized", "rank-one")]))
+    n = draw(st.integers(1, 9))
+    r = draw(st.integers(1, min(n, 3)))
+    seed = draw(st.integers(0, 2**32 - 1))
+    p = n + 2 if kind == "factorized" else None
+    mp = sample_map(kind, n, draw(st.integers(1, 30)), p=p, seed=seed, inner=inner)
+    rng = np.random.default_rng(seed)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    out, vecs = _project_rank_vectors(sym_enforce(rng.standard_normal((p, p)))[None], r)
-    a = sym_enforce(rng.standard_normal((p, p))) * scale
-    b = sym_enforce(rng.standard_normal((p, p)))
-    return out[0], vecs[0], a, b
+    out, vecs = _project_rank_vectors(sym_enforce(rng.standard_normal((n, n)))[None], r)
+    return mp, out[0], vecs[0], rng.standard_normal(mp.m) * scale
 
 
-def close(got, want, ref):
-    return np.allclose(got, want, rtol=0.0, atol=1e-12 * max(1.0, float(np.max(np.abs(ref)))))
+def tangent_matrix(u, w):
+    h = u @ w.T
+    return h + h.T
+
+
+@SETTINGS
+@hypothesis.given(tangent_case(), st.integers(0, 2**32 - 1))
+def test_times_measures_tangent_matrices_like_the_map(case, seed):
+    mp, _, u, _ = case
+    w = np.random.default_rng(seed).standard_normal(u.shape)
+    times = mp._times(u)
+    assert times.shape == (mp.m, mp.n, u.shape[1])
+    got = 2.0 * times.reshape(mp.m, -1) @ w.ravel()
+    want = mp._apply(tangent_matrix(u, w))
+    assert np.linalg.norm(got - want) <= 1e-12 * max(float(np.linalg.norm(want)), 1e-300)
 
 
 @SETTINGS
 @hypothesis.given(tangent_case())
-def test_output_is_exactly_symmetric(case):
-    _, u, a, _ = case
-    out = tangent_project(u, a)
-    assert np.array_equal(out, out.T)
-
-
-@SETTINGS
-@hypothesis.given(tangent_case())
-def test_idempotent(case):
-    _, u, a, _ = case
-    once = tangent_project(u, a)
-    assert close(tangent_project(u, once), once, a)
-
-
-@SETTINGS
-@hypothesis.given(tangent_case())
-def test_self_adjoint(case):
-    _, u, a, b = case
-    lhs = float(np.sum(tangent_project(u, a) * b))
-    rhs = float(np.sum(a * tangent_project(u, b)))
-    assert abs(lhs - rhs) <= 1e-12 * max(1.0, float(np.linalg.norm(a) * np.linalg.norm(b)))
+def test_times_measures_the_iterate_like_the_map(case):
+    # the solver measures x = U L U^T as <A_i U, x U>
+    mp, x, u, _ = case
+    got = mp._times(u).reshape(mp.m, -1) @ (x @ u).ravel()
+    want = mp._apply(x)
+    assert np.linalg.norm(got - want) <= 1e-12 * max(float(np.linalg.norm(want)), 1e-300)
 
 
 @SETTINGS
 @hypothesis.given(tangent_case())
 def test_fixes_the_iterate(case):
-    x, u, _, _ = case
-    assert close(tangent_project(u, x), x, x)
+    # the step and the iterate lie in the tangent space, so the update x + U W^T + W U^T
+    # that the solver retracts inside span{U, W} does too
+    mp, x, u, res = case
+    step = tangent_matrix(u, _tangent_lstsq(mp._times(u), res))
+    for mat in (step, x, x + step):
+        atol = 1e-12 * max(1.0, float(np.max(np.abs(mat))))
+        assert np.allclose(tangent_project(u, mat), mat, rtol=0.0, atol=atol)
+
+
+@SETTINGS
+@hypothesis.given(tangent_case())
+def test_step_solves_the_tangent_least_squares(case):
+    # the normal equations: the residual after the step is orthogonal to every A_i U column
+    mp, _, u, res = case
+    design = 2.0 * mp._times(u).reshape(mp.m, -1)
+    left = res - mp._apply(tangent_matrix(u, _tangent_lstsq(mp._times(u), res)))
+    bound = 1e-10 * float(np.linalg.norm(design)) * max(float(np.linalg.norm(res)), 1e-300)
+    assert np.linalg.norm(design.T @ left) <= bound
 
 
 @SETTINGS
 @hypothesis.given(tangent_case())
 def test_exactly_odd(case):
-    _, u, a, _ = case
-    k, gu = _tangent_factor(u, a)
-    k_neg, gu_neg = _tangent_factor(u, -a)
-    assert np.array_equal(k_neg, -k) and np.array_equal(gu_neg, -gu)
-    assert np.array_equal(tangent_project(u, -a), -tangent_project(u, a))
-
-
-@st.composite
-def compress_case(draw):
-    """A small map of each kind, an orthonormal n x k Q with k in 1..4, and a symmetric k x k C."""
-    kind, inner = draw(st.sampled_from([("dense-gaussian", "dense"), ("rank-one", "dense"),
-                                        ("factorized", "dense"), ("factorized", "rank-one")]))
-    n = draw(st.integers(4, 9))
-    k = draw(st.integers(1, 4))
-    seed = draw(st.integers(0, 2**32 - 1))
-    p = n + 2 if kind == "factorized" else None
-    mp = sample_map(kind, n, draw(st.integers(1, 30)), p=p, seed=seed, inner=inner)
-    rng = np.random.default_rng(seed)
-    q = np.linalg.qr(rng.standard_normal((n, k)))[0]
-    return mp, q, sym_enforce(rng.standard_normal((k, k)))
-
-
-@SETTINGS
-@hypothesis.given(compress_case())
-def test_compressed_blocks_measure_like_the_map(case):
-    mp, q, c = case
-    blocks = mp._compress(q)
-    assert blocks.shape == (mp.m, len(c), len(c))
-    want = mp._apply(sym_enforce(q @ c @ q.T))
-    got = blocks.reshape(mp.m, -1) @ c.ravel()
-    assert np.linalg.norm(got - want) <= 1e-12 * max(float(np.linalg.norm(want)), 1e-300)
+    # the step's W, and with it every later piece of the step, is exactly odd in res
+    mp, _, u, res = case
+    times = mp._times(u)
+    assert np.array_equal(_tangent_lstsq(times, -res), -_tangent_lstsq(times, res))
