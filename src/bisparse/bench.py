@@ -21,6 +21,7 @@ import functools
 import hashlib
 import itertools
 import math
+import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -262,9 +263,12 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
     """Run every (cell, trial) of the sweep; rows come back in grid order.
 
     Infeasible cells are skipped with a warning and produce placeholder rows
-    with rel_error = nan so the CSV stays rectangular.  With threads=1 the
-    trials run on the calling thread.
+    with rel_error = nan so the CSV stays rectangular.  At most
+    min(threads, trials, CPU count) worker threads run the trials; with one,
+    they run on the calling thread.
     """
+    if threads < 1:
+        raise ValueError(f"threads must be at least 1, got {threads}")
     jobs = []
     for n, s, r, m in _cells(spec):
         reason = _cell_feasible(spec, n, s, r, m)
@@ -272,9 +276,10 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
             warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
         jobs += [(n, s, r, m, t, reason is not None) for t in range(spec.trials_per_cell)]
     run = functools.partial(_run_single_trial, spec)
-    if threads <= 1:
+    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    if workers <= 1:
         return list(map(run, jobs))
-    with ThreadPoolExecutor(max_workers=threads) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         return list(pool.map(run, jobs))
 
 

@@ -220,7 +220,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_bench.add_argument("--mode", default="phase", choices=("phase", "rip"))
     p_bench.add_argument("--seed", type=int, default=None,
                          help="override the spec's base_seed")
-    p_bench.add_argument("--threads", type=int, default=1)
+    p_bench.add_argument("--threads", type=int, default=1,
+                         help="worker threads for the trials, at least 1; capped at the "
+                              "trial count and the CPU count (default 1)")
     p_bench.add_argument("--timing", action="store_true",
                          help="write measured wall times (breaks byte reproducibility)")
     p_bench.add_argument("--output", default="-", help="CSV output (default stdout)")

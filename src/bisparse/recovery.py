@@ -231,10 +231,30 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     return _iterate(mp._apply, y, mp.n, step, cfg, callback)
 
 
-def _tangent_lstsq(times: np.ndarray, res: np.ndarray) -> np.ndarray:
-    """W = argmin ||res - A(U W^T + W U^T)|| for times = A_i U: A_i(U W^T + W U^T) = 2<A_i U, W>."""
+def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndarray:
+    """Least-norm W = argmin ||res - A(U W^T + W U^T)|| for times = A_i U, u = U orthonormal.
+
+    A_i(U W^T + W U^T) = 2 <A_i U, W>, so the design D is A_i U flattened.  W -> W + U S, S
+    antisymmetric, leaves U W^T + W U^T unchanged, so D has an r(r-1)/2-dimensional null
+    space, spanned by the columns vec(U (E_ab - E_ba)) of `gauge` (each a != b twice, norm
+    sqrt(2)).  Adding c times the projection onto it to D^T D, c its mean diagonal, makes
+    the normal equations' solution lstsq's least-norm W whenever that is D's whole null
+    space.  An underdetermined design, or a singular system, goes to lstsq.
+    """
     m, p, r = times.shape
-    return np.linalg.lstsq(times.reshape(m, -1), res, rcond=None)[0].reshape(p, r) / 2.0
+    design = times.reshape(m, -1)
+    k = p * r
+    if m >= k - r * (r - 1) // 2:
+        gram = design.T @ design
+        if r > 1:
+            units = np.einsum("ja,cb->jcab", u, np.eye(r))
+            gauge = (units - units.swapaxes(2, 3)).reshape(k, -1)
+            gram += (np.trace(gram) / (4.0 * k)) * (gauge @ gauge.T)
+        try:
+            return np.linalg.solve(gram, design.T @ res).reshape(p, r) / 2.0
+        except np.linalg.LinAlgError:
+            pass
+    return np.linalg.lstsq(design, res, rcond=None)[0].reshape(p, r) / 2.0
 
 
 def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
@@ -247,7 +267,10 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
     Zhang, 2023): at x = U L U^T it solves the least squares over the tangent
     space, W = argmin ||res - A(U W^T + W U^T)|| over p x r matrices W, whose
     design is 2 A_i U since A_i(U W^T + W U^T) = 2 <A_i U, W> for symmetric
-    A_i.  Then x + U W^T + W U^T, which lies in span Q = span{U, W}, is
+    A_i.  It is solved from the pr x pr normal equations, with the null space
+    W -> W + U S (S antisymmetric) pinned so that W has least norm; lstsq
+    takes over only when m is below the tangent dimension pr - r(r-1)/2.
+    Then x + U W^T + W U^T, which lies in span Q = span{U, W}, is
     rank-projected through its 2r x 2r core Q^T (.) Q.  The new iterate is
     measured from A_i U_new, which is also the next step's design, so a step
     makes one pass over the payload.  The step is invariant to the scale of
@@ -275,7 +298,7 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
             core, vecs = _project_rank_vectors((x + mu * grad)[None], r)
             out, basis = core[0], vecs[0]
         else:
-            w = _tangent_lstsq(times, res)
+            w = _tangent_lstsq(times, basis, res)
             q = np.linalg.qr(np.hstack([basis, w]))[0]
             uq, wq = q.T @ basis, q.T @ w
             core = q.T @ x @ q + uq @ wq.T + wq @ uq.T

@@ -4,6 +4,7 @@ import math
 import numpy as np
 import pytest
 
+from bisparse import bench
 from bisparse.bench import (
     ExperimentSpec,
     TrialRecord,
@@ -118,6 +119,37 @@ class TestPhaseTransition:
         write_csv(run_phase_transition(spec, threads=1), serial)
         write_csv(run_phase_transition(spec, threads=3), threaded)
         assert serial.getvalue() == threaded.getvalue()
+
+    @pytest.mark.parametrize("threads,cpus,want", [(10**6, 8, 4), (10**6, 2, 2), (3, 8, 3),
+                                                   (10**6, None, None)])
+    def test_worker_count_is_bounded(self, monkeypatch, threads, cpus, want):
+        # at most min(threads, trials, CPU count) workers; one runs on the calling thread
+        made = []
+
+        class Recorder:
+            def __init__(self, max_workers):
+                made.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, jobs):
+                return map(fn, jobs)
+
+        monkeypatch.setattr(bench, "ThreadPoolExecutor", Recorder)
+        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
+        spec = small_spec(trials_per_cell=4)
+        assert len(run_phase_transition(spec, threads=threads)) == 4
+        assert made == ([] if want is None else [want])
+
+    @pytest.mark.parametrize("threads", [0, -1])
+    def test_threads_below_one_rejected(self, monkeypatch, threads):
+        monkeypatch.setattr(bench, "_cells", lambda spec: pytest.fail("grid was expanded"))
+        with pytest.raises(ValueError, match="threads must be at least 1"):
+            run_phase_transition(small_spec(), threads=threads)
 
     def test_infeasible_cell_produces_warning_rows(self):
         spec = small_spec(m=["1"])  # brute/exact infeasible: fit needs 3 <= m

@@ -442,6 +442,16 @@ class TestBench:
         assert code == 2
         assert "unrecognized arguments: --rip-mode l1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("threads", ["0", "-3"])
+    def test_threads_below_one_exit_two(self, tmp_path, capsys, threads):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC)
+        out = tmp_path / "o.csv"
+        code = main(["bench", "--spec", str(spec), "--threads", threads, "--output", str(out)])
+        assert code == 2
+        assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_seed_override(self, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text(self.SPEC)

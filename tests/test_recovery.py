@@ -304,6 +304,23 @@ class TestIhtLowrank:
         assert np.array_equal(res.estimate, res.estimate.T)
         assert np.array_equal(zero.estimate, np.zeros((20, 20)))
 
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_overdetermined_solve_calls_no_lstsq(self, monkeypatch, r):
+        # with more measurements than tangent dimensions every Gauss-Newton step solves
+        # the pinned normal equations; lstsq is left for underdetermined or singular systems
+        if r == 1:
+            inner, y = criterion_10_stage_one(0)
+        else:
+            inner = sample_map("dense-gaussian", 16, 6 * r * 16, seed=7000)
+            rng = np.random.default_rng(8000)
+            y = inner.apply(project_rank(sym_enforce(rng.standard_normal((16, 16))), r))
+        calls = []
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
+        res = iht_lowrank(inner, y, r)
+        assert res.iterations > 2 and res.converged
+        assert calls == []
+
     def test_rank_one_payload_variant(self):
         p, r = 12, 1
         mp = sample_map("rank-one", p, 8 * p, seed=12)

@@ -29,15 +29,20 @@ def tangent_project(u, g):
 
 
 @st.composite
-def tangent_case(draw):
-    """A small map of each kind, an iterate x of rank <= r, its kept basis u, and a residual."""
+def tangent_case(draw, overdetermined=False):
+    """A small map of each kind, an iterate x of rank <= r, its kept basis u, and a residual.
+
+    With overdetermined=True the map has at least twice as many measurements as the
+    tangent space has dimensions, n r - r (r - 1) / 2.
+    """
     kind, inner = draw(st.sampled_from([("dense-gaussian", "dense"), ("rank-one", "dense"),
                                         ("factorized", "dense"), ("factorized", "rank-one")]))
     n = draw(st.integers(1, 9))
     r = draw(st.integers(1, min(n, 3)))
     seed = draw(st.integers(0, 2**32 - 1))
     p = n + 2 if kind == "factorized" else None
-    mp = sample_map(kind, n, draw(st.integers(1, 30)), p=p, seed=seed, inner=inner)
+    low = 2 * (n * r - r * (r - 1) // 2) if overdetermined else 1
+    mp = sample_map(kind, n, draw(st.integers(low, low + 29)), p=p, seed=seed, inner=inner)
     rng = np.random.default_rng(seed)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
     out, vecs = _project_rank_vectors(sym_enforce(rng.standard_normal((n, n)))[None], r)
@@ -77,7 +82,7 @@ def test_fixes_the_iterate(case):
     # the step and the iterate lie in the tangent space, so the update x + U W^T + W U^T
     # that the solver retracts inside span{U, W} does too
     mp, x, u, res = case
-    step = tangent_matrix(u, _tangent_lstsq(mp._times(u), res))
+    step = tangent_matrix(u, _tangent_lstsq(mp._times(u), u, res))
     for mat in (step, x, x + step):
         atol = 1e-12 * max(1.0, float(np.max(np.abs(mat))))
         assert np.allclose(tangent_project(u, mat), mat, rtol=0.0, atol=atol)
@@ -89,7 +94,7 @@ def test_step_solves_the_tangent_least_squares(case):
     # the normal equations: the residual after the step is orthogonal to every A_i U column
     mp, _, u, res = case
     design = 2.0 * mp._times(u).reshape(mp.m, -1)
-    left = res - mp._apply(tangent_matrix(u, _tangent_lstsq(mp._times(u), res)))
+    left = res - mp._apply(tangent_matrix(u, _tangent_lstsq(mp._times(u), u, res)))
     bound = 1e-10 * float(np.linalg.norm(design)) * max(float(np.linalg.norm(res)), 1e-300)
     assert np.linalg.norm(design.T @ left) <= bound
 
@@ -100,4 +105,20 @@ def test_exactly_odd(case):
     # the step's W, and with it every later piece of the step, is exactly odd in res
     mp, _, u, res = case
     times = mp._times(u)
-    assert np.array_equal(_tangent_lstsq(times, -res), -_tangent_lstsq(times, res))
+    assert np.array_equal(_tangent_lstsq(times, u, -res), -_tangent_lstsq(times, u, res))
+
+
+@SETTINGS
+@hypothesis.given(tangent_case(overdetermined=True))
+def test_overdetermined_step_matches_lstsq(case):
+    # the pinned normal equations give lstsq's tangent matrix, and a W with no gauge
+    # component U S (S antisymmetric), i.e. with U^T W symmetric
+    mp, _, u, res = case
+    times = mp._times(u)
+    w = _tangent_lstsq(times, u, res)
+    want = np.linalg.lstsq(times.reshape(mp.m, -1), res, rcond=None)[0].reshape(u.shape) / 2.0
+    step, want_step = tangent_matrix(u, w), tangent_matrix(u, want)
+    assert np.linalg.norm(step - want_step) <= 1e-10 * max(float(np.linalg.norm(want_step)),
+                                                            1e-300)
+    core = u.T @ w
+    assert np.linalg.norm(core - core.T) <= 1e-12 * max(float(np.linalg.norm(w)), 1e-300)
