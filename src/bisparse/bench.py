@@ -90,8 +90,10 @@ class ExperimentSpec:
             raise ValueError("grid lists n, s, r, m must be nonempty")
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be at least 1")
-        if self.noise_level < 0:
-            raise ValueError("noise_level must be nonnegative")
+        if not 0 <= self.noise_level < math.inf:    # also false for nan
+            raise ValueError(f"noise_level must be finite and nonnegative, got {self.noise_level}")
+        if not 0 < self.success_tol < math.inf:
+            raise ValueError(f"success_tol must be finite and positive, got {self.success_tol}")
         if self.algo == "rank-one" and self.ensemble != "rank-one":
             raise ValueError("the rank-one algorithm needs the rank-one ensemble")
         if self.algo == "two-step" and self.ensemble != "factorized":

@@ -14,7 +14,7 @@ a divergence guard):
                        an l1-residual step size
   iht_lowrank          rank-only hard thresholding on p x p matrices (stage
                        one of the factorized pipeline); Gauss-Newton steps
-                       over the tangent space of the rank-r iterate
+                       on the rank-r manifold from a spectral start
   hihtp                hard thresholding pursuit with the hierarchical
                        (s, t)-sparse projection against the map Z -> B Z B^T
   two_step_factorized  iht_lowrank then hihtp for factorized measurements
@@ -100,8 +100,8 @@ class RecoveryConfig:
     def __post_init__(self):
         if self.max_iters < 1:
             raise ValueError("max_iters must be at least 1")
-        if self.tol_residual <= 0:
-            raise ValueError("tolerances must be positive")
+        if not 0 < self.tol_residual < 1:    # also false for nan
+            raise ValueError(f"tol_residual must lie in (0, 1), got {self.tol_residual}")
 
 
 @dataclass
@@ -119,8 +119,8 @@ def _support_of(mat: np.ndarray) -> np.ndarray:
     return np.nonzero(np.any(mat != 0.0, axis=0))[0]
 
 
-def _iterate(apply, y, n, step_fn, cfg, callback=None) -> RecoveryResult:
-    """The shared loop: run step_fn(x, y - apply(x)) from x = 0 until a stopping rule fires."""
+def _iterate(y, n, step_fn, cfg, callback=None) -> RecoveryResult:
+    """The shared loop: x, A(x) = step_fn(x, y - A(x)) from x = 0 until a stopping rule fires."""
     y = np.asarray(y, dtype=float)
     ynorm = float(np.linalg.norm(y))
     x = np.zeros((n, n))
@@ -129,10 +129,10 @@ def _iterate(apply, y, n, step_fn, cfg, callback=None) -> RecoveryResult:
     converged = False
     grow_streak = 0
     for _ in range(cfg.max_iters):
-        x_new = step_fn(x, res)
+        x_new, measured = step_fn(x, res)
         if callback is not None:
             callback(x_new)
-        res = y - apply(x_new)
+        res = y - measured
         rnorm = float(np.linalg.norm(res))
         trace.append(rnorm)
         step_size = float(np.linalg.norm(x_new - x))
@@ -185,9 +185,10 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
         )
 
     def step(x, res):
-        return exact_project(x + mp.adjoint(res), s, r).matrix
+        out = exact_project(x + mp.adjoint(res), s, r).matrix
+        return out, mp._apply(out)
 
-    return _iterate(mp._apply, y, mp.n, step, cfg, callback)
+    return _iterate(y, mp.n, step, cfg, callback)
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -203,9 +204,10 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
     _check_structure_params(mp.n, s, r)
 
     def step(x, res):
-        return _head_tail_step(x, mp.adjoint(res), 1.0, s, r)
+        out = _head_tail_step(x, mp.adjoint(res), 1.0, s, r)
+        return out, mp._apply(out)
 
-    return _iterate(mp._apply, y, mp.n, step, cfg, callback)
+    return _iterate(y, mp.n, step, cfg, callback)
 
 
 def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -226,9 +228,10 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
 
     def step(x, res):
         nu = float(np.sum(np.abs(res))) / (beta * beta)
-        return _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
+        out = _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
+        return out, mp._apply(out)
 
-    return _iterate(mp._apply, y, mp.n, step, cfg, callback)
+    return _iterate(y, mp.n, step, cfg, callback)
 
 
 def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -239,7 +242,9 @@ def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndar
     space, spanned by the columns vec(U (E_ab - E_ba)) of `gauge` (each a != b twice, norm
     sqrt(2)).  Adding c times the projection onto it to D^T D, c its mean diagonal, makes
     the normal equations' solution lstsq's least-norm W whenever that is D's whole null
-    space.  An underdetermined design, or a singular system, goes to lstsq.
+    space.  A design rank-deficient beyond the gauge (repeated measurements, say) gives the
+    pinned Gram matrix a squared Cholesky pivot at most 1e-10 of its largest diagonal entry
+    (sampled designs stay above 0.1); such a design, and an underdetermined one, goes to lstsq.
     """
     m, p, r = times.shape
     design = times.reshape(m, -1)
@@ -251,9 +256,11 @@ def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndar
             gauge = (units - units.swapaxes(2, 3)).reshape(k, -1)
             gram += (np.trace(gram) / (4.0 * k)) * (gauge @ gauge.T)
         try:
-            return np.linalg.solve(gram, design.T @ res).reshape(p, r) / 2.0
+            pivot = np.min(np.diagonal(np.linalg.cholesky(gram))) ** 2
         except np.linalg.LinAlgError:
-            pass
+            pivot = 0.0
+        if pivot > 1e-10 * np.max(np.diagonal(gram)):
+            return np.linalg.solve(gram, design.T @ res).reshape(p, r) / 2.0
     return np.linalg.lstsq(design, res, rcond=None)[0].reshape(p, r) / 2.0
 
 
@@ -261,58 +268,43 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
                 callback=None) -> RecoveryResult:
     """Rank-only iterative hard thresholding on p x p symmetric matrices.
 
-    The first step, from zero, runs along the gradient G with the exact line
-    search mu = ||G||^2 / ||A(G)||^2 and rank-projects x + mu G.  Every later
-    step is a Gauss-Newton step on the rank-r manifold (Luo, Huang, Li and
-    Zhang, 2023): at x = U L U^T it solves the least squares over the tangent
-    space, W = argmin ||res - A(U W^T + W U^T)|| over p x r matrices W, whose
-    design is 2 A_i U since A_i(U W^T + W U^T) = 2 <A_i U, W> for symmetric
-    A_i.  It is solved from the pr x pr normal equations, with the null space
-    W -> W + U S (S antisymmetric) pinned so that W has least norm; lstsq
-    takes over only when m is below the tangent dimension pr - r(r-1)/2.
+    Every step is a Gauss-Newton step on the rank-r manifold (Luo, Huang, Li
+    and Zhang, 2023) at x = U L U^T; the first is at x = 0 with U the top-r
+    eigenvectors of A*(y), the spectral start of Wirtinger flow (Candes, Li
+    and Soltanolkotabi, 2015).  A step solves the least squares over the
+    tangent space, W = argmin ||res - A(U W^T + W U^T)|| over p x r matrices
+    W, whose design is 2 A_i U since A_i(U W^T + W U^T) = 2 <A_i U, W> for
+    symmetric A_i, by `_tangent_lstsq`.
     Then x + U W^T + W U^T, which lies in span Q = span{U, W}, is
     rank-projected through its 2r x 2r core Q^T (.) Q.  The new iterate is
     measured from A_i U_new, which is also the next step's design, so a step
-    makes one pass over the payload.  The step is invariant to the scale of
-    the map and of y.  The iteration map is exactly odd: negating y negates
-    every iterate bitwise.
+    makes one pass over the payload and returns the new iterate with its
+    measurement.  The step is invariant to the scale of the map and of y.
+    The iteration map is exactly odd: negating y negates every iterate
+    bitwise, as the rank kernel gives the same basis for A*(y) and -A*(y).
     """
     cfg = cfg or RecoveryConfig()
     p = mp.n
     if not 1 <= r <= p:
         raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
-    basis = None    # kept eigenbasis U of the current iterate; None while it is zero
-    times = None    # the (m, p, r) stack A_i U
-    measured = (None, None)    # the last iterate with a basis and its measurement
-
-    def apply(x):
-        return measured[1] if x is measured[0] else mp._apply(x)
+    # spectral start: the tangent space at U holds mu P_r(A*(y)) for every mu, so the first
+    # least squares fits y at least as well as a gradient step from zero of any length
+    basis = _project_rank_vectors(mp.adjoint(y)[None], r)[1][0]
+    times = mp._times(basis)    # the (m, p, r) stack A_i U
 
     def step(x, res):
-        nonlocal basis, times, measured
-        if basis is None:
-            grad = mp.adjoint(res)
-            ag = mp._apply(grad)
-            denom = float(ag @ ag)
-            mu = float(np.sum(grad * grad)) / denom if denom > 0 else 1.0
-            core, vecs = _project_rank_vectors((x + mu * grad)[None], r)
-            out, basis = core[0], vecs[0]
-        else:
-            w = _tangent_lstsq(times, basis, res)
-            q = np.linalg.qr(np.hstack([basis, w]))[0]
-            uq, wq = q.T @ basis, q.T @ w
-            core = q.T @ x @ q + uq @ wq.T + wq @ uq.T
-            core, vecs = _project_rank_vectors(((core + core.T) / 2.0)[None], r)
-            out = q @ core[0] @ q.T
-            out, basis = (out + out.T) / 2.0, q @ vecs[0]
-        if not np.any(core):
-            basis = None
-            return out
+        nonlocal basis, times
+        w = _tangent_lstsq(times, basis, res)
+        q = np.linalg.qr(np.hstack([basis, w]))[0]
+        uq, wq = q.T @ basis, q.T @ w
+        core = q.T @ x @ q + uq @ wq.T + wq @ uq.T
+        core, vecs = _project_rank_vectors(((core + core.T) / 2.0)[None], r)
+        out = q @ core[0] @ q.T
+        out, basis = (out + out.T) / 2.0, q @ vecs[0]
         times = mp._times(basis)
-        measured = (out, times.reshape(mp.m, -1) @ (out @ basis).ravel())
-        return out
+        return out, times.reshape(mp.m, -1) @ (out @ basis).ravel()
 
-    return _iterate(apply, y, p, step, cfg, callback)
+    return _iterate(y, p, step, cfg, callback)
 
 
 def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -363,9 +355,10 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
 
     def step(x, res):
         grad = b.T @ res @ b / scale
-        return _restricted_lstsq(b, target_vec, hierarchical_mask(x + grad, s, t))
+        out = _restricted_lstsq(b, target_vec, hierarchical_mask(x + grad, s, t))
+        return out, b @ out @ b.T
 
-    fit = _iterate(lambda z: b @ z @ b.T, yhat, n, step, cfg, callback)
+    fit = _iterate(yhat, n, step, cfg, callback)
     est = (fit.estimate + fit.estimate.T) / 2.0
     return RecoveryResult(est, fit.iterations, fit.residual_trace, fit.converged,
                           _support_of(est))

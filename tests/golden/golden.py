@@ -10,10 +10,11 @@ ones wrote.  Every command writes to files, never to stdout.
     PYTHONPATH=src python tests/golden/golden.py --update   # re-baseline
 
 The report prints one line per output, `same` or `DIFFERS`; a differing
-output also gets how many of its tokens differ from `outputs/` and the largest
-difference between two float tokens.  It exits 0 either way; it exits
-non-zero only when it cannot run.  `--update` rewrites the manifest's exit
-codes and hashes and copies the outputs into `outputs/`.
+output also gets how many of its tokens differ from `outputs/`, the largest
+difference between two float tokens that are not both integers, and each
+changed integer token, such as an iteration count.  It exits 0 either way;
+it exits non-zero only when it cannot run.  `--update` rewrites the
+manifest's exit codes and hashes and copies the outputs into `outputs/`.
 `tests/test_golden.py` compares the regenerated outputs with `outputs/`
 token by token: integers and words exactly, floats to a relative 1e-9.
 """
@@ -100,18 +101,27 @@ def token_mismatches(expected: str, actual: str) -> list:
 
 
 def token_differences(expected: str, actual: str) -> str:
-    """How far two outputs are apart: unequal tokens and the largest float difference."""
+    """How far two outputs are apart: unequal tokens, the largest difference between two
+    float tokens that are not both integers, and every changed integer token."""
     exp, act = _tokens(expected), _tokens(actual)
     if len(exp) != len(act):
         return f"{len(exp)} tokens expected, got {len(act)}"
     unequal = [(a, b) for a, b in zip(exp, act) if a != b]
-    floats = [(_float(a), _float(b)) for a, b in unequal]
+    ints, floats = [], []
+    for a, b in unequal:
+        if _INT.fullmatch(a) and _INT.fullmatch(b):
+            ints.append(f"{a} -> {b}")
+        else:
+            floats.append((_float(a), _float(b)))
     gaps = [(abs(fa - fb) if not math.isnan(fa - fb) else math.inf, fa)
             for fa, fb in floats if fa is not None and fb is not None]
     text = f"{len(unequal)} of {len(exp)} tokens differ"
     if gaps:
         gap, at = max(gaps)
         text += f", largest float difference {gap:.3g} at {at:.6g}"
+    if ints:
+        verb = "token differs" if len(ints) == 1 else "tokens differ"
+        text += f", {len(ints)} integer {verb}: " + "; ".join(ints)
     return text
 
 

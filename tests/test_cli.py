@@ -215,6 +215,18 @@ class TestMeasureRecover:
         assert code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("tol", ["inf", "nan", "0", "1", "-0.5"])
+    def test_tol_outside_unit_interval_exits_two(self, tmp_path, capsys, tol):
+        # an infinite tolerance would report converged 1 after one step at any residual,
+        # and nan would switch the residual rule off
+        meas = Path(__file__).parent / "golden" / "outputs" / "measure-dense.txt"
+        out = tmp_path / "r.txt"
+        code = main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1", "--tol", tol,
+                     "--strict", "--seed", "1", "--input", str(meas), "--output", str(out)])
+        assert code == 2
+        assert "tol_residual must lie in (0, 1)" in capsys.readouterr().err
+        assert not out.exists()
+
     # every --algo: the ensemble it measures with and the solver call it must reproduce
     ALGO_CASES = {
         "exact-iht": ("dense-gaussian", [], lambda mp, y, cfg: recovery.iht_exact(mp, y, 2, 1, cfg)),
@@ -450,6 +462,21 @@ class TestBench:
         code = main(["bench", "--spec", str(spec), "--threads", threads, "--output", str(out)])
         assert code == 2
         assert f"threads must be at least 1, got {threads}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key,value", [
+        ("noise_level", "nan"), ("noise_level", "inf"), ("noise_level", "-0.5"),
+        ("success_tol", "nan"), ("success_tol", "inf"), ("success_tol", "0"),
+    ])
+    def test_out_of_range_spec_values_exit_two(self, tmp_path, capsys, key, value):
+        # a nan noise_level would write nan noise rows, a nan success_tol fail every trial
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC + f"{key} = {value}\n")
+        out = tmp_path / "o.csv"
+        code = main(["bench", "--spec", str(spec), "--output", str(out)])
+        assert code == 2
+        bound = "nonnegative" if key == "noise_level" else "positive"
+        assert f"{key} must be finite and {bound}, got {float(value)}" in capsys.readouterr().err
         assert not out.exists()
 
     def test_seed_override(self, tmp_path):

@@ -79,3 +79,9 @@ class TestTokenMismatches:
                 == "2 of 6 tokens differ, largest float difference 1e-07 at 0.25")
         assert token_differences("1 2 3", "1 2") == "3 tokens expected, got 2"
         assert token_differences("mode l2", "mode l1") == "1 of 2 tokens differ"
+        # integer tokens, such as iteration counts, are listed and kept out of the float gap
+        assert (token_differences("iters 8 res 5e-08", "iters 7 res 5.1e-08")
+                == "2 of 4 tokens differ, largest float difference 1e-09 at 5e-08, "
+                   "1 integer token differs: 8 -> 7")
+        assert (token_differences("a,8,9,0.5", "a,7,8,0.5")
+                == "2 of 4 tokens differ, 2 integer tokens differ: 8 -> 7; 9 -> 8")

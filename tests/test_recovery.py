@@ -211,15 +211,27 @@ class TestIhtLowrank:
             hits += np.linalg.norm(res.estimate - x) <= 1e-6
         assert hits >= 45
 
-    @pytest.mark.parametrize("inner_kind", ["dense", "rank-one"])
-    def test_odd_symmetry_bitwise(self, inner_kind):
-        # the tangent basis comes from the rank kernel's sign-canonical evaluation;
-        # a basis taken from eigh of the raw update x + mu P_T(G) breaks this
+    @pytest.mark.parametrize("inner_kind,r", [
+        pytest.param("dense", 1, id="dense"), pytest.param("rank-one", 1, id="rank-one"),
+        pytest.param("dense", 2, id="dense-r2"), pytest.param("rank-one", 2, id="rank-one-r2"),
+        pytest.param("dense", 3, id="dense-r3"), pytest.param("rank-one", 3, id="rank-one-r3"),
+    ])
+    def test_odd_symmetry_bitwise(self, inner_kind, r):
+        # the spectral start and every tangent basis come from the rank kernel's
+        # sign-canonical evaluation, the same bits for y and -y; a basis taken from eigh
+        # of the raw update breaks this.  r = 1 runs criterion 10's stage one, r >= 2
+        # p = 16 maps, whose steps solve the gauge-pinned normal equations
         for t in range(10):
-            inner, y = criterion_10_stage_one(t, inner_kind)
+            if r == 1:
+                inner, y = criterion_10_stage_one(t, inner_kind)
+            else:
+                kind = "dense-gaussian" if inner_kind == "dense" else "rank-one"
+                inner = sample_map(kind, 16, 6 * r * 16, seed=7100 + t)
+                rng = np.random.default_rng(8100 + t)
+                y = inner.apply(project_rank(sym_enforce(rng.standard_normal((16, 16))), r))
             pos, neg = [], []
-            a = iht_lowrank(inner, y, 1, callback=pos.append)
-            b = iht_lowrank(inner, -y, 1, callback=neg.append)
+            a = iht_lowrank(inner, y, r, callback=pos.append)
+            b = iht_lowrank(inner, -y, r, callback=neg.append)
             assert a.iterations == b.iterations == len(pos) == len(neg)
             for k, (u, v) in enumerate(zip(pos, neg)):
                 assert np.array_equal(v, -u), (t, k)
@@ -227,47 +239,41 @@ class TestIhtLowrank:
 
     @pytest.mark.parametrize("inner_kind", ["dense", "rank-one"])
     def test_matches_dense_reference_loop(self, inner_kind):
-        # the Gauss-Newton step done densely: a design column per tangent basis matrix
-        # U E^T + E U^T measured with _apply, lstsq, and a full p x p rank projection of
+        # the Gauss-Newton step done densely from the top eigenvector of A*(y) (by
+        # magnitude, from eigh): a design column per tangent basis matrix U E^T + E U^T
+        # measured with _apply, lstsq, and a full p x p rank projection of
         # x + U W^T + W U^T; iht_lowrank takes the same steps inside span{U, W}
-        def dense_step(mp):
-            basis = None
+        def dense_step(mp, y):
+            vals, vecs = np.linalg.eigh(mp.adjoint(y))
+            basis = vecs[:, [int(np.argmax(np.abs(vals)))]]
 
             def step(x, res):
                 nonlocal basis
-                if basis is None:
-                    grad = mp.adjoint(res)
-                    measured = mp._apply(grad)
-                    mu = float(np.sum(grad * grad)) / float(measured @ measured)
-                    update = x + mu * grad
-                else:
-                    cols = []
-                    for e in np.eye(basis.size):
-                        h = basis @ e.reshape(basis.shape).T
-                        cols.append(mp._apply(h + h.T))
-                    w = np.linalg.lstsq(np.stack(cols, axis=1), res, rcond=None)[0]
-                    h = basis @ w.reshape(basis.shape).T
-                    update = sym_enforce(x + h + h.T)
-                out, vecs = _project_rank_vectors(update[None], 1)
+                cols = []
+                for e in np.eye(basis.size):
+                    h = basis @ e.reshape(basis.shape).T
+                    cols.append(mp._apply(h + h.T))
+                w = np.linalg.lstsq(np.stack(cols, axis=1), res, rcond=None)[0]
+                h = basis @ w.reshape(basis.shape).T
+                out, vecs = _project_rank_vectors(sym_enforce(x + h + h.T)[None], 1)
                 basis = vecs[0]
-                return out[0]
+                return out[0], mp._apply(out[0])
 
             return step
 
         for t in range(5):
             inner, y = criterion_10_stage_one(t, inner_kind)
             ref, got = [], []
-            want = _iterate(inner._apply, y, inner.n, dense_step(inner), RecoveryConfig(),
-                            ref.append)
+            want = _iterate(y, inner.n, dense_step(inner, y), RecoveryConfig(), ref.append)
             res = iht_lowrank(inner, y, 1, callback=got.append)
             assert res.iterations == want.iterations == len(got) == len(ref)
             for k, (a, b) in enumerate(zip(got, ref)):
                 assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), (t, k)
 
     def test_subspace_steps_measure_nothing_twice(self, monkeypatch):
-        # a solve makes one adjoint and one _apply (the first step's gradient and its line
-        # search); every step then makes one _times, A_i U of its new basis, which measures
-        # the new iterate and is the next step's design
+        # a solve makes one adjoint and one _times for its spectral start; every step then
+        # makes one _times, A_i U of its new basis, which measures the new iterate and is
+        # the next step's design
         inner, y = criterion_10_stage_one(0)
         calls = {"_apply": 0, "_times": 0, "adjoint": 0}
         for name in calls:
@@ -277,18 +283,19 @@ class TestIhtLowrank:
             monkeypatch.setattr(MeasurementMap, name, counted)
         res = iht_lowrank(inner, y, 1)
         assert res.iterations > 2
-        assert calls["adjoint"] == 1 and calls["_times"] == res.iterations
-        assert calls["_apply"] <= 2
+        assert calls["adjoint"] == 1 and calls["_times"] == res.iterations + 1
+        assert calls["_apply"] == 0
 
     def test_iteration_budget_on_criterion_10(self):
         # total stage-one iterations on criterion 10's first 20 instances (one BLAS
         # thread): 4467 with the full-gradient step, 918 with the Riemannian gradient
-        # step, 100 with the Gauss-Newton step
+        # step, 100 with Gauss-Newton steps after a gradient step from zero, 80 with
+        # Gauss-Newton steps from the spectral start
         total = 0
         for t in range(20):
             inner, y = criterion_10_stage_one(t)
             total += iht_lowrank(inner, y, 1).iterations
-        assert total <= 150
+        assert total <= 100
 
     @pytest.mark.parametrize("kind,m", [("dense-gaussian", 15), ("rank-one", 10)])
     def test_fewer_measurements_than_tangent_dimensions(self, kind, m):

@@ -15,9 +15,9 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from bisparse.measurements import sample_map  # noqa: E402
+from bisparse.measurements import MeasurementMap, sample_map  # noqa: E402
 from bisparse.recovery import _tangent_lstsq  # noqa: E402
-from bisparse.symcore import _project_rank_vectors, sym_enforce  # noqa: E402
+from bisparse.symcore import _project_rank_vectors, project_rank, sym_enforce  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -122,3 +122,19 @@ def test_overdetermined_step_matches_lstsq(case):
                                                             1e-300)
     core = u.T @ w
     assert np.linalg.norm(core - core.T) <= 1e-12 * max(float(np.linalg.norm(w)), 1e-300)
+
+
+def test_repeated_measurements_step_matches_lstsq():
+    # 32 measurements that are 8 distinct matrices repeated 4 times: the p = 12, r = 1
+    # design has rank 8 < 12 although m >= 12, so its Gram matrix is singular beyond the
+    # gauge; the step must still be lstsq's least-norm tangent matrix
+    base = sample_map("dense-gaussian", 12, 8, seed=5)
+    mp = MeasurementMap("dense-gaussian", 12, 32, matrices=np.tile(base.matrices, (4, 1, 1)))
+    rng = np.random.default_rng(6)
+    y = mp._apply(project_rank(sym_enforce(rng.standard_normal((12, 12))), 1))
+    u = _project_rank_vectors(mp.adjoint(y)[None], 1)[1][0]
+    times = mp._times(u)
+    want = np.linalg.lstsq(times.reshape(32, -1), y, rcond=None)[0].reshape(u.shape) / 2.0
+    got = tangent_matrix(u, _tangent_lstsq(times, u, y))
+    want_step = tangent_matrix(u, want)
+    assert np.linalg.norm(got - want_step) <= 1e-10 * np.linalg.norm(want_step)
