@@ -52,7 +52,8 @@ INNER_KINDS = ("dense", "rank-one")
 SCALES = ("inv_m", "unit")
 _HEADER_KEYS = ("kind", "n", "m", "p", "inner", "scale", "seed")
 
-# payload entries sample_map allocates before it refuses (8e8 bytes of float64)
+# entries a payload-sized array (a sampled map, isometry_map, the brute-force design) may
+# hold; larger ones are refused before allocating (8e8 bytes of float64)
 PAYLOAD_CAP = 100_000_000
 # probes estimate_rip rank-projects in one stacked call; bounds its memory for any trial count
 PROBE_CHUNK = 32
@@ -177,30 +178,47 @@ def sample_map(
     have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws the
     basis and the inner matrices/vectors with standard N(0, 1) entries.
     Refuses options the kind does not take, and payloads of more than
-    PAYLOAD_CAP entries, before allocating.
+    PAYLOAD_CAP entries, before allocating.  Each array is drawn once and
+    scaled and symmetrized in place, so sampling holds the payload plus about
+    1 MiB of scratch (one n x n or p x p slice, if that is larger).
     """
     shapes = _payload_shapes(kind, n, m, p, inner, scale)
-    entries = sum(math.prod(shape) for shape in shapes.values())
-    if entries > PAYLOAD_CAP:
-        raise ValueError(f"a {kind} payload of {entries} entries exceeds the cap {PAYLOAD_CAP}")
+    _check_entries(f"a {kind} payload", sum(math.prod(shape) for shape in shapes.values()))
     rng = np.random.default_rng(seed)
-    inv_m = kind != "factorized" and scale == "inv_m"
     # drawn in table order, so a factorized basis comes before its inner payload
-    payload = {name: (rng.standard_normal(shape) / np.sqrt(m) if inv_m
-                      else rng.standard_normal(shape)) for name, shape in shapes.items()}
+    payload = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
+    if kind != "factorized" and scale == "inv_m":
+        for arr in payload.values():
+            arr /= np.sqrt(m)
     mats = payload.get("matrices")
     if mats is not None:
-        payload["matrices"] = (mats + mats.transpose(0, 2, 1)) / 2.0
+        # numpy buffers the overlapping transposed operand: one chunk of scratch, same bits;
+        # ~1 MiB chunks keep the Python loop as cheap as one whole-payload pass
+        rows = max(1, 2**17 // mats[0].size)
+        for start in range(0, len(mats), rows):
+            chunk = mats[start:start + rows]
+            chunk += chunk.transpose(0, 2, 1)
+        mats /= 2.0
     return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, scale=scale, **payload)
+
+
+def _check_entries(what: str, entries: int) -> None:
+    """Refuse, before allocating, an array of more than PAYLOAD_CAP entries."""
+    if entries > PAYLOAD_CAP:
+        raise ValueError(f"{what} of {entries} entries exceeds the cap {PAYLOAD_CAP}")
 
 
 def isometry_map(n: int) -> MeasurementMap:
     """Test hook: an orthonormal basis of symmetric matrices, so the map is an isometry.
 
     Uses m = n(n+1)/2 measurements; apply followed by adjoint is the identity
-    on symmetric matrices.
+    on symmetric matrices.  Refuses n < 1, and payloads of more than
+    PAYLOAD_CAP entries (n > 118), before allocating.
     """
+    if n < 1:
+        raise ValueError("dimensions must be positive")
     m = n * (n + 1) // 2
+    _check_entries("a dense-gaussian payload", m * n * n)
     mats = np.zeros((m, n, n))
     diag = np.arange(n)
     mats[diag, diag, diag] = 1.0

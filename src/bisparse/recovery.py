@@ -42,6 +42,7 @@ import numpy as np
 
 from .measurements import (
     MeasurementMap,
+    _check_entries,
     _check_structure_params,
     estimate_rip,
     factorized_inner_map,
@@ -397,14 +398,14 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
 
 def _pair_basis_columns(mp: MeasurementMap) -> np.ndarray:
     """Measurement of every symmetric pair basis matrix E_ij + E_ji, in np.triu_indices order."""
-    n = mp.n
-    cols = []
-    for i, j in zip(*np.triu_indices(n)):
-        basis = np.zeros((n, n))
-        basis[i, j] = 1.0
-        basis[j, i] = 1.0
-        cols.append(mp.apply(basis))
-    return np.stack(cols, axis=1)
+    rows, cols = np.triu_indices(mp.n)
+    design = np.empty((mp.m, len(rows)))
+    basis = np.zeros((mp.n, mp.n))
+    for k, (i, j) in enumerate(zip(rows, cols)):
+        basis[i, j] = basis[j, i] = 1.0
+        design[:, k] = mp._apply(basis)
+        basis[i, j] = basis[j, i] = 0.0
+    return design
 
 
 def _objective(res: np.ndarray, mode: str) -> float:
@@ -473,7 +474,9 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
     r < s the fit is polished toward rank r by alternating rank projection and
     refitting within the kept eigenspace, a heuristic that is exact whenever
     the residual reaches zero.  Returns the best-objective candidate; ties
-    keep the lexicographically smallest support.
+    keep the lexicographically smallest support.  The fits share one design
+    of the map applied to every pair basis matrix, m n(n+1)/2 entries; a
+    design of more than PAYLOAD_CAP entries is refused before allocating.
     """
     if noise_mode not in ("l2", "l1"):
         raise ValueError(f"unknown noise mode {noise_mode!r}")
@@ -489,6 +492,7 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
         raise ValueError(
             f"per-support fit has {unknowns} unknowns but only {mp.m} measurements"
         )
+    _check_entries("the brute-force pair design", mp.m * (n * (n + 1) // 2))
     y = np.asarray(y, dtype=float)
     design_cols = _pair_basis_columns(mp)
     # pair_id[i, j] is the design column of the pair (i, j), i <= j

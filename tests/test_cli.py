@@ -267,10 +267,10 @@ class TestMeasureRecover:
         assert header[3][1:] == [str(i + 1) for i in result.support]
         assert np.array_equal(est, result.estimate)
 
-    def _recover_text(self, tmp_path, text):
+    def _recover_text(self, tmp_path, text, algo="head-tail"):
         meas = tmp_path / "meas.txt"
         meas.write_text(text)
-        return main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1", "--seed", "1",
+        return main(["recover", "--algo", algo, "--s", "2", "--r", "1", "--seed", "1",
                      "--input", str(meas), "--output", str(tmp_path / "rec.txt")])
 
     def test_oversized_header_exits_two_without_allocating(self, tmp_path, capsys):
@@ -284,6 +284,19 @@ class TestMeasureRecover:
             tracemalloc.stop()
         assert code == 2
         assert "exceeds the cap" in capsys.readouterr().err
+        assert peak < 10**7
+
+    def test_oversized_brute_design_exits_two_without_allocating(self, tmp_path, capsys):
+        # a 1.6 MB rank-one map whose brute-force pair design would be 1.6 GB
+        text = "kind rank-one\nn 2000\nm 100\nseed 1\ny\n" + "1.0\n" * 100
+        tracemalloc.start()
+        try:
+            code = self._recover_text(tmp_path, text, algo="brute")
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "pair design" in capsys.readouterr().err
         assert peak < 10**7
 
     def test_unknown_header_key_exits_two(self, tmp_path, capsys):

@@ -1,10 +1,13 @@
+import hashlib
 import io
+import tracemalloc
 
 import numpy as np
 import pytest
 
 from bisparse import measurements
 from bisparse.measurements import (
+    PAYLOAD_CAP,
     PROBE_CACHE_CHUNKS,
     PROBE_CHUNK,
     MeasurementMap,
@@ -33,6 +36,36 @@ ALL_KINDS = [
     ("rank-one", {}),
     ("factorized", {"p": 6}),
     ("factorized", {"p": 6, "inner": "rank-one"}),
+]
+
+
+# sha256 of each sampled payload array's bytes, taken when sample_map still
+# scaled and symmetrized into fresh arrays; sampling in place keeps every bit
+PAYLOAD_SHA256 = [
+    ("dense-gaussian", {}, 5, 7, 0, {
+        "matrices": "c487f29a4993a6727a4bd10f91116ae405d3b69f42fca63f88ad4cffea7739e6"}),
+    ("dense-gaussian", {}, 12, 30, 3, {
+        "matrices": "9fb91e828ee9101ffe39db34d275fffba34b29ce108bcfd356bdbde2ad4f69f1"}),
+    ("rank-one", {}, 6, 9, 0, {
+        "vectors": "08737a4e0cbf5d26c9150a4e9bce9886be8a26fcd601d99368484d89c459deb4"}),
+    ("rank-one", {}, 20, 50, 3, {
+        "vectors": "21bd13675d35fc737de10b716e6296102261f4667b55eac5d40ea7e9928a4d7d"}),
+    ("rank-one", {"scale": "unit"}, 6, 9, 0, {
+        "vectors": "8cbc056d6dadbfb3dfb8b419323828e5534690d19d1edc4fdc94c339dc81bc68"}),
+    ("rank-one", {"scale": "unit"}, 20, 50, 3, {
+        "vectors": "83927b379d5892b98b37f606ab214c489e5caa354f2b0f31ffa031e4b1b10bfd"}),
+    ("factorized", {"p": 4}, 6, 9, 0, {
+        "basis": "0109e58c26417499773e18cd899518a0dad0e5393adccb8a705eaa1de742f6fb",
+        "matrices": "7b166c525b42717dae8fecce58ac9fdfda913a378d3b60066fcf7fdad1628e61"}),
+    ("factorized", {"p": 8}, 15, 30, 3, {
+        "basis": "d62eb815f7a0d1cdd5b0d90b4ba8807e2bdec74ff73515d93f882b6a6b08d80e",
+        "matrices": "ba0f32bef6107356cb43a390a42369b9477b8addf0deb314394762a529daf4bc"}),
+    ("factorized", {"p": 4, "inner": "rank-one"}, 6, 9, 0, {
+        "basis": "0109e58c26417499773e18cd899518a0dad0e5393adccb8a705eaa1de742f6fb",
+        "vectors": "08089cbb41999c47e072fcc97cdd541da32bb147061c92bc141781e8ecf55cdf"}),
+    ("factorized", {"p": 8, "inner": "rank-one"}, 15, 30, 3, {
+        "basis": "d62eb815f7a0d1cdd5b0d90b4ba8807e2bdec74ff73515d93f882b6a6b08d80e",
+        "vectors": "4bb27318f7175c8ae5dec7a12f8743ca472dc21a906c60c67710cb0cd6681bd3"}),
 ]
 
 
@@ -132,6 +165,31 @@ class TestSampling:
             sample_map("dense-gaussian", 10_000, 10_000, seed=1)
         with pytest.raises(ValueError, match="exceeds the cap"):
             sample_map("factorized", 10, 10**6, p=1000, seed=1)
+
+    @pytest.mark.parametrize("kind,kwargs,n,m,seed,digests", PAYLOAD_SHA256)
+    def test_payload_bytes_are_pinned(self, kind, kwargs, n, m, seed, digests):
+        mp = sample_map(kind, n, m, seed=seed, **kwargs)
+        got = {name: hashlib.sha256(getattr(mp, name).tobytes()).hexdigest() for name in digests}
+        assert got == digests
+
+    @pytest.mark.parametrize("kind,kwargs,n,m", [
+        ("dense-gaussian", {}, 60, 300),
+        ("rank-one", {}, 1000, 1000),
+        ("rank-one", {"scale": "unit"}, 1000, 1000),
+        ("factorized", {"p": 40}, 50, 600),
+        ("factorized", {"p": 500, "inner": "rank-one"}, 500, 1000),
+    ])
+    def test_sampling_holds_one_payload(self, kind, kwargs, n, m):
+        tracemalloc.start()
+        try:
+            mp = sample_map(kind, n, m, seed=3, **kwargs)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        payload = sum(getattr(mp, name).nbytes for name in ("matrices", "vectors", "basis")
+                      if getattr(mp, name) is not None)
+        assert payload > 4 * 2**20
+        assert peak <= payload + 2 * 2**20
 
     def test_injected_rank_one_payload(self):
         vectors = np.zeros((2, 3))
@@ -411,6 +469,22 @@ class TestEstimateRip:
                 pair[i, j] = pair[j, i] = 1.0 / np.sqrt(2.0)
                 ref.append(pair)
         assert np.array_equal(isometry_map(n).matrices, np.stack(ref))
+
+    def test_isometry_hook_refuses_oversized_or_empty_before_allocating(self):
+        # n=119 is the first n whose n(n+1)/2 x n x n payload exceeds the cap; 150 would be 2 GB
+        assert 119 * 120 // 2 * 119**2 > PAYLOAD_CAP >= 118 * 119 // 2 * 118**2
+        tracemalloc.start()
+        try:
+            for n in (119, 150):
+                with pytest.raises(ValueError, match="exceeds the cap"):
+                    isometry_map(n)
+            for n in (0, -3):
+                with pytest.raises(ValueError, match="dimensions must be positive"):
+                    isometry_map(n)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7
 
     def test_isometry_hook_gives_zero_delta(self):
         mp = isometry_map(5)

@@ -1,11 +1,12 @@
 import itertools
 import math
+import tracemalloc
 import warnings
 
 import numpy as np
 import pytest
 
-from bisparse import measurements, projections, symcore
+from bisparse import measurements, projections, recovery, symcore
 from bisparse.measurements import (
     MeasurementMap,
     factorized_inner_map,
@@ -680,6 +681,39 @@ class TestBruteForce:
         mp = sample_map("dense-gaussian", 8, 2, seed=27)
         with pytest.raises(ValueError, match="unknowns"):
             brute_force_decode(mp, np.zeros(2), 2, 1)
+
+    @pytest.mark.parametrize("kind,kwargs", [("rank-one", {}),
+                                             ("factorized", {"p": 3, "inner": "rank-one"})])
+    def test_oversized_design_refused_before_allocating(self, kind, kwargs):
+        # C(2000, 2) supports pass ENUMERATION_CAP, but the pair design would hold
+        # 100 * 2000 * 2001 / 2 entries (1.6 GB)
+        mp = sample_map(kind, 2000, 100, seed=1, **kwargs)
+        assert math.comb(2000, 2) <= projections.ENUMERATION_CAP
+        tracemalloc.start()
+        try:
+            with pytest.raises(ValueError, match="pair design of 200100000 entries exceeds the cap"):
+                brute_force_decode(mp, np.zeros(100), 2, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7
+
+    @pytest.mark.parametrize("kind,kwargs", [("dense-gaussian", {}), ("rank-one", {}),
+                                             ("factorized", {"p": 5}),
+                                             ("factorized", {"p": 5, "inner": "rank-one"})])
+    def test_pair_design_matches_per_pair_reference(self, kind, kwargs):
+        # the design before it was preallocated: a fresh basis matrix per pair, then a stack
+        n = 7
+        mp = sample_map(kind, n, 18, seed=31, **kwargs)
+        cols = []
+        for i, j in zip(*np.triu_indices(n)):
+            basis = np.zeros((n, n))
+            basis[i, j] = basis[j, i] = 1.0
+            cols.append(mp.apply(basis))
+        want = np.stack(cols, axis=1)
+        got = recovery._pair_basis_columns(mp)
+        assert got.flags.c_contiguous
+        assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
 
 
 class TestTailRestrictionAnalogue:
