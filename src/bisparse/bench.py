@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import (KINDS, _check_structure_params, estimate_rip, sample_map,
-                           sample_structured)
+from .measurements import (KINDS, _check_payload, _check_structure_params, estimate_rip,
+                           sample_map, sample_structured)
 from .projections import ENUMERATION_CAP
-from .recovery import ALGOS, solve
+from .recovery import ALGOS, _check_pair_design, solve
 
 __all__ = [
     "ALGOS",
@@ -65,8 +65,8 @@ class ExperimentSpec:
 
     `m` entries are strings: either an absolute count ("40") or a multiple of
     the baseline ceil(r s ln(e n / s)) ("1.5x").  `p` optionally pins the
-    inner dimension of factorized maps; by default it tracks the sparsity via
-    ceil(3 s ln(e n / s)) + 10.
+    inner dimension of factorized maps, at least 1; by default it tracks the
+    sparsity via ceil(3 s ln(e n / s)) + 10.  Other ensembles take no `p`.
     """
 
     algo: str
@@ -98,6 +98,10 @@ class ExperimentSpec:
             raise ValueError("the rank-one algorithm needs the rank-one ensemble")
         if self.algo == "two-step" and self.ensemble != "factorized":
             raise ValueError("the two-step algorithm needs the factorized ensemble")
+        if self.p is not None and self.ensemble != "factorized":
+            raise ValueError(f"{self.ensemble} maps take no p")
+        if self.p is not None and self.p < 1:
+            raise ValueError(f"factorized maps need a positive inner dimension p, got {self.p}")
 
 
 @dataclass
@@ -205,36 +209,44 @@ def _cells(spec: ExperimentSpec):
         yield n, s, r, resolve_m(m_entry, n, s, r)
 
 
-def _structure_infeasible(n: int, s: int, r: int, m: int) -> str | None:
-    """Why no structured matrix or map exists for the cell, or None."""
-    if m < 1:
-        return f"m={m} < 1"
+def _refusal(check, *args) -> str | None:
+    """The message of the ValueError that check(*args) raises, or None."""
     try:
-        _check_structure_params(n, s, r)
+        check(*args)
     except ValueError as exc:
         return str(exc)
     return None
 
 
+def _cell_p(spec: ExperimentSpec, n: int, s: int) -> int | None:
+    """The inner dimension of the cell's factorized maps; None for other ensembles."""
+    if spec.ensemble != "factorized":
+        return None
+    return spec.p if spec.p is not None else default_inner_dim(n, s)
+
+
+def _map_infeasible(spec: ExperimentSpec, n: int, s: int, r: int, m: int) -> str | None:
+    """Why the cell has no structured matrix or no map payload within PAYLOAD_CAP, or None."""
+    if m < 1:
+        return f"m={m} < 1"
+    return (_refusal(_check_structure_params, n, s, r)
+            or _refusal(_check_payload, spec.ensemble, n, m, _cell_p(spec, n, s)))
+
+
 def _cell_feasible(spec: ExperimentSpec, n: int, s: int, r: int, m: int) -> str | None:
-    reason = _structure_infeasible(n, s, r, m)
+    reason = _map_infeasible(spec, n, s, r, m)
     if reason is not None:
         return reason
     if spec.algo in ("exact-iht", "brute") and math.comb(n, s) > ENUMERATION_CAP:
         return f"support enumeration over C({n},{s}) exceeds the cap"
     if spec.algo == "brute" and s * (s + 1) // 2 > m:
         return f"per-support fit needs {s * (s + 1) // 2} <= m={m}"
-    return None
+    return _refusal(_check_pair_design, n, m) if spec.algo == "brute" else None
 
 
 def _cell_map(spec: ExperimentSpec, n: int, s: int, m: int, cell: tuple):
     """The map of one cell, seeded by the cell tuple."""
-    p = spec.p if spec.p is not None else default_inner_dim(n, s)
-    return sample_map(
-        spec.ensemble, n, m,
-        p=p if spec.ensemble == "factorized" else None,
-        seed=derive_seed(*cell, "map"),
-    )
+    return sample_map(spec.ensemble, n, m, p=_cell_p(spec, n, s), seed=derive_seed(*cell, "map"))
 
 
 def _run_single_trial(spec: ExperimentSpec, job: tuple) -> TrialRecord:
@@ -264,8 +276,10 @@ def _run_single_trial(spec: ExperimentSpec, job: tuple) -> TrialRecord:
 def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
     """Run every (cell, trial) of the sweep; rows come back in grid order.
 
-    Infeasible cells are skipped with a warning and produce placeholder rows
-    with rel_error = nan so the CSV stays rectangular.  At most
+    Infeasible cells (no structured matrix, a support enumeration over
+    ENUMERATION_CAP, or a map payload or brute pair design over PAYLOAD_CAP)
+    are skipped with a warning and produce placeholder rows with
+    rel_error = nan so the CSV stays rectangular.  At most
     min(threads, trials, CPU count) worker threads run the trials; with one,
     they run on the calling thread.
     """
@@ -286,10 +300,14 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
 
 
 def run_rip_sweep(spec: ExperimentSpec) -> list:
-    """Estimate RIP statistics over the grid; returns (cell, seed, RipEstimate) rows."""
+    """Estimate RIP statistics over the grid; returns (cell, seed, RipEstimate) rows.
+
+    A cell with no structured matrix or with a map payload over PAYLOAD_CAP is
+    skipped with a warning and leaves no row.
+    """
     rows = []
     for n, s, r, m in _cells(spec):
-        reason = _structure_infeasible(n, s, r, m)
+        reason = _map_infeasible(spec, n, s, r, m)
         if reason is not None:
             warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
             continue

@@ -41,6 +41,12 @@ def _write_outcome(outcome, stream) -> None:
     write_matrix(outcome.matrix, stream)
 
 
+def _rank(args) -> int:
+    if args.r is None:
+        raise ValueError(f"--op {args.op} needs --r")
+    return args.r
+
+
 def _head_shrink(mat, args):
     if args.sprime is None:
         raise ValueError("head-shrink needs --sprime")
@@ -55,15 +61,15 @@ def _hierarchical(mat, args):
 
 # --op name -> projection of (matrix, parsed arguments) to a ProjectionOutcome
 PROJECTIONS = {
-    "exact": lambda mat, a: projections.exact_project(mat, a.s, a.r),
+    "exact": lambda mat, a: projections.exact_project(mat, a.s, _rank(a)),
     "tail-bisparse": lambda mat, a: projections.tail_bisparse(mat, a.s),
-    "tail-joint": lambda mat, a: projections.tail_joint(mat, a.s, a.r),
+    "tail-joint": lambda mat, a: projections.tail_joint(mat, a.s, _rank(a)),
     "head-square": lambda mat, a: projections.head_square(mat, a.s),
     "head-rowcol": lambda mat, a: projections.head_rowcol(mat, a.s),
     "head-anchor": lambda mat, a: projections.head_anchor(mat, a.s),
     "head-psd": lambda mat, a: projections.head_psd_lowrank(mat, a.s, rank_override=a.r),
-    "head-joint": lambda mat, a: projections.head_joint(mat, a.s, a.r),
-    "head-square-variant": lambda mat, a: projections.head_square_variant(mat, a.s, a.r),
+    "head-joint": lambda mat, a: projections.head_joint(mat, a.s, _rank(a)),
+    "head-square-variant": lambda mat, a: projections.head_square_variant(mat, a.s, _rank(a)),
     "head-shrink": _head_shrink,
     "hierarchical": _hierarchical,
 }

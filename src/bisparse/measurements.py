@@ -182,8 +182,7 @@ def sample_map(
     scaled and symmetrized in place, so sampling holds the payload plus about
     1 MiB of scratch (one n x n or p x p slice, if that is larger).
     """
-    shapes = _payload_shapes(kind, n, m, p, inner, scale)
-    _check_entries(f"a {kind} payload", sum(math.prod(shape) for shape in shapes.values()))
+    shapes = _check_payload(kind, n, m, p, inner, scale)
     rng = np.random.default_rng(seed)
     # drawn in table order, so a factorized basis comes before its inner payload
     payload = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
@@ -200,6 +199,13 @@ def sample_map(
             chunk += chunk.transpose(0, 2, 1)
         mats /= 2.0
     return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, scale=scale, **payload)
+
+
+def _check_payload(kind: str, n: int, m: int, p=None, inner="dense", scale="inv_m") -> dict:
+    """`_payload_shapes`, refusing more than PAYLOAD_CAP entries in all, before allocating."""
+    shapes = _payload_shapes(kind, n, m, p, inner, scale)
+    _check_entries(f"a {kind} payload", sum(math.prod(shape) for shape in shapes.values()))
+    return shapes
 
 
 def _check_entries(what: str, entries: int) -> None:

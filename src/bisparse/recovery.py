@@ -35,7 +35,6 @@ from __future__ import annotations
 
 import itertools
 import math
-import warnings
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -58,7 +57,7 @@ from .projections import (
     hierarchical_mask,
     tail_joint,
 )
-from .symcore import _project_rank_vectors, _square_finite, eigen, project_rank
+from .symcore import _project_rank_vectors, _square_finite
 
 __all__ = [
     "ALGOS",
@@ -90,6 +89,10 @@ TOL_STALL = 1e-12
 BETA_TRIALS = 200
 BETA_SEED = 0
 
+# brute_force_decode's rank polish and least-absolute-deviations fit stop after this many rounds
+POLISH_ROUNDS = 25
+L1_FIT_ITERS = 50
+
 
 @dataclass
 class RecoveryConfig:
@@ -118,6 +121,16 @@ class RecoveryResult:
 
 def _support_of(mat: np.ndarray) -> np.ndarray:
     return np.nonzero(np.any(mat != 0.0, axis=0))[0]
+
+
+def _measurements(mp: MeasurementMap, y) -> np.ndarray:
+    """y as float64, validated to be the map's m finite measurements."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (mp.m,):
+        raise ValueError(f"expected {mp.m} measurements, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements must be finite")
+    return y
 
 
 def _iterate(y, n, step_fn, cfg, callback=None) -> RecoveryResult:
@@ -309,20 +322,13 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
 
 
 def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """Least-squares fit of B Z B^T to the target over entries of Z in the mask."""
+    """lstsq's least-norm fit of B Z B^T to the target over entries of Z in the mask."""
     p, n = basis.shape
     idx = np.argwhere(mask)
-    # column k is the flattened outer product of basis columns idx[k, 0] and idx[k, 1];
-    # C order keeps the summation order of design.T @ target_vec on the ridge path
-    design = np.multiply(basis[:, None, idx[:, 0]], basis[None, :, idx[:, 1]],
-                         order="C").reshape(p * p, -1)
-    sol, _, rank, _ = np.linalg.lstsq(design, target_vec, rcond=None)
-    if rank < design.shape[1]:
-        warnings.warn("restricted least-squares system is rank-deficient; using ridge 1e-10")
-        gram = design.T @ design + 1e-10 * np.eye(design.shape[1])
-        sol = np.linalg.solve(gram, design.T @ target_vec)
+    # column k is the flattened outer product of basis columns idx[k, 0] and idx[k, 1]
+    design = (basis[:, None, idx[:, 0]] * basis[None, :, idx[:, 1]]).reshape(p * p, -1)
     out = np.zeros((n, n))
-    out[idx[:, 0], idx[:, 1]] = sol
+    out[idx[:, 0], idx[:, 1]] = np.linalg.lstsq(design, target_vec, rcond=None)[0]
     return out
 
 
@@ -382,7 +388,7 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
     if mp.kind != "factorized":
         raise ValueError("two_step_factorized needs a factorized measurement map")
     _check_structure_params(mp.n, s, r)
-    y = np.asarray(y, dtype=float)
+    y = _measurements(mp, y)
     stage1 = iht_lowrank(factorized_inner_map(mp), y, r, cfg)
     stage2 = hihtp(mp.basis, stage1.estimate, s, s, cfg)
     rnorm = float(np.linalg.norm(y - mp._apply(stage2.estimate)))
@@ -394,6 +400,11 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
         and rnorm <= math.sqrt(cfg.tol_residual) * float(np.linalg.norm(y)),
         stage2.support,
     )
+
+
+def _check_pair_design(n: int, m: int) -> None:
+    """Refuse, before allocating, a pair design of more than PAYLOAD_CAP entries."""
+    _check_entries("the brute-force pair design", m * (n * (n + 1) // 2))
 
 
 def _pair_basis_columns(mp: MeasurementMap) -> np.ndarray:
@@ -414,10 +425,10 @@ def _objective(res: np.ndarray, mode: str) -> float:
     return float(np.sum(np.abs(res)))
 
 
-def _weighted_l1_fit(design: np.ndarray, y: np.ndarray, iters: int = 50) -> np.ndarray:
+def _weighted_l1_fit(design: np.ndarray, y: np.ndarray) -> np.ndarray:
     """Least absolute deviations by iteratively reweighted least squares."""
     sol = np.linalg.lstsq(design, y, rcond=None)[0]
-    for _ in range(iters):
+    for _ in range(L1_FIT_ITERS):
         res = y - design @ sol
         w = 1.0 / np.sqrt(np.maximum(np.abs(res), 1e-10))
         new = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)[0]
@@ -434,34 +445,26 @@ def _fit(design: np.ndarray, y: np.ndarray, mode: str) -> np.ndarray:
     return _weighted_l1_fit(design, y)
 
 
-def _polish_rank(design, tri, y, block, r, mode, rounds=25):
+def _polish_rank(design, tri, y, block, r, mode):
     """Alternating refinement: rank-project, then refit within the kept eigenspace.
 
-    `tri` is the np.triu_indices pair of the block; `design` has one column per pair.
+    `tri` is the np.triu_indices pair of the block; `design` has one column per pair.  A
+    round fits the block sum_{a <= b} c_ab T_ab over the best block's top-r eigenvectors u,
+    T_aa = u_a u_a^T and T_ab = u_a u_b^T + u_b u_a^T.
     """
-    best_block = project_rank(block, r)
+    (best_block,), (vecs,) = _project_rank_vectors(block[None], r)
     best_obj = _objective(y - design @ best_block[tri], mode)
-    current = best_block
-    core_pairs = [(a, b) for a in range(r) for b in range(a, r)]
-    for _ in range(rounds):
-        dec = eigen(project_rank(current, r))
-        vecs = dec.eigenvectors[:, :r]
-        terms = []
-        for a, b in core_pairs:
-            term = np.outer(vecs[:, a], vecs[:, b])
-            terms.append(term + term.T if a != b else term)
-        core_design = np.stack([design @ term[tri] for term in terms], axis=1)
-        core = _fit(core_design, y, mode)
-        current = np.zeros_like(block)
-        for val, term in zip(core, terms):
-            current += val * term
+    a, b = np.triu_indices(r)
+    for _ in range(POLISH_ROUNDS):
+        outer = vecs[:, None, a] * vecs[None, :, b]    # outer[:, :, k] = u_a u_b^T
+        terms = np.where(a == b, outer, outer + outer.swapaxes(0, 1))
+        current = terms @ _fit(design @ terms[tri], y, mode)
         current = (current + current.T) / 2.0
         obj = _objective(y - design @ current[tri], mode)
-        if obj < best_obj - 1e-15:
-            best_obj = obj
-            best_block = current
-        else:
+        if not obj < best_obj - 1e-15:
             break
+        best_obj, best_block = obj, current
+        vecs = _project_rank_vectors(current[None], r)[1][0]
     return best_block, best_obj
 
 
@@ -476,7 +479,9 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
     the residual reaches zero.  Returns the best-objective candidate; ties
     keep the lexicographically smallest support.  The fits share one design
     of the map applied to every pair basis matrix, m n(n+1)/2 entries; a
-    design of more than PAYLOAD_CAP entries is refused before allocating.
+    design of more than PAYLOAD_CAP entries is refused before allocating, and
+    one with non-finite entries after.  Raises ValueError when no support has
+    a finite objective.
     """
     if noise_mode not in ("l2", "l1"):
         raise ValueError(f"unknown noise mode {noise_mode!r}")
@@ -492,9 +497,11 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
         raise ValueError(
             f"per-support fit has {unknowns} unknowns but only {mp.m} measurements"
         )
-    _check_entries("the brute-force pair design", mp.m * (n * (n + 1) // 2))
-    y = np.asarray(y, dtype=float)
+    _check_pair_design(n, mp.m)
+    y = _measurements(mp, y)
     design_cols = _pair_basis_columns(mp)
+    if not np.all(np.isfinite(design_cols)):
+        raise ValueError("the brute-force pair design has non-finite entries")
     # pair_id[i, j] is the design column of the pair (i, j), i <= j
     pair_id = np.zeros((n, n), dtype=int)
     pair_id[np.triu_indices(n)] = np.arange(design_cols.shape[1])
@@ -517,6 +524,8 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
             best_obj = obj
             best_support = support
             best_block = block
+    if best_support is None:
+        raise ValueError("no support has a finite objective")
     estimate = np.zeros((n, n))
     estimate[np.ix_(best_support, best_support)] = best_block
     return RecoveryResult(estimate, 1, [best_obj], True, _support_of(estimate))

@@ -4,7 +4,7 @@ import math
 import numpy as np
 import pytest
 
-from bisparse import bench
+from bisparse import bench, measurements
 from bisparse.bench import (
     ExperimentSpec,
     TrialRecord,
@@ -71,6 +71,16 @@ class TestSpecParsing:
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             parse_spec(io.StringIO("algo = brute\n"))
+
+    @pytest.mark.parametrize("overrides,message", [
+        ({"p": 12}, "dense-gaussian maps take no p"),
+        ({"ensemble": "rank-one", "p": 12}, "rank-one maps take no p"),
+        ({"ensemble": "factorized", "p": 0}, "positive inner dimension p, got 0"),
+        ({"ensemble": "factorized", "p": -3}, "positive inner dimension p, got -3"),
+    ])
+    def test_p_a_map_cannot_take_rejected(self, overrides, message):
+        with pytest.raises(ValueError, match=message):
+            small_spec(**overrides)
 
     def test_algo_ensemble_compatibility(self):
         with pytest.raises(ValueError, match="rank-one"):
@@ -172,6 +182,22 @@ class TestPhaseTransition:
         assert len(records) == 3
         assert all(math.isnan(rec.rel_error) and not rec.success for rec in records)
 
+    @pytest.mark.parametrize("overrides,cap,reason", [
+        ({}, 400, "a dense-gaussian payload of 756 entries exceeds the cap 400"),
+        ({"algo": "two-step", "ensemble": "factorized", "p": 5}, 400,
+         "a factorized payload of 555 entries exceeds the cap 400"),
+        ({"algo": "brute", "ensemble": "rank-one"}, 300,
+         "the brute-force pair design of 441 entries exceeds the cap 300"),
+    ])
+    def test_cell_over_payload_cap_skipped_after_earlier_cells(self, monkeypatch, overrides,
+                                                               cap, reason):
+        monkeypatch.setattr(measurements, "PAYLOAD_CAP", cap)
+        spec = small_spec(m=["10", "21"], **overrides)
+        with pytest.warns(UserWarning, match=reason):
+            records = run_phase_transition(spec)
+        assert [rec.m for rec in records] == [10] * 3 + [21] * 3
+        assert [math.isnan(rec.rel_error) for rec in records] == [False] * 3 + [True] * 3
+
     def test_noise_level_recorded_and_applied(self):
         spec = small_spec(noise_level=0.5, trials_per_cell=2)
         records = run_phase_transition(spec)
@@ -255,6 +281,13 @@ class TestRipSweep:
         with pytest.warns(UserWarning, match="sparsity must satisfy 1 <= s <= 6, got 7"):
             rows = run_rip_sweep(spec)
         assert [row["s"] for row in rows] == [2]
+
+    def test_cell_over_payload_cap_is_skipped(self, monkeypatch):
+        monkeypatch.setattr(measurements, "PAYLOAD_CAP", 400)
+        spec = small_spec(trials_per_cell=5, m=["10", "21"])
+        with pytest.warns(UserWarning, match="payload of 756 entries exceeds the cap 400"):
+            rows = run_rip_sweep(spec)
+        assert [row["m"] for row in rows] == [10]
 
     def test_unstructured_probing_large_delta_when_undersampled(self):
         spec = ExperimentSpec(

@@ -127,6 +127,15 @@ class TestProject:
         assert "per-column sparsity must satisfy 1 <= t <= 3, got 0" in err
 
 
+    @pytest.mark.parametrize("op", ["exact", "tail-joint", "head-joint", "head-square-variant"])
+    def test_op_without_rank_exits_two(self, op, tmp_path, diag_matrix, capsys):
+        out = tmp_path / "o.txt"
+        code = main(["project", "--op", op, "--s", "2", "--input", str(diag_matrix),
+                     "--output", str(out)])
+        assert code == 2
+        assert f"error: --op {op} needs --r" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_stdout_stays_open_across_calls(self, diag_matrix, capsys):
         # "-" is the process's stdout; one command must not close it for the next
         argv = ["project", "--op", "tail-bisparse", "--s", "1", "--input", str(diag_matrix)]
@@ -491,6 +500,36 @@ class TestBench:
         bound = "nonnegative" if key == "noise_level" else "positive"
         assert f"{key} must be finite and {bound}, got {float(value)}" in capsys.readouterr().err
         assert not out.exists()
+
+    @pytest.mark.parametrize("extra,message", [
+        ("p = 12\n", "dense-gaussian maps take no p"),
+        ("ensemble = factorized\np = 0\n", "factorized maps need a positive inner dimension p, got 0"),
+    ])
+    def test_p_a_map_cannot_take_exits_two(self, tmp_path, capsys, extra, message):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC + extra)
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 2
+        assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_cell_over_payload_cap_does_not_abort_the_sweep(self, tmp_path):
+        # the n = 500, m = 500 dense payload has 1.25e8 entries, over the 1e8 cap
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC.replace("n = 6", "n = 6, 500").replace("m = 21", "m = 500")
+                        .replace("exact-iht", "head-tail"))
+        out = tmp_path / "o.csv"
+        tracemalloc.start()
+        try:
+            with pytest.warns(UserWarning, match="payload of 125000000 entries exceeds the cap"):
+                assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 0
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak < 10**7
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[2], row[10]) for row in rows][2:] == [("500", "nan")] * 2
+        assert [row[2] for row in rows[:2]] == ["6"] * 2 and "nan" not in rows[0]
 
     def test_seed_override(self, tmp_path):
         spec = tmp_path / "spec.txt"

@@ -18,7 +18,9 @@ from bisparse.projections import head_square_variant, hierarchical_mask, tail_bi
 from bisparse.recovery import (
     RecoveryConfig,
     TOL_STALL,
+    _fit,
     _iterate,
+    _objective,
     _restricted_lstsq,
     brute_force_decode,
     hihtp,
@@ -28,7 +30,7 @@ from bisparse.recovery import (
     iht_rank_one,
     two_step_factorized,
 )
-from bisparse.symcore import _project_rank_vectors, project_rank, restrict, sym_enforce
+from bisparse.symcore import _project_rank_vectors, eigen, project_rank, restrict, sym_enforce
 
 
 def assert_structured(s, r):
@@ -371,11 +373,18 @@ class TestHihtp:
         res = hihtp(basis, basis @ x @ basis.T, 2, 2)
         assert np.array_equal(res.estimate, res.estimate.T)
 
-    def test_rank_deficient_fit_warns_and_regularizes(self):
+    def test_rank_deficient_fit_is_least_norm_without_warning(self):
         # a single-row basis makes the restricted system 1 x k, k > 1
         basis = np.array([[1.0, 2.0, 0.5]])
-        with pytest.warns(UserWarning, match="ridge"):
+        mask = np.array([[True, True, False], [False, True, False], [True, False, True]])
+        idx = np.argwhere(mask)
+        design = np.array([[basis[0, i] * basis[0, j] for i, j in idx]])
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            got = _restricted_lstsq(basis, np.array([4.0]), mask)
             res = hihtp(basis, np.array([[4.0]]), 2, 1, RecoveryConfig(max_iters=3))
+        assert np.allclose(got[mask], np.linalg.pinv(design) @ [4.0], rtol=1e-12, atol=0)
+        assert not got[~mask].any()
         assert np.all(np.isfinite(res.estimate))
 
 
@@ -457,27 +466,25 @@ class TestTwoStep:
 
 
 def restricted_lstsq_reference(basis, target_vec, mask):
-    # _restricted_lstsq before its design was built from index arrays: one np.outer per entry
+    """_restricted_lstsq before its design was built from index arrays: one np.outer per
+    entry.  Returns the fit and whether lstsq found the system rank-deficient."""
     n = mask.shape[0]
     idx = np.argwhere(mask)
     design = np.stack([np.outer(basis[:, i], basis[:, j]).ravel() for i, j in idx], axis=1)
     sol, _, rank, _ = np.linalg.lstsq(design, target_vec, rcond=None)
-    if rank < design.shape[1]:
-        warnings.warn("restricted least-squares system is rank-deficient; using ridge 1e-10")
-        gram = design.T @ design + 1e-10 * np.eye(design.shape[1])
-        sol = np.linalg.solve(gram, design.T @ target_vec)
     out = np.zeros((n, n))
     out[idx[:, 0], idx[:, 1]] = sol
-    return out
+    return out, rank < design.shape[1]
 
 
 def hihtp_reference(basis, target, s, t, cfg):
     """hihtp before it ran on _iterate: its own loop, which stopped on the
     residual or when the mask repeated.
 
-    Returns (estimate, iterations, residual trace, converged, support) and
+    Returns (estimate, iterations, residual trace, converged, support),
     (iterations, estimate) at the first iterate that moved by at most TOL_STALL
-    of the previous one's norm, or None when none did before the loop stopped.
+    of the previous one's norm, or None when none did before the loop stopped,
+    and the number of rank-deficient fits.
     """
     b = np.asarray(basis, dtype=float)
     yhat = np.asarray(target, dtype=float)
@@ -491,10 +498,12 @@ def hihtp_reference(basis, target, s, t, cfg):
     trace = []
     converged = False
     stall = None
+    deficient = 0
     for _ in range(cfg.max_iters):
         grad = b.T @ (yhat - b @ x @ b.T) @ b / scale
         mask = hierarchical_mask(x + grad, s, t)
-        x_prev, x = x, restricted_lstsq_reference(b, target_vec, mask)
+        x_prev, (x, rank_deficient) = x, restricted_lstsq_reference(b, target_vec, mask)
+        deficient += rank_deficient
         rnorm = float(np.linalg.norm(yhat - b @ x @ b.T))
         trace.append(rnorm)
         if stall is None and np.linalg.norm(x - x_prev) <= TOL_STALL * np.linalg.norm(x_prev):
@@ -508,7 +517,7 @@ def hihtp_reference(basis, target, s, t, cfg):
         prev_mask = mask
     est = (x + x.T) / 2.0
     support = np.nonzero(np.any(est != 0.0, axis=0))[0]
-    return (est, len(trace), trace, converged, support), stall
+    return (est, len(trace), trace, converged, support), stall, deficient
 
 
 def hihtp_cases():
@@ -534,8 +543,8 @@ def hihtp_cases():
             noisy = lift + noise * sym_enforce(rng.standard_normal((p, p)))
             for t in sorted({1, s, min(s + 2, n)}):
                 yield basis, noisy, s, t, cfgs[k % 3]
-    # small random cases: square and non-symmetric targets, ridge fits where
-    # p * p < s * t, the iteration cap, zero targets, and targets outside the
+    # small random cases: square and non-symmetric targets, rank-deficient fits
+    # where p * p < s * t, the iteration cap, zero targets, and targets outside the
     # range of B, whose first fit is zero
     for k in range(600):
         p, n = (int(v) for v in rng.integers(1, 8, size=2))
@@ -554,23 +563,17 @@ def hihtp_cases():
 class TestHihtpMatchesLoopReference:
     def test_restricted_lstsq_matches_outer_product_columns(self):
         rng = np.random.default_rng(4000)
-        ridge = 0
+        deficient = 0
         for _ in range(2000):
             p, n = (int(v) for v in rng.integers(1, 9, size=2))
             basis = rng.standard_normal((p, n))
             mask = rng.random((n, n)) < rng.random()
             mask[rng.integers(n), rng.integers(n)] = True
             target_vec = rng.standard_normal(p * p)
-            with warnings.catch_warnings(record=True) as got_warns:
-                warnings.simplefilter("always")
-                got = _restricted_lstsq(basis, target_vec, mask)
-            with warnings.catch_warnings(record=True) as want_warns:
-                warnings.simplefilter("always")
-                want = restricted_lstsq_reference(basis, target_vec, mask)
-            assert np.array_equal(got, want)
-            assert len(got_warns) == len(want_warns)
-            ridge += bool(want_warns)
-        assert 0 < ridge < 2000
+            want, rank_deficient = restricted_lstsq_reference(basis, target_vec, mask)
+            assert np.array_equal(_restricted_lstsq(basis, target_vec, mask), want)
+            deficient += rank_deficient
+        assert 0 < deficient < 2000
 
     def test_hihtp_matches_loop_reference(self):
         # the shared stall rule replaces the mask-repeat rule: an unchanged mask
@@ -579,22 +582,16 @@ class TestHihtpMatchesLoopReference:
         # iterate stalls while the mask still changes (entries whose fitted
         # value is zero or at rounding level trade places); hihtp now stops
         # there, at the former loop's state at that iteration, as settled.
-        count = ridge = capped = zero = stopped_sooner = 0
+        count = deficient = capped = zero = stopped_sooner = 0
         for basis, target, s, t, cfg in hihtp_cases():
-            with warnings.catch_warnings(record=True) as got_warns:
-                warnings.simplefilter("always")
-                got = hihtp(basis, target, s, t, cfg)
-            with warnings.catch_warnings(record=True) as want_warns:
-                warnings.simplefilter("always")
-                want, stall = hihtp_reference(basis, target, s, t, cfg)
+            got = hihtp(basis, target, s, t, cfg)
+            want, stall, rank_deficient = hihtp_reference(basis, target, s, t, cfg)
             est, iterations, trace, converged, support = want
             if stall is not None and (stall[0] < iterations or not converged):
                 iterations, est = stall
                 trace, converged = trace[:iterations], True
                 support = np.nonzero(np.any(est != 0.0, axis=0))[0]
                 stopped_sooner += 1
-            else:
-                assert len(got_warns) == len(want_warns)
             case = (count, basis.shape, s, t, cfg.max_iters)
             assert np.array_equal(got.estimate, est), case
             assert got.iterations == iterations, case
@@ -602,12 +599,43 @@ class TestHihtpMatchesLoopReference:
             assert got.converged == converged, case
             assert np.array_equal(got.support, support), case
             count += 1
-            ridge += bool(want_warns)
+            deficient += bool(rank_deficient)
             capped += got.iterations == cfg.max_iters == 3
             zero += not np.any(target)
         assert count >= 1000
-        assert ridge and capped and zero
+        assert deficient and capped and zero
         assert stopped_sooner
+
+
+def polish_rank_reference(design, tri, y, block, r, mode, rounds=25):
+    """_polish_rank before it took its eigenvectors from its own rank projection: each
+    round rank-projected the last fit and then eigendecomposed the projection."""
+    best_block = project_rank(block, r)
+    best_obj = _objective(y - design @ best_block[tri], mode)
+    current = best_block
+    core_pairs = [(a, b) for a in range(r) for b in range(a, r)]
+    for _ in range(rounds):
+        vecs = eigen(project_rank(current, r)).eigenvectors[:, :r]
+        terms = []
+        for a, b in core_pairs:
+            term = np.outer(vecs[:, a], vecs[:, b])
+            terms.append(term + term.T if a != b else term)
+        core = _fit(np.stack([design @ term[tri] for term in terms], axis=1), y, mode)
+        current = np.zeros_like(block)
+        for val, term in zip(core, terms):
+            current += val * term
+        current = (current + current.T) / 2.0
+        obj = _objective(y - design @ current[tri], mode)
+        if obj < best_obj - 1e-15:
+            best_obj = obj
+            best_block = current
+        else:
+            break
+    return best_block, best_obj
+
+
+MAP_LAYOUTS = [("dense-gaussian", {}), ("rank-one", {}), ("factorized", {"p": 5}),
+               ("factorized", {"p": 5, "inner": "rank-one"})]
 
 
 class TestBruteForce:
@@ -698,9 +726,7 @@ class TestBruteForce:
             tracemalloc.stop()
         assert peak < 10**7
 
-    @pytest.mark.parametrize("kind,kwargs", [("dense-gaussian", {}), ("rank-one", {}),
-                                             ("factorized", {"p": 5}),
-                                             ("factorized", {"p": 5, "inner": "rank-one"})])
+    @pytest.mark.parametrize("kind,kwargs", MAP_LAYOUTS)
     def test_pair_design_matches_per_pair_reference(self, kind, kwargs):
         # the design before it was preallocated: a fresh basis matrix per pair, then a stack
         n = 7
@@ -714,6 +740,49 @@ class TestBruteForce:
         got = recovery._pair_basis_columns(mp)
         assert got.flags.c_contiguous
         assert np.array_equal(got.view(np.uint64), want.view(np.uint64))
+
+    @pytest.mark.parametrize("mode", ["l2", "l1"])
+    @pytest.mark.parametrize("kind,kwargs", MAP_LAYOUTS)
+    def test_polish_matches_double_eigendecomposition_reference(self, monkeypatch, kind, kwargs,
+                                                                mode):
+        def refuse(*args):
+            raise AssertionError("a decode called eigen or project_rank")
+
+        n, s, m = 6, 3, 20
+        for k, r in enumerate((1, 2)):
+            mp, x, _ = planted_instance(kind, n, s, r, m, seed=5100 + k, **kwargs)
+            y = mp.apply(x)
+            noise = np.random.default_rng(k).standard_normal(m)
+            y = y + 0.05 * np.linalg.norm(y) / np.sqrt(m) * noise
+            with monkeypatch.context() as patched:
+                for module in (symcore, projections, recovery):
+                    patched.setattr(module, "eigen", refuse, raising=False)
+                    patched.setattr(module, "project_rank", refuse, raising=False)
+                got = brute_force_decode(mp, y, s, r, mode)
+            with monkeypatch.context() as patched:
+                patched.setattr(recovery, "_polish_rank", polish_rank_reference)
+                want = brute_force_decode(mp, y, s, r, mode)
+            assert np.array_equal(got.support, want.support)
+            gap = np.linalg.norm(got.estimate - want.estimate)
+            assert gap <= 1e-10 * np.linalg.norm(want.estimate)
+            assert got.residual_trace[0] == pytest.approx(want.residual_trace[0], rel=1e-10)
+
+    def test_non_finite_pair_design_refused(self):
+        sampled = sample_map("dense-gaussian", 6, 12, seed=32)
+        matrices = sampled.matrices.copy()
+        matrices[3, 4, 5] = np.nan
+        mp = MeasurementMap("dense-gaussian", 6, 12, matrices=matrices)
+        with pytest.raises(ValueError, match="pair design has non-finite entries"):
+            brute_force_decode(mp, np.ones(12), 2, 1)
+
+    @pytest.mark.parametrize("r", [1, 2])
+    def test_no_finite_objective_refused(self, r):
+        # finite measurements whose residual norms all overflow
+        mp = sample_map("dense-gaussian", 6, 12, seed=33)
+        y = 1e200 * np.random.default_rng(34).standard_normal(12)
+        with np.errstate(over="ignore"), pytest.raises(ValueError,
+                                                       match="no support has a finite objective"):
+            brute_force_decode(mp, y, 2, r)
 
 
 class TestTailRestrictionAnalogue:
@@ -801,3 +870,21 @@ class TestStepValidation:
             iterations.append(res.iterations)
         assert iterations[0] == 2 and iterations[1] > 10
         assert counts[0] == counts[1]
+
+
+class TestMeasurementValidation:
+    """two_step_factorized and brute_force_decode refuse bad measurements before solving."""
+
+    @pytest.mark.parametrize("solver, kind, kwargs", [
+        (two_step_factorized, "factorized", {"p": 5}),
+        (brute_force_decode, "dense-gaussian", {}),
+    ])
+    @pytest.mark.parametrize("y, message", [
+        (np.r_[np.ones(11), np.nan], "measurements must be finite"),
+        (np.r_[np.ones(11), -np.inf], "measurements must be finite"),
+        (np.ones(11), r"expected 12 measurements, got shape \(11,\)"),
+    ])
+    def test_bad_measurements_refused(self, solver, kind, kwargs, y, message):
+        mp = sample_map(kind, 6, 12, seed=35, **kwargs)
+        with pytest.raises(ValueError, match=message):
+            solver(mp, y, 2, 1)
