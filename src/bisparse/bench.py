@@ -29,10 +29,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import (KINDS, _check_payload, _check_structure_params, estimate_rip,
-                           sample_map, sample_structured)
-from .projections import ENUMERATION_CAP
-from .recovery import ALGOS, _check_pair_design, solve
+from .measurements import (KINDS, _check_payload, _check_structure_params, _payload_shapes,
+                           estimate_rip, sample_map, sample_structured)
+from .projections import _check_enumeration
+from .recovery import ALGOS, _check_brute, solve
 
 __all__ = [
     "ALGOS",
@@ -63,10 +63,11 @@ AGGREGATE_HEADER = "algo,ensemble,n,s,r,m,trials,successes,success_rate,mean_rel
 class ExperimentSpec:
     """A benchmark sweep: one algorithm/ensemble over a (n, s, r, m) grid.
 
-    `m` entries are strings: either an absolute count ("40") or a multiple of
-    the baseline ceil(r s ln(e n / s)) ("1.5x").  `p` optionally pins the
-    inner dimension of factorized maps, at least 1; by default it tracks the
-    sparsity via ceil(3 s ln(e n / s)) + 10.  Other ensembles take no `p`.
+    `m` entries are strings: either an absolute count ("40") or a finite
+    multiple of the baseline ceil(r s ln(e n / s)) ("1.5x"), and nothing else.
+    `p` optionally pins the inner dimension of factorized maps, at least 1; by
+    default it tracks the sparsity via ceil(3 s ln(e n / s)) + 10.  Other
+    ensembles take no `p`.
     """
 
     algo: str
@@ -88,6 +89,8 @@ class ExperimentSpec:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if not (self.n and self.s and self.r and self.m):
             raise ValueError("grid lists n, s, r, m must be nonempty")
+        for n, s, r, entry in itertools.product(self.n, self.s, self.r, self.m):
+            resolve_m(entry, n, s, r)    # a bad entry fails here, before any cell runs
         if self.trials_per_cell < 1:
             raise ValueError("trials_per_cell must be at least 1")
         if not 0 <= self.noise_level < math.inf:    # also false for nan
@@ -98,10 +101,8 @@ class ExperimentSpec:
             raise ValueError("the rank-one algorithm needs the rank-one ensemble")
         if self.algo == "two-step" and self.ensemble != "factorized":
             raise ValueError("the two-step algorithm needs the factorized ensemble")
-        if self.p is not None and self.ensemble != "factorized":
-            raise ValueError(f"{self.ensemble} maps take no p")
-        if self.p is not None and self.p < 1:
-            raise ValueError(f"factorized maps need a positive inner dimension p, got {self.p}")
+        if self.p is not None:    # the map's own rule for p
+            _payload_shapes(self.ensemble, 1, 1, self.p)
 
 
 @dataclass
@@ -140,12 +141,18 @@ def baseline_m(n: int, s: int, r: int) -> int:
 
 
 def resolve_m(spec_value: str, n: int, s: int, r: int) -> int:
-    """Resolve an m grid entry: absolute count, or "<mult>x" times the baseline."""
+    """Resolve an m grid entry: absolute count, or "<mult>x" times the baseline.
+
+    Any other entry, and a multiple with no finite value at the cell, raise ValueError.
+    """
     text = str(spec_value).strip()
-    if text.endswith("x"):
-        mult = float(text[:-1])
-        return math.ceil(mult * baseline_m(n, s, r))
-    return int(text)
+    try:
+        if not text.endswith("x"):
+            return int(text)
+        return math.ceil(float(text[:-1]) * baseline_m(n, s, r))
+    except (ArithmeticError, ValueError):    # nan, inf, or no baseline at s = 0 or n <= 0
+        raise ValueError(f"m entry {spec_value!r} is neither an integer nor a finite number "
+                         f"followed by x with a value at n={n}, s={s}, r={r}") from None
 
 
 def default_inner_dim(n: int, s: int) -> int:
@@ -234,14 +241,10 @@ def _map_infeasible(spec: ExperimentSpec, n: int, s: int, r: int, m: int) -> str
 
 
 def _cell_feasible(spec: ExperimentSpec, n: int, s: int, r: int, m: int) -> str | None:
-    reason = _map_infeasible(spec, n, s, r, m)
-    if reason is not None:
-        return reason
-    if spec.algo in ("exact-iht", "brute") and math.comb(n, s) > ENUMERATION_CAP:
-        return f"support enumeration over C({n},{s}) exceeds the cap"
-    if spec.algo == "brute" and s * (s + 1) // 2 > m:
-        return f"per-support fit needs {s * (s + 1) // 2} <= m={m}"
-    return _refusal(_check_pair_design, n, m) if spec.algo == "brute" else None
+    """Why the cell's map, or its solver's own size checks, refuse the cell, or None."""
+    return _map_infeasible(spec, n, s, r, m) or (
+        _refusal(_check_enumeration, n, s) if spec.algo == "exact-iht"
+        else _refusal(_check_brute, n, s, r, m) if spec.algo == "brute" else None)
 
 
 def _cell_map(spec: ExperimentSpec, n: int, s: int, m: int, cell: tuple):

@@ -64,7 +64,7 @@ PROBE_CACHE_CHUNKS = 16
 _OPTIONS = {"dense-gaussian": (), "rank-one": ("scale",), "factorized": ("p", "inner")}
 
 
-def _payload_shapes(kind: str, n: int, m: int, p, inner: str, scale: str) -> dict:
+def _payload_shapes(kind: str, n: int, m: int, p=None, inner="dense", scale="inv_m") -> dict:
     """{payload field: shape} of a map, listed in draw order; refuses options it does not take."""
     if kind not in KINDS:
         raise ValueError(f"unknown measurement kind {kind!r}")
@@ -84,7 +84,7 @@ def _payload_shapes(kind: str, n: int, m: int, p, inner: str, scale: str) -> dic
     if kind == "rank-one":
         return {"vectors": (m, n)}
     if p is None or p < 1:
-        raise ValueError("factorized maps need a positive inner dimension p")
+        raise ValueError(f"factorized maps need a positive inner dimension p, got {p}")
     if inner == "dense":
         return {"basis": (p, n), "matrices": (m, p, p)}
     return {"basis": (p, n), "vectors": (m, p)}
@@ -208,6 +208,16 @@ def _check_payload(kind: str, n: int, m: int, p=None, inner="dense", scale="inv_
     return shapes
 
 
+def _measurements(mp: MeasurementMap, y) -> np.ndarray:
+    """y as float64, validated to be the map's m finite measurements."""
+    y = np.asarray(y, dtype=float)
+    if y.shape != (mp.m,):
+        raise ValueError(f"expected {mp.m} measurements, got shape {y.shape}")
+    if not np.all(np.isfinite(y)):
+        raise ValueError("measurements must be finite")
+    return y
+
+
 def _check_entries(what: str, entries: int) -> None:
     """Refuse, before allocating, an array of more than PAYLOAD_CAP entries."""
     if entries > PAYLOAD_CAP:
@@ -221,10 +231,8 @@ def isometry_map(n: int) -> MeasurementMap:
     on symmetric matrices.  Refuses n < 1, and payloads of more than
     PAYLOAD_CAP entries (n > 118), before allocating.
     """
-    if n < 1:
-        raise ValueError("dimensions must be positive")
     m = n * (n + 1) // 2
-    _check_entries("a dense-gaussian payload", m * n * n)
+    _check_payload("dense-gaussian", n, m)
     mats = np.zeros((m, n, n))
     diag = np.arange(n)
     mats[diag, diag, diag] = 1.0
@@ -431,10 +439,8 @@ def read_map_header(lines) -> MeasurementMap:
 
 
 def write_measurement_file(mp: MeasurementMap, y, stream) -> None:
-    """Write a map header followed by a `y` sentinel and one measurement per line."""
-    w = np.asarray(y, dtype=float)
-    if w.shape != (mp.m,):
-        raise ValueError(f"expected {mp.m} measurements, got shape {w.shape}")
+    """Write a map header, a `y` sentinel and the m finite measurements, one per line."""
+    w = _measurements(mp, y)
     write_map_header(mp, stream)
     stream.write("y\n")
     for v in w:

@@ -51,7 +51,7 @@ __all__ = [
     "project_hierarchical",
 ]
 
-# supports enumerated by exact_project before it refuses and suggests tail_joint
+# supports an enumeration (exact_project, iht_exact, brute_force_decode) may visit
 ENUMERATION_CAP = 2_000_000
 
 # PSD check: min eigenvalue may dip this far below zero (times ||M||_F)
@@ -62,6 +62,14 @@ RANK_TOL = 1e-10
 
 class EnumerationCapError(ValueError):
     """Raised when exact support enumeration would exceed the configured cap."""
+
+
+def _check_enumeration(n: int, s: int) -> None:
+    """The one cap check: refuse enumerating the C(n, s) supports above ENUMERATION_CAP."""
+    if math.comb(n, s) > ENUMERATION_CAP:
+        raise EnumerationCapError(
+            f"support enumeration over C({n},{s}) exceeds the cap {ENUMERATION_CAP}; "
+            "use tail_joint (iht_head_tail in recovery) for polynomial time")
 
 
 @dataclass(frozen=True)
@@ -181,22 +189,15 @@ def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
     _check_sparsity(s, n)
     if not 1 <= r <= s:
         raise ValueError(f"rank bound must satisfy 1 <= r <= s={s}, got {r}")
-    n_supports = math.comb(n, s)
-    if n_supports > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"exact projection needs {n_supports} support candidates (cap {ENUMERATION_CAP}); "
-            "use tail_joint for a polynomial-time near-best projection"
-        )
-    best_obj = -1.0
-    best_support = None
+    _check_enumeration(n, s)
+    best_obj, best_support = -1.0, None
     for cand in itertools.combinations(range(n), s):
         block = m[np.ix_(cand, cand)]
         vals = np.linalg.eigvalsh(block)
         kept = np.sort(vals * vals)[::-1][:r]
         obj = float(np.sum(kept))
         if obj > best_obj:
-            best_obj = obj
-            best_support = cand
+            best_obj, best_support = obj, cand
     support = np.array(best_support, dtype=int)
     out = rank_project_on_support(_restrict(m, support), support, r)
     return _outcome(out, support, r)

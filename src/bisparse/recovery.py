@@ -22,7 +22,9 @@ a divergence guard):
                        deviations) over all size-s supports
 
 `solve` runs the solver named by one of ALGOS; the bench and the CLI both
-dispatch through it.
+dispatch through it.  Every solver refuses at its door a y that is not m finite
+measurements (hihtp: a finite basis and target), the iterations also one whose
+norm overflows, and the enumerating solvers share one cap check.
 
 `converged` on a result means the iteration settled (residual or stall rule
 fired); whether the estimate equals the ground truth is a separate question
@@ -43,12 +45,13 @@ from .measurements import (
     MeasurementMap,
     _check_entries,
     _check_structure_params,
+    _measurements,
     estimate_rip,
     factorized_inner_map,
 )
 from .projections import (
-    ENUMERATION_CAP,
-    EnumerationCapError,
+    _check_enumeration,
+    _check_rank,
     _square_support,
     _tail_support,
     _truncate,
@@ -123,20 +126,19 @@ def _support_of(mat: np.ndarray) -> np.ndarray:
     return np.nonzero(np.any(mat != 0.0, axis=0))[0]
 
 
-def _measurements(mp: MeasurementMap, y) -> np.ndarray:
-    """y as float64, validated to be the map's m finite measurements."""
-    y = np.asarray(y, dtype=float)
-    if y.shape != (mp.m,):
-        raise ValueError(f"expected {mp.m} measurements, got shape {y.shape}")
-    if not np.all(np.isfinite(y)):
-        raise ValueError("measurements must be finite")
-    return y
+def _norm(y: np.ndarray) -> float:
+    """||y||, refused when it overflows: the residual rule would then pass any residual."""
+    with np.errstate(over="ignore"):
+        ynorm = float(np.linalg.norm(y))
+    if ynorm == math.inf:
+        raise ValueError("the norm of the measurements overflows")
+    return ynorm
 
 
-def _iterate(y, n, step_fn, cfg, callback=None) -> RecoveryResult:
+def _iterate(y: np.ndarray, n, step_fn, cfg, callback=None) -> RecoveryResult:
     """The shared loop: x, A(x) = step_fn(x, y - A(x)) from x = 0 until a stopping rule fires."""
-    y = np.asarray(y, dtype=float)
-    ynorm = float(np.linalg.norm(y))
+    cfg = cfg or RecoveryConfig()
+    ynorm = _norm(y)
     x = np.zeros((n, n))
     res = y.copy()    # A(0) is +0.0 for every map, so the start is not measured
     trace = []
@@ -169,6 +171,17 @@ def _iterate(y, n, step_fn, cfg, callback=None) -> RecoveryResult:
     return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
 
 
+def _projected_gradient(mp: MeasurementMap, y, update, cfg, callback) -> RecoveryResult:
+    """`_iterate` on the checked y with steps x -> update(x, res), each measured by the map."""
+    y = _measurements(mp, y)
+
+    def step(x, res):
+        out = update(x, res)
+        return out, mp._apply(out)
+
+    return _iterate(y, mp.n, step, cfg, callback)
+
+
 def _head_tail_step(x: np.ndarray, grad: np.ndarray, nu: float, s: int, r: int) -> np.ndarray:
     """tail_joint(x + nu * H, s, r) for H the square head of grad at (2s, 2r), capped at n.
 
@@ -190,19 +203,10 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
     Each step projects the gradient update exactly (by support enumeration),
     so this is exponential in s and intended for desk-scale problems only.
     """
-    cfg = cfg or RecoveryConfig()
     _check_structure_params(mp.n, s, r)
-    if math.comb(mp.n, s) > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"exact projection over {math.comb(mp.n, s)} supports exceeds the cap; "
-            "use iht_head_tail instead"
-        )
-
-    def step(x, res):
-        out = exact_project(x + mp.adjoint(res), s, r).matrix
-        return out, mp._apply(out)
-
-    return _iterate(y, mp.n, step, cfg, callback)
+    _check_enumeration(mp.n, s)
+    return _projected_gradient(
+        mp, y, lambda x, res: exact_project(x + mp.adjoint(res), s, r).matrix, cfg, callback)
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -214,14 +218,9 @@ def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | N
     iterate is then pulled back by the near-best tail projection.  Polynomial
     time; the head grows the intermediate support to at most (2s)^2.
     """
-    cfg = cfg or RecoveryConfig()
     _check_structure_params(mp.n, s, r)
-
-    def step(x, res):
-        out = _head_tail_step(x, mp.adjoint(res), 1.0, s, r)
-        return out, mp._apply(out)
-
-    return _iterate(y, mp.n, step, cfg, callback)
+    return _projected_gradient(
+        mp, y, lambda x, res: _head_tail_step(x, mp.adjoint(res), 1.0, s, r), cfg, callback)
 
 
 def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -233,19 +232,17 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     residual divided by the squared upper normalizer beta.  The iteration map
     is exactly odd: negating y negates every iterate bitwise.
     """
-    cfg = cfg or RecoveryConfig()
     if mp.kind != "rank-one":
         raise ValueError("iht_rank_one needs a rank-one measurement map")
     _check_structure_params(mp.n, s, r)
     beta = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS,
                         seed=BETA_SEED).beta_hat
 
-    def step(x, res):
+    def update(x, res):
         nu = float(np.sum(np.abs(res))) / (beta * beta)
-        out = _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
-        return out, mp._apply(out)
+        return _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
 
-    return _iterate(y, mp.n, step, cfg, callback)
+    return _projected_gradient(mp, y, update, cfg, callback)
 
 
 def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -297,10 +294,10 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
     The iteration map is exactly odd: negating y negates every iterate
     bitwise, as the rank kernel gives the same basis for A*(y) and -A*(y).
     """
-    cfg = cfg or RecoveryConfig()
     p = mp.n
-    if not 1 <= r <= p:
-        raise ValueError(f"rank must satisfy 1 <= r <= {p}, got {r}")
+    _check_rank(r, p)
+    y = _measurements(mp, y)
+    _norm(y)    # before the spectral start, which an overflowing y can make non-finite
     # spectral start: the tangent space at U holds mu P_r(A*(y)) for every mu, so the first
     # least squares fits y at least as well as a gradient step from zero of any length
     basis = _project_rank_vectors(mp.adjoint(y)[None], r)[1][0]
@@ -344,7 +341,6 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
     as it does when the support changes only among entries fitted to zero.
     The returned estimate is symmetrized.
     """
-    cfg = cfg or RecoveryConfig()
     b = np.asarray(basis, dtype=float)
     yhat = np.asarray(target, dtype=float)
     if b.ndim != 2:
@@ -354,6 +350,8 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
         raise ValueError(f"expected a {p} x {p} target, got shape {yhat.shape}")
     if not 1 <= t <= n or not 1 <= s <= n:
         raise ValueError(f"need 1 <= s, t <= {n}, got s={s}, t={t}")
+    if not (np.all(np.isfinite(b)) and np.all(np.isfinite(yhat))):
+        raise ValueError("basis and target must be finite")
     # B^T B has mean trace p for unit-variance Gaussian B, so the pullback of
     # the residual overshoots by (tr(B^T B)/n)^2; for orthonormal B this is 1
     tau = float(np.trace(b.T @ b)) / n
@@ -402,8 +400,13 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
     )
 
 
-def _check_pair_design(n: int, m: int) -> None:
-    """Refuse, before allocating, a pair design of more than PAYLOAD_CAP entries."""
+def _check_brute(n: int, s: int, r: int, m: int) -> None:
+    """brute_force_decode's refusals of its sizes, before allocating; the bench asks it too."""
+    _check_structure_params(n, s, r)
+    _check_enumeration(n, s)
+    unknowns = s * (s + 1) // 2
+    if unknowns > m:
+        raise ValueError(f"per-support fit has {unknowns} unknowns but only {m} measurements")
     _check_entries("the brute-force pair design", m * (n * (n + 1) // 2))
 
 
@@ -433,8 +436,7 @@ def _weighted_l1_fit(design: np.ndarray, y: np.ndarray) -> np.ndarray:
         w = 1.0 / np.sqrt(np.maximum(np.abs(res), 1e-10))
         new = np.linalg.lstsq(design * w[:, None], y * w, rcond=None)[0]
         if np.max(np.abs(new - sol)) <= 1e-12 * max(1.0, float(np.max(np.abs(new)))):
-            sol = new
-            break
+            return new
         sol = new
     return sol
 
@@ -486,18 +488,7 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
     if noise_mode not in ("l2", "l1"):
         raise ValueError(f"unknown noise mode {noise_mode!r}")
     n = mp.n
-    _check_structure_params(n, s, r)
-    n_supports = math.comb(n, s)
-    if n_supports > ENUMERATION_CAP:
-        raise EnumerationCapError(
-            f"decoding over {n_supports} supports exceeds the cap {ENUMERATION_CAP}"
-        )
-    unknowns = s * (s + 1) // 2
-    if unknowns > mp.m:
-        raise ValueError(
-            f"per-support fit has {unknowns} unknowns but only {mp.m} measurements"
-        )
-    _check_pair_design(n, mp.m)
+    _check_brute(n, s, r, mp.m)
     y = _measurements(mp, y)
     design_cols = _pair_basis_columns(mp)
     if not np.all(np.isfinite(design_cols)):
@@ -506,9 +497,7 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
     pair_id = np.zeros((n, n), dtype=int)
     pair_id[np.triu_indices(n)] = np.arange(design_cols.shape[1])
     tri = np.triu_indices(s)
-    best_obj = np.inf
-    best_support = None
-    best_block = None
+    best_obj, best_support, best_block = np.inf, None, None
     for cand in itertools.combinations(range(n), s):
         support = np.array(cand, dtype=int)
         design = design_cols[:, pair_id[support[tri[0]], support[tri[1]]]]
@@ -521,9 +510,7 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
         else:
             obj = _objective(y - design @ block[tri], noise_mode)
         if obj < best_obj:
-            best_obj = obj
-            best_support = support
-            best_block = block
+            best_obj, best_support, best_block = obj, support, block
     if best_support is None:
         raise ValueError("no support has a finite objective")
     estimate = np.zeros((n, n))

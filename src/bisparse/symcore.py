@@ -186,7 +186,9 @@ def read_matrix(lines) -> np.ndarray:
     """Read the matrix text format: a line with n, then n rows of n numbers.
 
     The matrix is symmetrized on the way in; if the raw asymmetry exceeds
-    1e-9 a warning is emitted.  Errors name the offending 1-based line number.
+    1e-9 a warning is emitted.  Entries must be finite and at most half the
+    float64 maximum, so M - M^T and M + M^T cannot overflow.  Errors name the
+    offending 1-based line number.
     """
     it = iter(lines)
 
@@ -205,18 +207,18 @@ def read_matrix(lines) -> np.ndarray:
         raise ValueError(f"line 1: dimension is not an integer: {header[0]!r}") from None
     if n < 1:
         raise ValueError(f"line 1: dimension must be positive, got {n}")
-    rows = np.empty((n, n))
-    for i in range(n):
-        lineno = i + 2
+    rows = []    # the array is built from the rows read, never sized from the header alone
+    for lineno in range(2, n + 2):
         parts = next_line(lineno).split()
         if len(parts) != n:
             raise ValueError(f"line {lineno}: expected {n} values, got {len(parts)}")
         try:
-            rows[i] = [float(p) for p in parts]
+            rows.append([float(p) for p in parts])
         except ValueError as exc:
             raise ValueError(f"line {lineno}: {exc}") from None
-    if not np.all(np.isfinite(rows)):
-        raise ValueError("matrix entries must be finite")
+    rows = np.array(rows)
+    if not np.all(np.abs(rows) <= np.finfo(float).max / 2):    # also false for nan
+        raise ValueError("matrix entries must be finite and at most half the float64 maximum")
     asym = float(np.max(np.abs(rows - rows.T)))
     if asym > READ_WARN_ATOL:
         warnings.warn(f"input matrix asymmetry {asym:.3e} exceeds {READ_WARN_ATOL}; symmetrizing")

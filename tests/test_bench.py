@@ -102,6 +102,30 @@ class TestSeedsAndScaling:
         assert resolve_m("2x", 10, 2, 1) == 2 * base
         assert resolve_m("1.5x", 10, 2, 1) == math.ceil(1.5 * base)
 
+    @pytest.mark.parametrize("entry", ["infx", "-infx", "nanx", "x", "2xx", "1.5", "forty", ""])
+    def test_bad_m_entry_refused_at_construction(self, entry):
+        with pytest.raises(ValueError, match=f"m entry '{entry}' is neither an integer"):
+            small_spec(m=["21", entry])
+
+    @pytest.mark.parametrize("entry,n,s,r", [
+        ("1e308x", 10, 2, 1),           # the product overflows to inf
+        ("2x", 10, 0, 1),               # no baseline at s = 0
+        ("2x", 0, 1, 1),                # nor at n = 0
+        ("2x", 10**400, 1, 1),          # n too large for a float
+    ])
+    def test_multiple_without_a_value_raises_value_error(self, entry, n, s, r):
+        with pytest.raises(ValueError, match=f"m entry '{entry}' .* at n={n}, s={s}, r={r}"):
+            resolve_m(entry, n, s, r)
+        with pytest.raises(ValueError, match=f"m entry '{entry}'"):
+            small_spec(n=[n], s=[s], r=[r], m=[entry])
+
+    @pytest.mark.parametrize("entry,m", [("-4", -4), ("0x", 0), ("-2x", -10)])
+    def test_zero_and_negative_entries_stay_placeholders(self, entry, m):
+        with pytest.warns(UserWarning, match=f"m={m} < 1"):
+            records = run_phase_transition(small_spec(m=[entry]))
+        assert [rec.m for rec in records] == [m] * 3
+        assert all(math.isnan(rec.rel_error) for rec in records)
+
     def test_default_inner_dim(self):
         assert default_inner_dim(40, 3) == math.ceil(3 * 3 * math.log(math.e * 40 / 3)) + 10
 

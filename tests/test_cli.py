@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 import bisparse
-from bisparse import projections, recovery
+from bisparse import bench, projections, recovery
 from bisparse.cli import PROJECTIONS, main
 from bisparse.measurements import (
     read_measurement_file,
@@ -118,6 +118,20 @@ class TestProject:
         code = main(["project", "--op", "hierarchical", "--s", "2", "--t", "1",
                      "--input", str(diag_matrix), "--output", str(out)])
         assert code == 0
+
+    def test_header_larger_than_the_rows_exits_two_without_allocating(self, tmp_path, capsys):
+        # the array is built from the rows read, not sized n x n from the header
+        path = tmp_path / "m.txt"
+        path.write_text("1000000000\n1 2\n")
+        tracemalloc.start()
+        try:
+            code = main(["project", "--op", "tail-bisparse", "--s", "1", "--input", str(path)])
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 2
+        assert "error: line 2: expected 1000000000 values, got 2" in capsys.readouterr().err
+        assert peak < 10**7
 
     def test_hierarchical_t_zero_exits_two(self, tmp_path, diag_matrix, capsys):
         code = main(["project", "--op", "hierarchical", "--s", "2", "--t", "0",
@@ -331,6 +345,23 @@ class TestMeasureRecover:
         assert code == 2
         assert f"measurement 4 of 5 is not finite: {float(value)}" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("strict", [[], ["--strict"]])
+    def test_overflowing_norm_exits_two(self, tmp_path, capsys, strict):
+        # finite measurements of diag(1e200) whose 2-norm overflows: the residual rule
+        # would hold at an infinite residual, so recover must refuse them, not converge
+        xfile = tmp_path / "x.txt"
+        write_matrix_file(xfile, np.diag([1e200, 0.0]))
+        meas = tmp_path / "meas.txt"
+        assert main(["measure", "--kind", "rank-one", "--m", "3", "--seed", "1",
+                     "--scale", "unit", "--input", str(xfile), "--output", str(meas)]) == 0
+        assert all(np.isfinite(read_measurement_file(meas.read_text().splitlines())[1]))
+        out = tmp_path / "rec.txt"
+        code = main(["recover", "--algo", "head-tail", "--s", "1", "--r", "1", "--seed", "1",
+                     "--input", str(meas), "--output", str(out), *strict])
+        assert code == 2
+        assert "error: the norm of the measurements overflows" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_trailing_values_exit_two(self, tmp_path, capsys):
         mp = sample_map("dense-gaussian", 4, 3, seed=3)
         buf = io.StringIO()
@@ -511,6 +542,19 @@ class TestBench:
         out = tmp_path / "o.csv"
         assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("mode", ["phase", "rip"])
+    @pytest.mark.parametrize("entry", ["infx", "nanx", "x", "2xx", "1.5"])
+    def test_bad_m_entry_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch, mode,
+                                                   entry):
+        monkeypatch.setattr(bench, "_cell_map", lambda *args: pytest.fail("a cell ran"))
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC.replace("m = 21", f"m = 21, {entry}")
+                        .replace("exact-iht", "head-tail"))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--spec", str(spec), "--mode", mode, "--output", str(out)]) == 2
+        assert f"error: m entry '{entry}' is neither an integer" in capsys.readouterr().err
         assert not out.exists()
 
     def test_cell_over_payload_cap_does_not_abort_the_sweep(self, tmp_path):

@@ -872,13 +872,27 @@ class TestStepValidation:
         assert counts[0] == counts[1]
 
 
-class TestMeasurementValidation:
-    """two_step_factorized and brute_force_decode refuse bad measurements before solving."""
+def _stage_one(mp, y, s, r):
+    return iht_lowrank(factorized_inner_map(mp), y, r)
 
-    @pytest.mark.parametrize("solver, kind, kwargs", [
-        (two_step_factorized, "factorized", {"p": 5}),
-        (brute_force_decode, "dense-gaussian", {}),
-    ])
+
+# every solver of a map and m = 12 measurements, called as solver(map, y, s=2, r=1)
+MAP_SOLVERS = [
+    (two_step_factorized, "factorized", {"p": 5}),
+    (brute_force_decode, "dense-gaussian", {}),
+    (iht_exact, "dense-gaussian", {}),
+    (iht_head_tail, "dense-gaussian", {}),
+    (iht_rank_one, "rank-one", {}),
+    (_stage_one, "factorized", {"p": 5}),
+]
+# finite measurements whose 2-norm overflows float64
+OVERFLOWING = [np.full(12, 1e200), np.r_[np.ones(11), 1.7e308]]
+
+
+class TestMeasurementValidation:
+    """Every solver refuses measurements that are not m finite values before solving."""
+
+    @pytest.mark.parametrize("solver, kind, kwargs", MAP_SOLVERS)
     @pytest.mark.parametrize("y, message", [
         (np.r_[np.ones(11), np.nan], "measurements must be finite"),
         (np.r_[np.ones(11), -np.inf], "measurements must be finite"),
@@ -886,5 +900,40 @@ class TestMeasurementValidation:
     ])
     def test_bad_measurements_refused(self, solver, kind, kwargs, y, message):
         mp = sample_map(kind, 6, 12, seed=35, **kwargs)
-        with pytest.raises(ValueError, match=message):
+        with pytest.raises(ValueError, match=message) as info:
             solver(mp, y, 2, 1)
+        assert not isinstance(info.value, np.linalg.LinAlgError)
+
+    @pytest.mark.parametrize("solver, kind, kwargs",
+                             [case for case in MAP_SOLVERS if case[0] is not brute_force_decode])
+    @pytest.mark.parametrize("y", OVERFLOWING)
+    def test_overflowing_norm_refused(self, solver, kind, kwargs, y):
+        # the residual rule compares against ||y||; at ||y|| = inf any residual would pass it.
+        # brute_force_decode has no residual rule; test_no_finite_objective_refused covers it
+        mp = sample_map(kind, 6, 12, seed=35, **kwargs)
+        with pytest.raises(ValueError, match="^the norm of the measurements overflows$"):
+            solver(mp, y, 2, 1)
+
+    @pytest.mark.parametrize("fault, message", [
+        ("nan target", "basis and target must be finite"),
+        ("inf target", "basis and target must be finite"),
+        ("nan basis", "basis and target must be finite"),
+        ("short target", r"expected a 5 x 5 target, got shape \(4, 5\)"),
+        ("overflowing target", "the norm of the measurements overflows"),
+    ])
+    def test_hihtp_refuses_bad_input(self, fault, message):
+        rng = np.random.default_rng(36)
+        basis = rng.standard_normal((5, 6))
+        target = basis @ np.diag([1.0, 0, 0, 0, 0, 0]) @ basis.T
+        if fault == "nan target":
+            target[2, 3] = np.nan
+        elif fault == "inf target":
+            target[0, 0] = np.inf
+        elif fault == "nan basis":
+            basis[1, 4] = np.nan
+        elif fault == "short target":
+            target = target[:4]
+        else:
+            target = np.full((5, 5), 1e200)
+        with pytest.raises(ValueError, match=message):
+            hihtp(basis, target, 1, 1)

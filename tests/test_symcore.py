@@ -312,6 +312,28 @@ class TestMatrixText:
         with pytest.raises(ValueError, match="line 2"):
             read_matrix(io.StringIO(text))
 
+    def test_rows_give_the_bits_of_a_preallocated_fill(self):
+        rng = np.random.default_rng(34)
+        vals = rng.standard_normal((5, 5)) * 10.0 ** rng.integers(-300, 300, (5, 5))
+        vals = (vals + vals.T) / 2.0
+        text = "5\n" + "".join(" ".join(format(v, ".17g") for v in row) + "\n" for row in vals)
+        want = np.empty((5, 5))
+        for i, line in enumerate(text.splitlines()[1:]):
+            want[i] = [float(tok) for tok in line.split()]
+        got = read_matrix(io.StringIO(text))
+        assert np.array_equal(got.view(np.uint64), sym_enforce(want).view(np.uint64))
+
+    @pytest.mark.parametrize("text", ["1\n1.7e308\n", "2\n1 -1.7e308\n-1.7e308 1\n",
+                                      "2\n1 nan\nnan 1\n"])
+    def test_entries_whose_symmetrization_could_overflow_refused(self, text):
+        with pytest.raises(ValueError, match="finite and at most half the float64 maximum"):
+            read_matrix(io.StringIO(text))
+
+    def test_opposite_entries_up_to_half_the_maximum_read_without_overflow(self):
+        with pytest.warns(UserWarning, match="asymmetry 1.780e\\+308"):
+            out = read_matrix(io.StringIO("2\n1 8.9e307\n-8.9e307 1\n"))
+        assert np.array_equal(out, np.eye(2))
+
     def test_truncated_input(self):
         with pytest.raises(ValueError, match="line 3"):
             read_matrix(io.StringIO("2\n1.0 2.0\n"))
