@@ -156,8 +156,12 @@ def resolve_m(spec_value: str, n: int, s: int, r: int) -> int:
 
 
 def default_inner_dim(n: int, s: int) -> int:
-    """Default factorized inner dimension ceil(3 s ln(e n / s)) + 10."""
-    return math.ceil(3 * s * math.log(math.e * n / s)) + 10
+    """Default factorized inner dimension ceil(3 s ln(e n / s)) + 10, for any integer n.
+
+    The log is taken as 1 + ln n - ln s, so an n beyond the float range still has a
+    dimension (math.log takes any int) and its cell is refused by the payload cap.
+    """
+    return math.ceil(3 * s * (1.0 + math.log(n) - math.log(s))) + 10
 
 
 _REQUIRED_KEYS = ("algo", "ensemble", "n", "s", "r", "m")

@@ -53,6 +53,8 @@ __all__ = [
 
 # supports an enumeration (exact_project, iht_exact, brute_force_decode) may visit
 ENUMERATION_CAP = 2_000_000
+# the least k with C(2k, k) > ENUMERATION_CAP (12); C(n, s) >= C(2k, k) once min(s, n - s) >= k
+_ENUMERATION_K = next(k for k in itertools.count() if math.comb(2 * k, k) > ENUMERATION_CAP)
 
 # PSD check: min eigenvalue may dip this far below zero (times ||M||_F)
 PSD_TOL = 1e-8
@@ -65,8 +67,12 @@ class EnumerationCapError(ValueError):
 
 
 def _check_enumeration(n: int, s: int) -> None:
-    """The one cap check: refuse enumerating the C(n, s) supports above ENUMERATION_CAP."""
-    if math.comb(n, s) > ENUMERATION_CAP:
+    """The one cap check: refuse enumerating the C(n, s) supports above ENUMERATION_CAP.
+
+    Refuses at once when min(s, n - s) >= _ENUMERATION_K, before math.comb, which takes
+    seconds for n in the millions.
+    """
+    if min(s, n - s) >= _ENUMERATION_K or math.comb(n, s) > ENUMERATION_CAP:
         raise EnumerationCapError(
             f"support enumeration over C({n},{s}) exceeds the cap {ENUMERATION_CAP}; "
             "use tail_joint (iht_head_tail in recovery) for polynomial time")
@@ -159,7 +165,7 @@ def rank_project_on_support(mat: np.ndarray, support: np.ndarray, rank: int) -> 
 def _truncate(m: np.ndarray, s: int, r: int, pick) -> np.ndarray:
     """Unchecked _rank_truncated matrix, for M as check_sym returns it and 1 <= s, r <= n."""
     support = pick(m, s)
-    return _restrict(_project_rank_vectors(_restrict(m, support)[None], r)[0][0], support)
+    return _restrict(_project_rank_vectors(_restrict(m, support), r)[0], support)
 
 
 def _rank_truncated(mat, s: int, r: int, pick) -> ProjectionOutcome:

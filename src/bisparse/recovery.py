@@ -300,7 +300,7 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
     _norm(y)    # before the spectral start, which an overflowing y can make non-finite
     # spectral start: the tangent space at U holds mu P_r(A*(y)) for every mu, so the first
     # least squares fits y at least as well as a gradient step from zero of any length
-    basis = _project_rank_vectors(mp.adjoint(y)[None], r)[1][0]
+    basis = _project_rank_vectors(mp.adjoint(y), r)[1]
     times = mp._times(basis)    # the (m, p, r) stack A_i U
 
     def step(x, res):
@@ -309,9 +309,9 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
         q = np.linalg.qr(np.hstack([basis, w]))[0]
         uq, wq = q.T @ basis, q.T @ w
         core = q.T @ x @ q + uq @ wq.T + wq @ uq.T
-        core, vecs = _project_rank_vectors(((core + core.T) / 2.0)[None], r)
-        out = q @ core[0] @ q.T
-        out, basis = (out + out.T) / 2.0, q @ vecs[0]
+        core, vecs = _project_rank_vectors((core + core.T) / 2.0, r)
+        out = q @ core @ q.T
+        out, basis = (out + out.T) / 2.0, q @ vecs
         times = mp._times(basis)
         return out, times.reshape(mp.m, -1) @ (out @ basis).ravel()
 
@@ -343,8 +343,8 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
     """
     b = np.asarray(basis, dtype=float)
     yhat = np.asarray(target, dtype=float)
-    if b.ndim != 2:
-        raise ValueError(f"expected a p x n basis matrix, got shape {b.shape}")
+    if b.ndim != 2 or b.shape[0] < 1:
+        raise ValueError(f"expected a p x n basis matrix with p >= 1, got shape {b.shape}")
     p, n = b.shape
     if yhat.shape != (p, p):
         raise ValueError(f"expected a {p} x {p} target, got shape {yhat.shape}")
@@ -454,7 +454,7 @@ def _polish_rank(design, tri, y, block, r, mode):
     round fits the block sum_{a <= b} c_ab T_ab over the best block's top-r eigenvectors u,
     T_aa = u_a u_a^T and T_ab = u_a u_b^T + u_b u_a^T.
     """
-    (best_block,), (vecs,) = _project_rank_vectors(block[None], r)
+    best_block, vecs = _project_rank_vectors(block, r)
     best_obj = _objective(y - design @ best_block[tri], mode)
     a, b = np.triu_indices(r)
     for _ in range(POLISH_ROUNDS):
@@ -466,7 +466,7 @@ def _polish_rank(design, tri, y, block, r, mode):
         if not obj < best_obj - 1e-15:
             break
         best_obj, best_block = obj, current
-        vecs = _project_rank_vectors(current[None], r)[1][0]
+        vecs = _project_rank_vectors(current, r)[1]
     return best_block, best_obj
 
 

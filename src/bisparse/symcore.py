@@ -90,9 +90,7 @@ def restrict(mat, support) -> np.ndarray:
 def _restrict(m: np.ndarray, support: np.ndarray) -> np.ndarray:
     """restrict for a validated matrix and a sorted, in-range support."""
     out = np.zeros_like(m)
-    if support.size:
-        ix = np.ix_(support, support)
-        out[ix] = m[ix]
+    out[support[:, None], support] = m[support[:, None], support]
     return out
 
 
@@ -117,21 +115,22 @@ def eigen(mat) -> EigenDecomp:
     are bit-identical.  Raises numpy.linalg.LinAlgError if the underlying
     solver fails to converge.
     """
-    vals, vecs = _eigen_stack(check_sym(mat)[None])
-    return EigenDecomp(vals[0], vecs[0])
+    m = check_sym(mat)
+    return EigenDecomp(*_top_eigen(m, m.shape[0]))
 
 
-def _eigen_stack(stack: np.ndarray):
-    """`eigen` of each matrix in a (k, n, n) stack of validated symmetric matrices."""
-    vals, vecs = np.linalg.eigh(stack)
-    k, n = vals.shape
-    mats = np.arange(k)[:, None]
-    cols = np.arange(n)
-    order = np.argsort(-np.abs(vals), axis=1, kind="stable")
-    vals = vals[mats, order]
-    vecs = vecs[mats[:, :, None], cols[:, None], order[:, None, :]]
+def _top_eigen(m: np.ndarray, k: int):
+    """The k `eigen` pairs of largest magnitude of a validated symmetric matrix.
+
+    Only the k kept vectors are sign-fixed.  They are the first k columns of the
+    reordered C-ordered eigenvector matrix, a view with row stride n: the solvers'
+    bits are pinned to that layout, as BLAS takes another path for a unit-stride column.
+    """
+    vals, vecs = np.linalg.eigh(m)
+    order = np.argsort(-np.abs(vals), kind="stable")
+    vals, vecs = vals[order[:k]], np.take(vecs, order, axis=1)[:, :k]
     # flip every column whose first nonzero component is negative
-    vecs *= np.sign(vecs[mats, np.argmax(vecs != 0, axis=1), cols])[:, None, :]
+    vecs *= np.sign(vecs[np.argmax(vecs != 0, axis=0), np.arange(k)])
     return vals, vecs
 
 
@@ -146,14 +145,14 @@ def project_rank(mat, rank: int) -> np.ndarray:
         raise ValueError("rank bound must be nonnegative")
     if rank == 0:
         return np.zeros_like(m)
-    return _project_rank_vectors(m[None], min(rank, m.shape[0]))[0][0]
+    return _project_rank_vectors(m, min(rank, m.shape[0]))[0]
 
 
-def _project_rank_vectors(stack: np.ndarray, r: int):
-    """Rank-project a (k, n, n) stack of validated symmetric matrices, 1 <= r <= n.
+def _project_rank_vectors(m: np.ndarray, r: int):
+    """Rank-project a validated symmetric n x n matrix, 1 <= r <= n.
 
-    Returns `project_rank` of each matrix and the kept eigenvectors, a
-    (k, n, r) stack.  The vectors span the column space of each nonzero projection and are the
+    Returns `project_rank` of the matrix and its kept eigenvectors, an n x r
+    array.  The vectors span the column space of a nonzero projection and are the
     same bits for M and -M (they come from the sign-canonical input).
     """
     # evaluate on a sign-canonical input so project_rank(-M) == -project_rank(M)
@@ -161,15 +160,15 @@ def _project_rank_vectors(stack: np.ndarray, r: int):
     # sign is that of the first nonzero entry in row-major order.  The + 0.0
     # turns -0.0 entries into +0.0: LAPACK's reflector signs see the sign bit
     # of zeros, which would break the bitwise symmetry
-    flat = stack.reshape(len(stack), -1)
-    sign = np.sign(flat[np.arange(len(flat)), np.argmax(flat != 0, axis=1)])[:, None, None]
-    vals, vecs = _eigen_stack(stack * sign + 0.0)
-    vecs = vecs[:, :, :r]
-    out = (vecs * vals[:, None, :r]) @ np.swapaxes(vecs, 1, 2)
-    out = (out + np.swapaxes(out, 1, 2)) / 2.0
+    flat = m.ravel()
+    sign = np.sign(flat[np.argmax(flat != 0)])
+    vals, vecs = _top_eigen(m * sign + 0.0, r)
+    out = (vecs * vals) @ vecs.T
+    out = (out + out.T) / 2.0
     out *= sign
     # a zero matrix projects to +0.0 everywhere
-    out[sign[:, 0, 0] == 0.0] = 0.0
+    if sign == 0.0:
+        out[...] = 0.0
     return out, vecs
 
 

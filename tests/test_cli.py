@@ -575,6 +575,21 @@ class TestBench:
         assert [(row[2], row[10]) for row in rows][2:] == [("500", "nan")] * 2
         assert [row[2] for row in rows[:2]] == ["6"] * 2 and "nan" not in rows[0]
 
+    def test_factorized_cell_beyond_float_range_is_skipped(self, tmp_path):
+        # the default inner dimension takes logs of n, so e n never overflows a float; the
+        # cell's basis then exceeds the payload cap and the sweep goes on
+        huge = 10**400
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC.replace("n = 6", f"n = 6, {huge}").replace("m = 21", "m = 5")
+                        .replace("exact-iht", "two-step").replace("dense-gaussian", "factorized"))
+        out = tmp_path / "o.csv"
+        with pytest.warns(UserWarning, match=f"skipping infeasible cell \\(n={huge}, s=2, r=1, "
+                          "m=5\\): a factorized payload of .* entries exceeds the cap"):
+            assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 0
+        rows = [line.split(",") for line in out.read_text().splitlines()[1:]]
+        assert [(row[2], row[10]) for row in rows[2:]] == [(str(huge), "nan")] * 2
+        assert all(row[10] != "nan" for row in rows[:2])
+
     def test_seed_override(self, tmp_path):
         spec = tmp_path / "spec.txt"
         spec.write_text(self.SPEC)

@@ -292,6 +292,63 @@ class TestApplyAdjoint:
             assert np.max(np.abs(got - mp.apply(x))) <= 1e-10, inner_kind
 
 
+BLOCK_KINDS = [
+    ("dense-gaussian", {}),
+    ("rank-one", {}),
+    ("rank-one", {"scale": "unit"}),
+    ("factorized", {"p": 6}),
+    ("factorized", {"p": 6, "inner": "rank-one"}),
+]
+
+
+def random_blocks(n, s, count, rng):
+    supports = np.array([np.sort(rng.choice(n, size=s, replace=False)) for _ in range(count)])
+    g = rng.standard_normal((count, s, s))
+    return supports, (g + g.transpose(0, 2, 1)) / 2.0
+
+
+class TestApplyBlocks:
+    @pytest.mark.parametrize("kind,kwargs", BLOCK_KINDS)
+    def test_matches_apply_of_the_embedded_matrix(self, kind, kwargs):
+        rng = np.random.default_rng(60)
+        for n in (1, 4, 7):
+            mp = sample_map(kind, n, 23, seed=n, **kwargs)
+            for s in sorted({1, min(3, n), n}):
+                supports, blocks = random_blocks(n, s, 9, rng)
+                got = mp._apply_blocks(supports, blocks)
+                assert got.shape == (9, mp.m)
+                for support, block, y in zip(supports, blocks, got):
+                    x = np.zeros((n, n))
+                    x[np.ix_(support, support)] = block
+                    want = mp.apply(x)
+                    assert np.linalg.norm(y - want) <= 1e-12 * np.linalg.norm(want), (n, s)
+
+    @pytest.mark.parametrize("kind,kwargs", BLOCK_KINDS)
+    def test_each_block_gets_the_same_bits_in_any_batch(self, kind, kwargs):
+        rng = np.random.default_rng(61)
+        mp = sample_map(kind, 8, 31, seed=2, **kwargs)
+        for s in (2, 8):
+            supports, blocks = random_blocks(8, s, 12, rng)
+            batch = mp._apply_blocks(supports, blocks)
+            for k in range(12):
+                one = mp._apply_blocks(supports[k:k + 1], blocks[k:k + 1])[0]
+                assert np.array_equal(one.view(np.uint64), batch[k].view(np.uint64))
+
+    def test_dense_batch_at_s_equal_n_holds_about_one_payload(self):
+        # a dense block measurement gathers m s^2 entries per block; at s = n that is a
+        # whole payload, so a batch of several blocks is split into one block at a time
+        n, m = 30, 200
+        mp = sample_map("dense-gaussian", n, m, seed=7)
+        supports, blocks = random_blocks(n, n, 4, np.random.default_rng(62))
+        tracemalloc.start()
+        try:
+            mp._apply_blocks(supports, blocks)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 1.1 * mp.matrices.nbytes
+
+
 class TestStructuredSampler:
     def test_unit_norm_and_structure(self):
         rng = np.random.default_rng(40)
@@ -321,7 +378,25 @@ def structured_reference(n, s, r, rng):
 
 
 def estimate_rip_reference(mp, s, r, trials, seed=0):
-    # estimate_rip before it became one chunked pass: one probe at a time
+    # estimate_rip one probe at a time, each measured on its own s x s block
+    delta = 0.0
+    alpha = np.inf
+    beta = -np.inf
+    for t in range(trials):
+        probe, support = structured_reference(mp.n, s, r, np.random.default_rng([seed, t]))
+        block = probe[np.ix_(support, support)]
+        y = mp._apply_blocks(support[None], block[None])[0]
+        zf2 = float(np.sum(block * block))
+        zf = np.sqrt(zf2)
+        delta = max(delta, abs(float(np.sum(y * y)) - zf2) / zf2)
+        ratio1 = float(np.sum(np.abs(y))) / zf
+        alpha = min(alpha, ratio1)
+        beta = max(beta, ratio1)
+    return RipEstimate(delta, alpha, beta, trials, s, r)
+
+
+def estimate_rip_full_apply_reference(mp, s, r, trials, seed=0):
+    # estimate_rip before probes were measured on their blocks: each n x n probe through apply
     delta = 0.0
     alpha = np.inf
     beta = -np.inf
@@ -374,6 +449,19 @@ class TestBatchedProbes:
                             got = estimate_rip(mp, s, r, trials, seed=seed)
                             want = estimate_rip_reference(mp, s, r, trials, seed)
                             assert got == want, (kind, map_seed, s, r, seed, trials)
+
+    @pytest.mark.parametrize("kind,kwargs", ALL_KINDS)
+    def test_estimate_agrees_with_full_apply_reference(self, kind, kwargs):
+        # measuring a probe's block instead of the n x n probe only changes rounding
+        n = 6
+        mp = sample_map(kind, n, 40, seed=3, **kwargs)
+        for s in (1, 3, n):
+            for r in sorted({1, s}):
+                got = estimate_rip(mp, s, r, PROBE_CHUNK + 5, seed=2)
+                want = estimate_rip_full_apply_reference(mp, s, r, PROBE_CHUNK + 5, 2)
+                for a, b in ((got.delta_lower, want.delta_lower),
+                             (got.alpha_hat, want.alpha_hat), (got.beta_hat, want.beta_hat)):
+                    assert abs(a - b) <= 1e-12 * abs(b), (kind, s, r)
 
     def test_many_chunks_match_loop_reference(self):
         mp = sample_map("rank-one", 12, 80, seed=4)

@@ -1,11 +1,15 @@
 import itertools
+import math
+import time
 
 import numpy as np
 import pytest
 
 from bisparse.projections import (
+    ENUMERATION_CAP,
     RANK_TOL,
     EnumerationCapError,
+    _check_enumeration,
     exact_project,
     head_anchor,
     head_joint,
@@ -148,6 +152,25 @@ class TestExactProject:
     def test_cap_refusal(self):
         with pytest.raises(EnumerationCapError, match="tail_joint"):
             exact_project(np.eye(40), 20, 1)
+
+    @pytest.mark.parametrize("n,s", [(10**5, 5 * 10**4), (10**6, 5 * 10**5), (24, 12)])
+    def test_cap_refuses_large_enumerations_at_once(self, n, s):
+        # C(n, s) >= C(24, 12) > ENUMERATION_CAP once min(s, n - s) >= 12; math.comb of the
+        # (10**6, 5 * 10**5) pair alone takes seconds
+        start = time.perf_counter()
+        with pytest.raises(EnumerationCapError) as info:
+            _check_enumeration(n, s)
+        assert time.perf_counter() - start < 0.1
+        assert str(info.value) == (
+            f"support enumeration over C({n},{s}) exceeds the cap {ENUMERATION_CAP}; "
+            "use tail_joint (iht_head_tail in recovery) for polynomial time")
+
+    def test_cap_still_counts_below_the_early_refusal(self):
+        assert math.comb(22, 11) <= ENUMERATION_CAP < math.comb(24, 12)
+        _check_enumeration(22, 11)
+        _check_enumeration(10**6, 1)
+        with pytest.raises(EnumerationCapError):
+            _check_enumeration(3000, 2)
 
     def test_parameter_validation(self):
         with pytest.raises(ValueError):

@@ -258,9 +258,8 @@ class TestIhtLowrank:
                     cols.append(mp._apply(h + h.T))
                 w = np.linalg.lstsq(np.stack(cols, axis=1), res, rcond=None)[0]
                 h = basis @ w.reshape(basis.shape).T
-                out, vecs = _project_rank_vectors(sym_enforce(x + h + h.T)[None], 1)
-                basis = vecs[0]
-                return out[0], mp._apply(out[0])
+                out, basis = _project_rank_vectors(sym_enforce(x + h + h.T), 1)
+                return out, mp._apply(out)
 
             return step
 
@@ -937,3 +936,8 @@ class TestMeasurementValidation:
             target = np.full((5, 5), 1e200)
         with pytest.raises(ValueError, match=message):
             hihtp(basis, target, 1, 1)
+
+    def test_hihtp_refuses_an_empty_basis_at_its_door(self):
+        # p = 0 would divide 0/0 in the first gradient, a RuntimeWarning under the suite's filter
+        with pytest.raises(ValueError, match=r"basis matrix with p >= 1, got shape \(0, 3\)"):
+            hihtp(np.zeros((0, 3)), np.zeros((0, 0)), 1, 1)

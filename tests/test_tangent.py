@@ -45,8 +45,8 @@ def tangent_case(draw, overdetermined=False):
     mp = sample_map(kind, n, draw(st.integers(low, low + 29)), p=p, seed=seed, inner=inner)
     rng = np.random.default_rng(seed)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    out, vecs = _project_rank_vectors(sym_enforce(rng.standard_normal((n, n)))[None], r)
-    return mp, out[0], vecs[0], rng.standard_normal(mp.m) * scale
+    out, vecs = _project_rank_vectors(sym_enforce(rng.standard_normal((n, n))), r)
+    return mp, out, vecs, rng.standard_normal(mp.m) * scale
 
 
 def tangent_matrix(u, w):
@@ -132,7 +132,7 @@ def test_repeated_measurements_step_matches_lstsq():
     mp = MeasurementMap("dense-gaussian", 12, 32, matrices=np.tile(base.matrices, (4, 1, 1)))
     rng = np.random.default_rng(6)
     y = mp._apply(project_rank(sym_enforce(rng.standard_normal((12, 12))), 1))
-    u = _project_rank_vectors(mp.adjoint(y)[None], 1)[1][0]
+    u = _project_rank_vectors(mp.adjoint(y), 1)[1]
     times = mp._times(u)
     want = np.linalg.lstsq(times.reshape(32, -1), y, rcond=None)[0].reshape(u.shape) / 2.0
     got = tangent_matrix(u, _tangent_lstsq(times, u, y))
