@@ -23,8 +23,9 @@ a divergence guard):
 
 `solve` runs the solver named by one of ALGOS; the bench and the CLI both
 dispatch through it.  Every solver refuses at its door a y that is not m finite
-measurements (hihtp: a finite basis and target), the iterations also one whose
-norm overflows, and the enumerating solvers share one cap check.
+measurements (hihtp: a finite basis and target whose products B^T B and
+B^T Yhat B stay finite), the iterations also one whose norm overflows, and the
+enumerating solvers share one cap check.
 
 `converged` on a result means the iteration settled (residual or stall rule
 fired); whether the estimate equals the ground truth is a separate question
@@ -245,6 +246,23 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     return _projected_gradient(mp, y, update, cfg, callback)
 
 
+def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray | None:
+    """x with gram x = rhs, for the Gram matrix of a design with `rows` rows, or None.
+
+    The normal equations give lstsq's solution only for a design of full column rank.  An
+    underdetermined design (fewer rows than unknowns) is refused outright; a rank-deficient
+    one shows as a squared Cholesky pivot at most 1e-10 of the Gram matrix's largest
+    diagonal entry (sampled designs stay above 0.1).  On None the caller runs its own lstsq.
+    """
+    if rows < len(gram):
+        return None
+    try:
+        pivot = np.linalg.cholesky(gram).diagonal().min() ** 2
+    except np.linalg.LinAlgError:
+        return None
+    return np.linalg.solve(gram, rhs) if pivot > 1e-10 * gram.diagonal().max() else None
+
+
 def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndarray:
     """Least-norm W = argmin ||res - A(U W^T + W U^T)|| for times = A_i U, u = U orthonormal.
 
@@ -253,26 +271,22 @@ def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndar
     space, spanned by the columns vec(U (E_ab - E_ba)) of `gauge` (each a != b twice, norm
     sqrt(2)).  Adding c times the projection onto it to D^T D, c its mean diagonal, makes
     the normal equations' solution lstsq's least-norm W whenever that is D's whole null
-    space.  A design rank-deficient beyond the gauge (repeated measurements, say) gives the
-    pinned Gram matrix a squared Cholesky pivot at most 1e-10 of its largest diagonal entry
-    (sampled designs stay above 0.1); such a design, and an underdetermined one, goes to lstsq.
+    space; the pin counts as r(r-1)/2 more rows.  `_normal_solve` refuses a design
+    rank-deficient beyond the gauge (repeated measurements, say) and an underdetermined
+    one, which then go to lstsq.
     """
     m, p, r = times.shape
     design = times.reshape(m, -1)
     k = p * r
-    if m >= k - r * (r - 1) // 2:
-        gram = design.T @ design
-        if r > 1:
-            units = np.einsum("ja,cb->jcab", u, np.eye(r))
-            gauge = (units - units.swapaxes(2, 3)).reshape(k, -1)
-            gram += (np.trace(gram) / (4.0 * k)) * (gauge @ gauge.T)
-        try:
-            pivot = np.min(np.diagonal(np.linalg.cholesky(gram))) ** 2
-        except np.linalg.LinAlgError:
-            pivot = 0.0
-        if pivot > 1e-10 * np.max(np.diagonal(gram)):
-            return np.linalg.solve(gram, design.T @ res).reshape(p, r) / 2.0
-    return np.linalg.lstsq(design, res, rcond=None)[0].reshape(p, r) / 2.0
+    gram = design.T @ design
+    if r > 1:
+        units = np.einsum("ja,cb->jcab", u, np.eye(r))
+        gauge = (units - units.swapaxes(2, 3)).reshape(k, -1)
+        gram += (np.trace(gram) / (4.0 * k)) * (gauge @ gauge.T)
+    w = _normal_solve(gram, design.T @ res, m + r * (r - 1) // 2)
+    if w is None:
+        w = np.linalg.lstsq(design, res, rcond=None)[0]
+    return w.reshape(p, r) / 2.0
 
 
 def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
@@ -329,13 +343,36 @@ def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarra
     return out
 
 
+def _restricted_fit(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray,
+                    gram: np.ndarray, projected: np.ndarray) -> np.ndarray:
+    """`_restricted_lstsq`'s fit from the basis Gram G = B^T B and projected = B^T Yhat B.
+
+    The design column of entry (i, j) is vec(b_i b_j^T), so the normal matrix of entries (i, j)
+    and (k, l) is G_ik G_jl and the right-hand side of (i, j) is projected[i, j]: a k x k
+    system for the k entries in the mask, in place of lstsq on the p^2 x k design.  A system
+    that `_normal_solve` refuses goes to `_restricted_lstsq`, so a rank-deficient or
+    underdetermined fit is still lstsq's least-norm one.
+    """
+    rows, cols = np.nonzero(mask)
+    sol = _normal_solve(gram[rows[:, None], rows] * gram[cols[:, None], cols],
+                        projected[rows, cols], len(target_vec))
+    if sol is None:
+        return _restricted_lstsq(basis, target_vec, mask)
+    out = np.zeros_like(gram)
+    out[rows, cols] = sol
+    return out
+
+
 def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
           callback=None) -> RecoveryResult:
     """Hard thresholding pursuit with the hierarchical (s, t)-sparse projection.
 
     Recovers an (s, t)-sparse n x n matrix X from a p x p observation of
     B X B^T: identify a candidate support from a normalized gradient step,
-    then least-squares fit the (at most s*t) selected entries.  It stops on
+    then least-squares fit the k <= s*t selected entries, from the normal
+    equations of B^T B and B^T Yhat B, formed once per call (`_restricted_fit`):
+    a k x k solve per iteration in place of lstsq on a p^2 x k design.  A basis
+    or target whose products overflow is refused.  It stops on
     the shared rules of `_iterate`: an unchanged support refits the same
     least squares, so the iterate repeats exactly and the stall rule fires,
     as it does when the support changes only among entries fitted to zero.
@@ -352,21 +389,36 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
         raise ValueError(f"need 1 <= s, t <= {n}, got s={s}, t={t}")
     if not (np.all(np.isfinite(b)) and np.all(np.isfinite(yhat))):
         raise ValueError("basis and target must be finite")
+    with np.errstate(over="ignore", invalid="ignore"):
+        gram = b.T @ b
+        projected = b.T @ yhat @ b
+    if not np.all(np.isfinite(gram)):
+        raise ValueError("the basis Gram matrix B^T B overflows")
+    if not np.all(np.isfinite(projected)):
+        raise ValueError("the projected target B^T Y B overflows")
     # B^T B has mean trace p for unit-variance Gaussian B, so the pullback of
     # the residual overshoots by (tr(B^T B)/n)^2; for orthonormal B this is 1
-    tau = float(np.trace(b.T @ b)) / n
+    tau = float(np.trace(gram)) / n
     scale = tau * tau
     target_vec = yhat.ravel()
 
     def step(x, res):
         grad = b.T @ res @ b / scale
-        out = _restricted_lstsq(b, target_vec, hierarchical_mask(x + grad, s, t))
+        out = _restricted_fit(b, target_vec, hierarchical_mask(x + grad, s, t), gram, projected)
         return out, b @ out @ b.T
 
     fit = _iterate(yhat, n, step, cfg, callback)
     est = (fit.estimate + fit.estimate.T) / 2.0
     return RecoveryResult(est, fit.iterations, fit.residual_trace, fit.converged,
                           _support_of(est))
+
+
+def _final_residual(mp: MeasurementMap, y: np.ndarray, est: np.ndarray, support) -> float:
+    """||y - A(est)|| for a symmetric est that is zero off its support block."""
+    if not support.size:
+        return float(np.linalg.norm(y))
+    block = est[np.ix_(support, support)]
+    return float(np.linalg.norm(y - mp._apply_blocks(support[None], block[None])[0]))
 
 
 def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
@@ -389,7 +441,7 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
     y = _measurements(mp, y)
     stage1 = iht_lowrank(factorized_inner_map(mp), y, r, cfg)
     stage2 = hihtp(mp.basis, stage1.estimate, s, s, cfg)
-    rnorm = float(np.linalg.norm(y - mp._apply(stage2.estimate)))
+    rnorm = _final_residual(mp, y, stage2.estimate, stage2.support)
     return RecoveryResult(
         stage2.estimate,
         stage1.iterations + stage2.iterations,

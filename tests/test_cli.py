@@ -227,7 +227,10 @@ class TestMeasureRecover:
             header = [fh.readline().split() for _ in range(4)]
             est = read_matrix(fh)
         assert header[0] == ["converged", "0"]
-        assert float(header[2][1]) == float(np.linalg.norm(y - mp.apply(est)))
+        # the residual is measured on the estimate's support block, so it agrees with apply
+        # to rounding, not bit for bit
+        assert abs(float(header[2][1]) - np.linalg.norm(y - mp.apply(est))) <= (
+            1e-12 * np.linalg.norm(y))
         assert main(argv + ["--strict"]) == 1
 
     @pytest.mark.parametrize("flag", [["--head", "anchor"], ["--beta", "1"]], ids=["head", "beta"])

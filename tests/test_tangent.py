@@ -6,7 +6,9 @@ orthogonal projection onto it.  The solver measures a tangent matrix through
 the stack A_i U of `MeasurementMap._times`, since A_i(U W^T + W U^T) =
 2 <A_i U, W> for symmetric A_i, and takes W from the least squares of
 `_tangent_lstsq` on that design; the bases come from the rank kernel the
-solver uses.
+solver uses.  `_normal_solve` is the pivot rule behind that least squares and HiHTP's
+restricted fit: it solves the normal equations of a design of full column rank, and
+refuses an underdetermined or numerically rank-deficient one, which then goes to lstsq.
 """
 
 import numpy as np
@@ -16,7 +18,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bisparse.measurements import MeasurementMap, sample_map  # noqa: E402
-from bisparse.recovery import _tangent_lstsq  # noqa: E402
+from bisparse.recovery import _normal_solve, _tangent_lstsq  # noqa: E402
 from bisparse.symcore import _project_rank_vectors, project_rank, sym_enforce  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
@@ -138,3 +140,70 @@ def test_repeated_measurements_step_matches_lstsq():
     got = tangent_matrix(u, _tangent_lstsq(times, u, y))
     want_step = tangent_matrix(u, want)
     assert np.linalg.norm(got - want_step) <= 1e-10 * np.linalg.norm(want_step)
+
+
+@st.composite
+def normal_case(draw):
+    """A design D and target b of each shape the fits meet, with kind and perturbation size.
+
+    "generic": Gaussian D with at least as many rows as columns, its columns scaled apart by
+    up to 1e3; "wide": fewer rows than columns (p < n); "repeated": one column a scaled copy
+    of another; "near": one column such a copy up to a relative perturbation delta.
+    """
+    kind = draw(st.sampled_from(["generic", "wide", "repeated", "near"]))
+    cols = draw(st.integers(1 if kind == "generic" else 2, 8))
+    rows = draw(st.integers(1, cols - 1) if kind == "wide" else st.integers(cols, 3 * cols + 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    design = rng.standard_normal((rows, cols))
+    if kind == "generic":
+        design *= 10.0 ** rng.uniform(-1.5, 1.5, size=cols)
+    delta = 10.0 ** -draw(st.integers(2, 16)) if kind == "near" else 0.0
+    if kind in ("repeated", "near"):
+        i, j = rng.choice(cols, size=2, replace=False)
+        design[:, j] = draw(st.sampled_from([-3.0, 1.0, 1e-4])) * design[:, i]
+        design[:, j] += delta * np.linalg.norm(design[:, j]) * rng.standard_normal(rows)
+    return kind, delta, design, rng.standard_normal(rows)
+
+
+def normal_solve(design, target):
+    return _normal_solve(design.T @ design, design.T @ target, len(design))
+
+
+@SETTINGS
+@hypothesis.given(normal_case())
+def test_normal_solve_refuses_wide_and_repeated_designs(case):
+    kind, delta, design, target = case
+    if kind == "wide" or kind == "repeated" or kind == "near" and delta <= 1e-9:
+        assert normal_solve(design, target) is None
+
+
+@SETTINGS
+@hypothesis.given(normal_case())
+def test_normal_solve_is_lstsq_where_it_solves(case):
+    # a solved system agrees with lstsq to the accuracy both reach (kappa^2 eps, kappa the
+    # design's condition number); a well-conditioned tall design is always solved, and a
+    # refused tall one has kappa >= 1e5 (its Gram has a squared pivot <= 1e-10 of its diagonal)
+    _, _, design, target = case
+    got = normal_solve(design, target)
+    kappa = np.linalg.cond(design)
+    if len(design) >= design.shape[1] and kappa <= 1e3:
+        assert got is not None
+    if got is None:
+        assert len(design) < design.shape[1] or kappa >= 1e4
+        return
+    want = np.linalg.lstsq(design, target, rcond=None)[0]
+    bound = max(1e-10, 1e-15 * kappa ** 2)
+    assert np.linalg.norm(got - want) <= bound * max(float(np.linalg.norm(want)), 1e-300)
+    assert np.array_equal(normal_solve(design, -target), -got)
+
+
+@SETTINGS
+@hypothesis.given(st.integers(-14, -6), st.sampled_from([0.3, 3.0]))
+def test_normal_solve_pivot_threshold(exponent, mantissa):
+    # diag(1, d) has squared Cholesky pivots 1 and d: solved iff d > 1e-10 of the largest
+    d = mantissa * 10.0 ** exponent
+    for scale in (1e-200, 1.0, 1e200):
+        got = _normal_solve(scale * np.diag([1.0, d]), scale * np.ones(2), 2)
+        assert (got is None) == (d <= 1e-10)
+        if got is not None:
+            assert np.allclose(got, [1.0, 1.0 / d], rtol=1e-14, atol=0.0)
