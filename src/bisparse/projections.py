@@ -30,7 +30,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import _project_rank_vectors, _restrict, check_support, check_sym, project_rank
+from .symcore import _restrict, _sign_canonical, _top_eigen, check_support, check_sym, project_rank
 
 __all__ = [
     "ProjectionOutcome",
@@ -110,19 +110,19 @@ def _select(mags: np.ndarray, k: int) -> np.ndarray:
     of -mags, so of equal magnitudes the lower index wins.  A 1-D array is a
     single row.
     """
-    return np.argsort(-mags, axis=-1, kind="stable")[..., :k]
+    return (-mags).argsort(axis=-1, kind="stable")[..., :k]
 
 
 def _kept_energy(mags: np.ndarray, idx: np.ndarray) -> np.ndarray:
     """Score of each row of `mags`: the sum of squares of its entries at `idx`."""
-    return np.sum(np.take_along_axis(mags, idx, axis=1) ** 2, axis=1)
+    return (mags[np.arange(len(mags))[:, None], idx] ** 2).sum(axis=1)
 
 
 def _support(n: int, *parts) -> np.ndarray:
     """Sorted union of index arrays (of any shapes) in range(n), via a membership mask."""
     members = np.zeros(n, dtype=bool)
     members[np.concatenate(parts, axis=None)] = True
-    return np.flatnonzero(members)
+    return members.nonzero()[0]
 
 
 def _partners(absm: np.ndarray, k: int):
@@ -132,8 +132,8 @@ def _partners(absm: np.ndarray, k: int):
     score is their energy plus the squared diagonal.  Overwrites the diagonal
     of `absm` (with -inf, so it ranks last).
     """
-    diag_sq = np.diagonal(absm) ** 2
-    np.fill_diagonal(absm, -np.inf)
+    diag_sq = absm.diagonal() ** 2
+    absm.flat[::len(absm) + 1] = -np.inf
     partners = _select(absm, k)
     return partners, diag_sq + _kept_energy(absm, partners)
 
@@ -163,9 +163,22 @@ def rank_project_on_support(mat: np.ndarray, support: np.ndarray, rank: int) -> 
 
 
 def _truncate(m: np.ndarray, s: int, r: int, pick) -> np.ndarray:
-    """Unchecked _rank_truncated matrix, for M as check_sym returns it and 1 <= s, r <= n."""
+    """Unchecked _rank_truncated matrix, for M as check_sym returns it and 1 <= s, r <= n.
+
+    `_project_rank_vectors` of M restricted to the support, from the block alone: eigh
+    sees the same sign-canonical n x n input, but only the block of the product is
+    symmetrized and signed (a zero block gives +0.0 everywhere, as there).
+    """
     support = pick(m, s)
-    return _restrict(_project_rank_vectors(_restrict(m, support), r)[0], support)
+    flat = (support[:, None] * len(m) + support).ravel()    # the block's entries, row-major
+    sign, block = _sign_canonical(m.take(flat))
+    out = np.zeros_like(m)
+    if sign:
+        out.put(flat, block)
+        vals, vecs = _top_eigen(out, r)
+        block = ((vecs * vals) @ vecs.T).take(flat).reshape(len(support), -1)
+        out.put(flat, (block + block.T) / 2.0 * sign)
+    return out
 
 
 def _rank_truncated(mat, s: int, r: int, pick) -> ProjectionOutcome:
@@ -219,7 +232,7 @@ def tail_bisparse(mat, s: int) -> ProjectionOutcome:
 
 
 def _tail_support(m: np.ndarray, s: int) -> np.ndarray:
-    return np.sort(_select(np.linalg.norm(m, axis=0), s))
+    return np.sort(_select(np.sqrt((m * m).sum(axis=0)), s))    # np.linalg.norm(m, axis=0)
 
 
 def tail_joint(mat, s: int, r: int) -> ProjectionOutcome:

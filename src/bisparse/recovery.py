@@ -28,10 +28,11 @@ B^T Yhat B stay finite), the iterations also one whose norm overflows, and the
 enumerating solvers share one cap check.
 
 `converged` on a result means the iteration settled (residual or stall rule
-fired); whether the estimate equals the ground truth is a separate question
-answered by the benchmark harness.  The two-step pipeline also requires its
-estimate to fit y: both stages settled and ||y - A(X)|| <= sqrt(tol_residual)
-||y||, since HiHTP settles on a best sparse fit whether or not it fits.
+fired, but not a stall at the zero matrix); whether the estimate equals the
+ground truth is a separate question answered by the benchmark harness.  The
+two-step pipeline also requires its estimate to fit y: both stages settled and
+||y - A(X)|| <= sqrt(tol_residual) ||y||, since HiHTP settles on a best sparse
+fit whether or not it fits.
 """
 
 from __future__ import annotations
@@ -127,6 +128,12 @@ def _support_of(mat: np.ndarray) -> np.ndarray:
     return np.nonzero(np.any(mat != 0.0, axis=0))[0]
 
 
+def _l2(a: np.ndarray) -> float:
+    """np.linalg.norm(a) without its Python wrapper: the same dot of the same raveled entries."""
+    v = a.ravel("K")
+    return math.sqrt(v.dot(v))
+
+
 def _norm(y: np.ndarray) -> float:
     """||y||, refused when it overflows: the residual rule would then pass any residual."""
     with np.errstate(over="ignore"):
@@ -150,18 +157,18 @@ def _iterate(y: np.ndarray, n, step_fn, cfg, callback=None) -> RecoveryResult:
         if callback is not None:
             callback(x_new)
         res = y - measured
-        rnorm = float(np.linalg.norm(res))
+        rnorm = _l2(res)
         trace.append(rnorm)
-        step_size = float(np.linalg.norm(x_new - x))
-        prev_norm = float(np.linalg.norm(x))
+        step_size = _l2(x_new - x)
+        prev_norm = _l2(x)
         x = x_new
         if rnorm <= cfg.tol_residual * ynorm:
             converged = True
             break
         if step_size <= TOL_STALL * prev_norm:
-            converged = True
+            converged = prev_norm > 0.0    # stuck at the zero matrix is no settled fit
             break
-        if not np.isfinite(rnorm):
+        if not math.isfinite(rnorm):
             break
         if rnorm > DIVERGENCE_FACTOR * ynorm:
             grow_streak += 1
@@ -238,9 +245,11 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     _check_structure_params(mp.n, s, r)
     beta = estimate_rip(mp, min(2 * s, mp.n), min(2 * r, mp.n), BETA_TRIALS,
                         seed=BETA_SEED).beta_hat
+    if beta == 0.0:    # the map measures every probe as zero
+        raise ValueError("the probed l1-RIP constant beta is 0, so the step size is undefined")
 
     def update(x, res):
-        nu = float(np.sum(np.abs(res))) / (beta * beta)
+        nu = float(np.abs(res).sum()) / (beta * beta)
         return _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
 
     return _projected_gradient(mp, y, update, cfg, callback)

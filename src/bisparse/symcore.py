@@ -43,7 +43,7 @@ def _square_finite(mat) -> np.ndarray:
         raise ValueError(f"expected a square matrix, got shape {m.shape}")
     if m.size == 0:
         raise ValueError("matrix must be nonempty")
-    if not np.all(np.isfinite(m)):
+    if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
 
@@ -127,10 +127,10 @@ def _top_eigen(m: np.ndarray, k: int):
     bits are pinned to that layout, as BLAS takes another path for a unit-stride column.
     """
     vals, vecs = np.linalg.eigh(m)
-    order = np.argsort(-np.abs(vals), kind="stable")
-    vals, vecs = vals[order[:k]], np.take(vecs, order, axis=1)[:, :k]
+    order = (-np.abs(vals)).argsort(kind="stable")
+    vals, vecs = vals[order[:k]], vecs.take(order, axis=1)[:, :k]
     # flip every column whose first nonzero component is negative
-    vecs *= np.sign(vecs[np.argmax(vecs != 0, axis=0), np.arange(k)])
+    vecs *= np.sign(vecs[(vecs != 0).argmax(axis=0), np.arange(k)])
     return vals, vecs
 
 
@@ -148,6 +148,17 @@ def project_rank(mat, rank: int) -> np.ndarray:
     return _project_rank_vectors(m, min(rank, m.shape[0]))[0]
 
 
+def _sign_canonical(m: np.ndarray):
+    """(sign, M * sign + 0.0) for sign that of M's first nonzero entry in row-major order, or 0.
+
+    The rank kernels run on it, so project_rank(-M) == -project_rank(M) bitwise as the solvers'
+    odd iteration maps need; + 0.0 clears the sign bit of zeros, which LAPACK would see.
+    """
+    flat = m.ravel()
+    sign = np.sign(flat[(flat != 0).argmax()])
+    return sign, m * sign + 0.0
+
+
 def _project_rank_vectors(m: np.ndarray, r: int):
     """Rank-project a validated symmetric n x n matrix, 1 <= r <= n.
 
@@ -155,20 +166,10 @@ def _project_rank_vectors(m: np.ndarray, r: int):
     array.  The vectors span the column space of a nonzero projection and are the
     same bits for M and -M (they come from the sign-canonical input).
     """
-    # evaluate on a sign-canonical input so project_rank(-M) == -project_rank(M)
-    # bitwise; the solvers rely on the iteration map being exactly odd.  The
-    # sign is that of the first nonzero entry in row-major order.  The + 0.0
-    # turns -0.0 entries into +0.0: LAPACK's reflector signs see the sign bit
-    # of zeros, which would break the bitwise symmetry
-    flat = m.ravel()
-    sign = np.sign(flat[np.argmax(flat != 0)])
-    vals, vecs = _top_eigen(m * sign + 0.0, r)
+    sign, canon = _sign_canonical(m)
+    vals, vecs = _top_eigen(canon, r)
     out = (vecs * vals) @ vecs.T
-    out = (out + out.T) / 2.0
-    out *= sign
-    # a zero matrix projects to +0.0 everywhere
-    if sign == 0.0:
-        out[...] = 0.0
+    out = (out + out.T) / 2.0 * sign if sign else np.zeros_like(out)    # a zero M gives +0.0
     return out, vecs
 
 

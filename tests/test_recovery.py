@@ -153,6 +153,82 @@ class TestIhtHeadTail:
         assert np.linalg.norm(res.estimate - x) <= 1e-6
 
 
+def head_tail_reference(mp, y, s, r, cfg, beta=None):
+    """iht_head_tail (beta None) or iht_rank_one validating every step, with _iterate's rules.
+
+    Every step calls the public head_square_variant, tail_joint, apply and adjoint, and every
+    norm is np.linalg.norm.  Returns (estimate, residual trace, converged).
+    """
+    n = mp.n
+    x = np.zeros((n, n))
+    res = y.copy()
+    ynorm = np.linalg.norm(y)
+    trace, converged, grow = [], False, 0
+    for _ in range(cfg.max_iters):
+        if beta is None:
+            nu, grad = 1.0, mp.adjoint(res)
+        else:
+            nu, grad = float(np.sum(np.abs(res))) / (beta * beta), mp.adjoint(np.sign(res))
+        head = head_square_variant(grad, min(2 * s, n), min(2 * r, n)).matrix
+        x_new = tail_joint(x + nu * head, s, r).matrix
+        res = y - mp.apply(x_new)
+        trace.append(float(np.linalg.norm(res)))
+        step, prev = float(np.linalg.norm(x_new - x)), float(np.linalg.norm(x))
+        x = x_new
+        if trace[-1] <= cfg.tol_residual * ynorm:
+            converged = True
+            break
+        if step <= TOL_STALL * prev:
+            converged = prev > 0.0
+            break
+        if not np.isfinite(trace[-1]):
+            break
+        grow = grow + 1 if trace[-1] > recovery.DIVERGENCE_FACTOR * ynorm else 0
+        if grow >= recovery.DIVERGENCE_PATIENCE:
+            break
+    return x, trace, converged
+
+
+class TestMatchesValidatedLoop:
+    """Whole solves are bitwise those of a loop that validates every step."""
+
+    @staticmethod
+    def _check(got, want):
+        est, trace, converged = want
+        assert got.estimate.tobytes() == est.tobytes()
+        assert got.residual_trace == trace
+        assert got.iterations == len(trace)
+        assert got.converged == converged
+
+    @pytest.mark.parametrize("n, m, noise, max_iters", [(12, 80, 0.0, 500), (12, 80, 0.05, 40),
+                                                        (30, 475, 0.0, 500), (30, 475, 0.01, 60)])
+    def test_head_tail(self, n, m, noise, max_iters):
+        cfg = RecoveryConfig(max_iters=max_iters)
+        outcomes = set()
+        for seed in range(3):
+            mp, x, _ = planted_instance("dense-gaussian", n, 2, 1, m, seed=6100 + seed)
+            y = mp.apply(x) + noise * np.random.default_rng(seed).standard_normal(m)
+            got = iht_head_tail(mp, y, 2, 1, cfg)
+            self._check(got, head_tail_reference(mp, y, 2, 1, cfg))
+            outcomes.add((got.converged, got.iterations == max_iters))
+        # noiseless solves settle; some noisy ones run to the cap
+        assert outcomes == {(True, False)} if noise == 0.0 else (False, True) in outcomes
+
+    def test_rank_one_on_y_and_minus_y(self):
+        cfg = RecoveryConfig(max_iters=60)
+        stalled = capped = 0
+        for seed in (5000, 5001, 5002, 5025):
+            mp, x, _ = planted_instance("rank-one", 24, 2, 1, 300, seed=seed)
+            beta = measurements.estimate_rip(mp, 4, 2, recovery.BETA_TRIALS,
+                                             seed=recovery.BETA_SEED).beta_hat
+            for y in (mp.apply(x), -mp.apply(x)):
+                got = iht_rank_one(mp, y, 2, 1, cfg)
+                self._check(got, head_tail_reference(mp, y, 2, 1, cfg, beta))
+                stalled += got.converged and got.residual_trace[-1] > 1e-9 * np.linalg.norm(y)
+                capped += got.iterations == cfg.max_iters
+        assert stalled >= 2 and capped >= 2
+
+
 class TestIhtRankOne:
     def test_residual_zero_is_stationary(self):
         mp, x, _ = planted_instance("rank-one", 10, 2, 1, 80, seed=6)
@@ -509,9 +585,10 @@ def hihtp_reference(basis, target, s, t, cfg):
     residual or when the mask repeated.
 
     Returns (estimate, iterations, residual trace, converged, support),
-    (iterations, estimate) at the first iterate that moved by at most TOL_STALL
-    of the previous one's norm, or None when none did before the loop stopped,
-    and the number of rank-deficient fits.  The fit is the module's kernel, fed the same
+    (iterations, estimate, settled) at the first iterate that moved by at most
+    TOL_STALL of the previous one's norm, or None when none did before the loop
+    stopped, and the number of rank-deficient fits; `settled` is false when that
+    iterate and the previous one are both zero.  The fit is the module's kernel, fed the same
     B^T B and B^T Yhat B as hihtp; the reference's outer-product lstsq counts the
     rank-deficient fits.
     """
@@ -537,7 +614,7 @@ def hihtp_reference(basis, target, s, t, cfg):
         rnorm = float(np.linalg.norm(yhat - b @ x @ b.T))
         trace.append(rnorm)
         if stall is None and np.linalg.norm(x - x_prev) <= TOL_STALL * np.linalg.norm(x_prev):
-            stall = (len(trace), (x + x.T) / 2.0)
+            stall = (len(trace), (x + x.T) / 2.0, bool(np.any(x_prev)))
         if prev_mask is not None and np.array_equal(mask, prev_mask):
             converged = True
             break
@@ -650,15 +727,16 @@ class TestHihtpMatchesLoopReference:
         # rule fires on the same iteration.  The rules part only where the
         # iterate stalls while the mask still changes (entries whose fitted
         # value is zero or at rounding level trade places); hihtp now stops
-        # there, at the former loop's state at that iteration, as settled.
-        count = deficient = capped = zero = stopped_sooner = 0
+        # there, at the former loop's state at that iteration, as settled,
+        # unless it is stuck at the zero matrix (a target outside the range of B).
+        count = deficient = capped = zero = stopped_sooner = stuck_at_zero = 0
         for basis, target, s, t, cfg in hihtp_cases():
             got = hihtp(basis, target, s, t, cfg)
             want, stall, rank_deficient = hihtp_reference(basis, target, s, t, cfg)
             est, iterations, trace, converged, support = want
             if stall is not None and (stall[0] < iterations or not converged):
-                iterations, est = stall
-                trace, converged = trace[:iterations], True
+                iterations, est, converged = stall
+                trace = trace[:iterations]
                 support = np.nonzero(np.any(est != 0.0, axis=0))[0]
                 stopped_sooner += 1
             case = (count, basis.shape, s, t, cfg.max_iters)
@@ -671,8 +749,9 @@ class TestHihtpMatchesLoopReference:
             deficient += bool(rank_deficient)
             capped += got.iterations == cfg.max_iters == 3
             zero += not np.any(target)
+            stuck_at_zero += np.any(target) and not got.estimate.any() and not got.converged
         assert count >= 1000
-        assert deficient and capped and zero
+        assert deficient and capped and zero and stuck_at_zero
         assert stopped_sooner
 
 
@@ -883,6 +962,25 @@ class TestDivergenceFlag:
         res = iht_head_tail(mp, mp.apply(x), 2, 1, cfg)
         assert not res.converged
         assert res.iterations < 200
+
+
+class TestStuckAtZero:
+    def test_stall_at_the_zero_matrix_is_not_converged(self):
+        # an all-zero map keeps every iterate at zero, so the stall rule fires at once
+        mp = MeasurementMap("dense-gaussian", 6, 20, matrices=np.zeros((20, 6, 6)))
+        res = iht_head_tail(mp, np.ones(20), 2, 1)
+        assert res.iterations == 1 and not res.converged
+        assert res.residual_trace == [math.sqrt(20)] and not res.estimate.any()
+
+    def test_zero_measurements_still_converge_at_zero(self):
+        mp = MeasurementMap("dense-gaussian", 6, 20, matrices=np.zeros((20, 6, 6)))
+        assert iht_head_tail(mp, np.zeros(20), 2, 1).converged
+
+    @pytest.mark.parametrize("value", [1.0, 0.0])
+    def test_rank_one_refuses_a_zero_beta(self, value):
+        mp = MeasurementMap("rank-one", 6, 20, vectors=np.zeros((20, 6)))
+        with pytest.raises(ValueError, match="beta is 0"):
+            iht_rank_one(mp, np.full(20, value), 2, 1)
 
 
 class TestStepValidation:
