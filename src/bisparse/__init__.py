@@ -6,16 +6,7 @@ estimators), `recovery` (the solvers), `bench` (the seeded experiment
 harness), `cli` (command-line front end).
 """
 
-from .symcore import (
-    EigenDecomp,
-    eigen,
-    frob_inner,
-    project_rank,
-    read_matrix,
-    restrict,
-    sym_enforce,
-    write_matrix,
-)
+from .symcore import frob_inner, project_rank, read_matrix, write_matrix
 from .projections import (
     ProjectionOutcome,
     exact_project,
@@ -35,7 +26,6 @@ from .measurements import (
     RipEstimate,
     check_rip_cross_term,
     estimate_rip,
-    isometry_map,
     sample_map,
     sample_structured,
 )

@@ -202,18 +202,6 @@ def parse_spec(lines) -> ExperimentSpec:
     return ExperimentSpec(**kwargs)
 
 
-def format_spec(spec: ExperimentSpec) -> str:
-    """Inverse of parse_spec."""
-    lines = [f"algo = {spec.algo}", f"ensemble = {spec.ensemble}"]
-    for key in ("n", "s", "r", "m"):
-        lines.append(f"{key} = {', '.join(str(v) for v in getattr(spec, key))}")
-    for key, cast in _SCALAR_KEYS.items():
-        value = getattr(spec, key)
-        if value is not None:
-            lines.append(f"{key} = {format(value, '.17g') if cast is float else value}")
-    return "\n".join(lines) + "\n"
-
-
 def _cells(spec: ExperimentSpec):
     """(n, s, r, m) for every grid cell, in grid order."""
     for n, s, r, m_entry in itertools.product(spec.n, spec.s, spec.r, spec.m):

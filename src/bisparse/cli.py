@@ -30,9 +30,18 @@ def _echo_seed(seed) -> None:
     print(f"# seed {seed if seed is not None else 'none'}", file=sys.stderr)
 
 
-def _parse_support(text: str) -> np.ndarray:
-    # CLI supports are 1-based, matching the text output format
-    return np.array([int(tok) - 1 for tok in text.split(",") if tok.strip()], dtype=int)
+def _parse_support(text: str, n: int) -> np.ndarray:
+    """A --sprime list of 1-based indices in [1, n], matching the text output, made 0-based."""
+    support = []
+    for tok in filter(str.strip, text.split(",")):
+        try:
+            index = int(tok)
+        except ValueError:
+            raise ValueError(f"--sprime index is not an integer: {tok.strip()!r}") from None
+        if not 1 <= index <= n:
+            raise ValueError(f"--sprime index {index} out of range [1, {n}]")
+        support.append(index - 1)
+    return np.array(support, dtype=int)
 
 
 def _write_outcome(outcome, stream) -> None:
@@ -50,7 +59,7 @@ def _rank(args) -> int:
 def _head_shrink(mat, args):
     if args.sprime is None:
         raise ValueError("head-shrink needs --sprime")
-    return projections.head_shrink(mat, _parse_support(args.sprime), args.s)
+    return projections.head_shrink(mat, _parse_support(args.sprime, len(mat)), args.s)
 
 
 def _hierarchical(mat, args):

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import _project_rank_vectors, check_sym, frob_inner
+from .symcore import _check_sparsity, _project_rank_vectors, check_sym, frob_inner
 
 __all__ = [
     "KINDS",
@@ -35,14 +35,12 @@ __all__ = [
     "RipEstimate",
     "CrossTermReport",
     "sample_map",
-    "isometry_map",
     "factorized_inner_map",
     "sample_structured",
     "estimate_rip",
     "cross_term_ratio",
     "check_rip_cross_term",
     "write_map_header",
-    "read_map_header",
     "write_measurement_file",
     "read_measurement_file",
 ]
@@ -52,7 +50,7 @@ INNER_KINDS = ("dense", "rank-one")
 SCALES = ("inv_m", "unit")
 _HEADER_KEYS = ("kind", "n", "m", "p", "inner", "scale", "seed")
 
-# entries a payload-sized array (a sampled map, isometry_map, the brute-force design) may
+# entries a payload-sized array (a sampled map, the brute-force design) may
 # hold; larger ones are refused before allocating (8e8 bytes of float64)
 PAYLOAD_CAP = 100_000_000
 # probes estimate_rip measures in one block batch; bounds its memory for any trial count
@@ -262,24 +260,6 @@ def _check_entries(what: str, entries: int) -> None:
         raise ValueError(f"{what} of {entries} entries exceeds the cap {PAYLOAD_CAP}")
 
 
-def isometry_map(n: int) -> MeasurementMap:
-    """Test hook: an orthonormal basis of symmetric matrices, so the map is an isometry.
-
-    Uses m = n(n+1)/2 measurements; apply followed by adjoint is the identity
-    on symmetric matrices.  Refuses n < 1, and payloads of more than
-    PAYLOAD_CAP entries (n > 118), before allocating.
-    """
-    m = n * (n + 1) // 2
-    _check_payload("dense-gaussian", n, m)
-    mats = np.zeros((m, n, n))
-    diag = np.arange(n)
-    mats[diag, diag, diag] = 1.0
-    rows, cols = np.triu_indices(n, 1)
-    k = np.arange(n, m)
-    mats[k, rows, cols] = mats[k, cols, rows] = 1.0 / np.sqrt(2.0)
-    return MeasurementMap("dense-gaussian", n, m, matrices=mats)
-
-
 def factorized_inner_map(mp: MeasurementMap) -> MeasurementMap:
     """The p x p stage-one map of a factorized map (measuring Y = B X B^T).
 
@@ -295,8 +275,7 @@ def factorized_inner_map(mp: MeasurementMap) -> MeasurementMap:
 
 
 def _check_structure_params(n: int, s: int, r: int) -> None:
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= {n}, got {s}")
+    _check_sparsity(s, n)
     if not 1 <= r <= s:
         raise ValueError(f"rank must satisfy 1 <= r <= s={s}, got {r}")
 
@@ -464,11 +443,6 @@ def _map_from_fields(fields: dict) -> MeasurementMap:
         inner=fields.get("inner", "dense"),
         scale=fields.get("scale", "inv_m"),
     )
-
-
-def read_map_header(lines) -> MeasurementMap:
-    """Rebuild a map from its text header by resampling from the stored seed."""
-    return _map_from_fields(_parse_header_lines(iter(lines)))
 
 
 def write_measurement_file(mp: MeasurementMap, y, stream) -> None:

@@ -30,7 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import _restrict, _sign_canonical, _top_eigen, check_support, check_sym, project_rank
+from .symcore import (_check_sparsity, _restrict, _sign_canonical, _top_eigen, check_support,
+                      check_sym, project_rank)
 
 __all__ = [
     "ProjectionOutcome",
@@ -138,11 +139,6 @@ def _partners(absm: np.ndarray, k: int):
     return partners, diag_sq + _kept_energy(absm, partners)
 
 
-def _check_sparsity(s: int, n: int) -> None:
-    if not 1 <= s <= n:
-        raise ValueError(f"sparsity must satisfy 1 <= s <= {n}, got {s}")
-
-
 def _check_rank(r: int, n: int) -> None:
     if not 1 <= r <= n:
         raise ValueError(f"rank bound must satisfy 1 <= r <= {n}, got {r}")
@@ -152,24 +148,13 @@ def _outcome(mat: np.ndarray, support: np.ndarray, rank_used: int) -> Projection
     return ProjectionOutcome(mat, support, rank_used, float(np.linalg.norm(mat)))
 
 
-def rank_project_on_support(mat: np.ndarray, support: np.ndarray, rank: int) -> np.ndarray:
-    """project_rank followed by re-restriction to the support.
-
-    The eigensolver can leave O(1e-17) dirt outside the block of an exactly
-    restricted matrix; zeroing it keeps outputs exactly structured.
-    """
-    out = project_rank(mat, rank)
-    return _restrict(out, check_support(support, out.shape[0]))
-
-
-def _truncate(m: np.ndarray, s: int, r: int, pick) -> np.ndarray:
-    """Unchecked _rank_truncated matrix, for M as check_sym returns it and 1 <= s, r <= n.
+def _truncate(m: np.ndarray, support: np.ndarray, r: int) -> np.ndarray:
+    """Unchecked _rank_truncated matrix, for M from check_sym, a sorted support and 1 <= r <= n.
 
     `_project_rank_vectors` of M restricted to the support, from the block alone: eigh
     sees the same sign-canonical n x n input, but only the block of the product is
     symmetrized and signed (a zero block gives +0.0 everywhere, as there).
     """
-    support = pick(m, s)
     flat = (support[:, None] * len(m) + support).ravel()    # the block's entries, row-major
     sign, block = _sign_canonical(m.take(flat))
     out = np.zeros_like(m)
@@ -182,10 +167,16 @@ def _truncate(m: np.ndarray, s: int, r: int, pick) -> np.ndarray:
 
 
 def _rank_truncated(mat, s: int, r: int, pick) -> ProjectionOutcome:
-    """M restricted to pick(M, s), truncated to rank r; M faults first, then r, then s."""
-    _check_rank(r, check_sym(mat).shape[0])
-    base = _projection(mat, s, pick)
-    return _outcome(rank_project_on_support(base.matrix, base.support, r), base.support, r)
+    """M restricted to pick(M, s), truncated to rank r; M faults first, then r, then s.
+
+    The eigensolver can leave O(1e-17) dirt outside the block of the restriction;
+    restricting again keeps the output exactly structured.
+    """
+    m = check_sym(mat)
+    _check_rank(r, m.shape[0])
+    _check_sparsity(s, m.shape[0])
+    support = pick(m, s)
+    return _outcome(_restrict(project_rank(_restrict(m, support), r), support), support, r)
 
 
 def _projection(mat, s: int, pick) -> ProjectionOutcome:
@@ -218,8 +209,7 @@ def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
         if obj > best_obj:
             best_obj, best_support = obj, cand
     support = np.array(best_support, dtype=int)
-    out = rank_project_on_support(_restrict(m, support), support, r)
-    return _outcome(out, support, r)
+    return _outcome(_truncate(m, support, r), support, r)
 
 
 def tail_bisparse(mat, s: int) -> ProjectionOutcome:

@@ -200,8 +200,10 @@ def _head_tail_step(x: np.ndarray, grad: np.ndarray, nu: float, s: int, r: int) 
     if not x.any():
         head = head_square_variant(grad, min(2 * s, n), min(2 * r, n)).matrix
         return tail_joint(x + nu * head, s, r).matrix
-    head = _truncate(_square_finite(grad), min(2 * s, n), min(2 * r, n), _square_support)
-    return _truncate(_square_finite(x + nu * head), s, r, _tail_support)
+    grad = _square_finite(grad)
+    head = _truncate(grad, _square_support(grad, min(2 * s, n)), min(2 * r, n))
+    step = _square_finite(x + nu * head)
+    return _truncate(step, _tail_support(step, s), r)
 
 
 def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,

@@ -1,7 +1,7 @@
 """Symmetric-matrix primitives.
 
 All matrices are dense float64 numpy arrays.  A "symmetric matrix" here is an
-n-by-n array that equals its transpose; `sym_enforce` produces one exactly,
+n-by-n array that equals its transpose; `read_matrix` produces one exactly,
 every other entry point asserts symmetry up to a small tolerance.  A "support"
 is a strictly increasing array of 0-based indices; restricting a matrix to a
 support S zeroes every entry outside S x S.
@@ -13,17 +13,12 @@ functions are safe to call concurrently.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 
 import numpy as np
 
 __all__ = [
-    "EigenDecomp",
-    "sym_enforce",
     "check_sym",
     "check_support",
-    "restrict",
-    "eigen",
     "project_rank",
     "frob_inner",
     "read_matrix",
@@ -46,12 +41,6 @@ def _square_finite(mat) -> np.ndarray:
     if not np.isfinite(m).all():
         raise ValueError("matrix entries must be finite")
     return m
-
-
-def sym_enforce(mat) -> np.ndarray:
-    """Return the symmetric part (M + M^T)/2 of a square matrix."""
-    m = _square_finite(mat)
-    return (m + m.T) / 2.0
 
 
 def check_sym(mat) -> np.ndarray:
@@ -81,50 +70,25 @@ def check_support(indices, n: int) -> np.ndarray:
     return s
 
 
-def restrict(mat, support) -> np.ndarray:
-    """Zero every entry of a symmetric matrix outside support x support."""
-    m = check_sym(mat)
-    return _restrict(m, check_support(support, m.shape[0]))
+def _check_sparsity(s: int, n: int) -> None:
+    if not 1 <= s <= n:
+        raise ValueError(f"sparsity must satisfy 1 <= s <= {n}, got {s}")
 
 
 def _restrict(m: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """restrict for a validated matrix and a sorted, in-range support."""
+    """Zero every entry of a validated matrix outside support x support (sorted, in range)."""
     out = np.zeros_like(m)
     out[support[:, None], support] = m[support[:, None], support]
     return out
 
 
-@dataclass(frozen=True)
-class EigenDecomp:
-    """Eigendecomposition with eigenvalues sorted by descending magnitude.
-
-    `eigenvalues[k]` pairs with orthonormal column `eigenvectors[:, k]`; the
-    sign of each eigenvector is fixed so its first nonzero component is
-    positive, which makes the decomposition deterministic for a given input.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
-
-
-def eigen(mat) -> EigenDecomp:
-    """Symmetric eigendecomposition ordered by |eigenvalue|, deterministic signs.
-
-    Ties in magnitude keep the eigenvalue with the lower position in the
-    ascending-value factorization first, so repeated calls on the same input
-    are bit-identical.  Raises numpy.linalg.LinAlgError if the underlying
-    solver fails to converge.
-    """
-    m = check_sym(mat)
-    return EigenDecomp(*_top_eigen(m, m.shape[0]))
-
-
 def _top_eigen(m: np.ndarray, k: int):
-    """The k `eigen` pairs of largest magnitude of a validated symmetric matrix.
+    """The k eigenpairs of largest magnitude of a validated symmetric matrix, largest first.
 
-    Only the k kept vectors are sign-fixed.  They are the first k columns of the
-    reordered C-ordered eigenvector matrix, a view with row stride n: the solvers'
-    bits are pinned to that layout, as BLAS takes another path for a unit-stride column.
+    Ties keep eigh's ascending order; each kept vector's first nonzero component is made
+    positive.  The vectors are the first k columns of the reordered C-ordered eigenvector
+    matrix, a view with row stride n: the solvers' bits are pinned to that layout, as BLAS
+    takes another path for a unit-stride column.
     """
     vals, vecs = np.linalg.eigh(m)
     order = (-np.abs(vals)).argsort(kind="stable")
@@ -222,7 +186,7 @@ def read_matrix(lines) -> np.ndarray:
     asym = float(np.max(np.abs(rows - rows.T)))
     if asym > READ_WARN_ATOL:
         warnings.warn(f"input matrix asymmetry {asym:.3e} exceeds {READ_WARN_ATOL}; symmetrizing")
-    return sym_enforce(rows)
+    return (rows + rows.T) / 2.0
 
 
 def write_matrix(mat, stream) -> None:

@@ -32,7 +32,8 @@ from bisparse.projections import (
     tail_joint,
 )
 from bisparse.recovery import RecoveryConfig, hihtp, iht_exact, iht_head_tail, iht_rank_one, two_step_factorized
-from bisparse.symcore import restrict, sym_enforce
+from bisparse.symcore import _restrict
+from helpers import sym
 
 
 def check(criterion, description, condition):
@@ -41,7 +42,7 @@ def check(criterion, description, condition):
 
 
 def random_sym(n, seed):
-    return sym_enforce(np.random.default_rng(seed).standard_normal((n, n)))
+    return sym(np.random.default_rng(seed).standard_normal((n, n)))
 
 
 def support_energy(squared, sup):
@@ -202,7 +203,7 @@ def test_criterion_6_restriction_property():
         for k in range(len(rest) + 1):
             for extra in itertools.combinations(rest, k):
                 sup = sorted(star | set(extra))
-                again = exact_project(restrict(m, sup), 2, 1)
+                again = exact_project(_restrict(m, np.array(sup)), 2, 1)
                 worst = max(worst, float(np.max(np.abs(again.matrix - out.matrix))))
     check(6, f"exact_project invariant under restriction to supersets (worst dev {worst:.2e})",
           worst <= 1e-10)

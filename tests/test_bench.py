@@ -12,7 +12,6 @@ from bisparse.bench import (
     baseline_m,
     default_inner_dim,
     derive_seed,
-    format_spec,
     parse_spec,
     resolve_m,
     run_phase_transition,
@@ -40,11 +39,10 @@ def small_spec(**overrides):
 
 
 class TestSpecParsing:
-    def test_roundtrip(self):
-        spec = small_spec(noise_level=0.01, success_tol=1e-5)
-        text = format_spec(spec)
-        back = parse_spec(io.StringIO(text))
-        assert back == spec
+    def test_every_key(self):
+        text = ("algo = exact-iht\nensemble = dense-gaussian\nn = 6\ns = 2\nr = 1\nm = 21\n"
+                "trials_per_cell = 3\nnoise_level = 0.01\nsuccess_tol = 1e-05\nbase_seed = 11\n")
+        assert parse_spec(io.StringIO(text)) == small_spec(noise_level=0.01, success_tol=1e-5)
 
     def test_comments_and_blank_lines(self):
         text = "\n".join(

@@ -113,6 +113,18 @@ class TestProject:
                      "--sprime", "1,2,3,4", "--input", str(src), "--output", str(out)])
         assert code == 0
 
+    @pytest.mark.parametrize("sprime, message", [
+        ("0,2", "error: --sprime index 0 out of range [1, 3]"),
+        ("1,4", "error: --sprime index 4 out of range [1, 3]"),
+        ("1, x", "error: --sprime index is not an integer: 'x'"),
+    ])
+    def test_bad_sprime_names_the_flag_in_one_based_terms(self, diag_matrix, capsys, sprime,
+                                                          message):
+        code = main(["project", "--op", "head-shrink", "--s", "2", "--sprime", sprime,
+                     "--input", str(diag_matrix)])
+        assert code == 2
+        assert capsys.readouterr().err.splitlines()[-1] == message
+
     def test_hierarchical_op(self, tmp_path, diag_matrix):
         out = tmp_path / "o.txt"
         code = main(["project", "--op", "hierarchical", "--s", "2", "--t", "1",

@@ -1,12 +1,13 @@
 """The head-tail step's kernels against the argsort-based pickers and n x n rank kernel.
 
 After its first step, head-tail IHT (and the rank-one variant) runs `projections._truncate`
-with the square head's and the tail's support pickers.  The pickers write the diagonal
-through a flat view, gather kept entries by fancy indexing and build the support from one
-membership mask; `_truncate` builds the sign-canonical input from the support block and
-symmetrizes only that block of the rank-r product.  Each must return the bits of the
-formulation it replaced, written out below with argsort, take_along_axis, fill_diagonal
-and a restriction round trip: ties, -0.0 entries, -inf diagonals and zero matrices included.
+on the square head's and the tail's supports, and exact_project runs it on its winning
+support.  The pickers write the diagonal through a flat view, gather kept entries by fancy
+indexing and build the support from one membership mask; `_truncate` builds the
+sign-canonical input from the support block and symmetrizes only that block of the rank-r
+product.  Each must return the bits of the formulation it replaced, written out below with
+argsort, take_along_axis, fill_diagonal and a restriction round trip: ties, -0.0 entries,
+-inf diagonals and zero matrices included.
 """
 
 import numpy as np
@@ -111,12 +112,13 @@ def test_truncate_matches_the_restricted_rank_kernel(m, data):
     n = len(m)
     s = data.draw(st.integers(1, n))
     r = data.draw(st.integers(1, n))
-    for pick in (P._square_support, P._tail_support):
-        support = pick(m, s)
+    # the pickers' supports, as the head-tail step runs, and any sorted one, as exact_project
+    drawn = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=int)
+    for support in (P._square_support(m, s), P._tail_support(m, s), drawn):
         want = _restrict(_project_rank_vectors(_restrict(m, support), r)[0], support)
-        got = P._truncate(m, s, r, pick)
+        got = P._truncate(m, support, r)
         assert bits(got) == bits(want)
-        assert np.array_equal(P._truncate(-m, s, r, pick), -got)    # odd, as the solvers need
+        assert np.array_equal(P._truncate(-m, support, r), -got)    # odd, as the solvers need
 
 
 @SETTINGS

@@ -7,7 +7,6 @@ import pytest
 
 from bisparse import measurements
 from bisparse.measurements import (
-    PAYLOAD_CAP,
     PROBE_CACHE_CHUNKS,
     PROBE_CHUNK,
     MeasurementMap,
@@ -16,19 +15,18 @@ from bisparse.measurements import (
     cross_term_ratio,
     estimate_rip,
     factorized_inner_map,
-    isometry_map,
-    read_map_header,
     read_measurement_file,
     sample_map,
     sample_structured,
     write_map_header,
     write_measurement_file,
 )
-from bisparse.symcore import frob_inner, project_rank, sym_enforce
+from bisparse.symcore import frob_inner, project_rank
+from helpers import isometry_map, sym
 
 
 def random_sym(n, seed):
-    return sym_enforce(np.random.default_rng(seed).standard_normal((n, n)))
+    return sym(np.random.default_rng(seed).standard_normal((n, n)))
 
 
 ALL_KINDS = [
@@ -238,7 +236,7 @@ class TestApplyAdjoint:
         mp = sample_map(kind, 5, 12, seed=7, **kwargs)
         rng = np.random.default_rng(20)
         for _ in range(5):
-            x = sym_enforce(rng.standard_normal((5, 5)))
+            x = sym(rng.standard_normal((5, 5)))
             u = rng.standard_normal(12)
             lhs = float(mp.apply(x) @ u)
             rhs = frob_inner(x, mp.adjoint(u))
@@ -287,7 +285,7 @@ class TestApplyAdjoint:
         x = random_sym(5, 31)
         for inner_kind in ("dense", "rank-one"):
             mp = sample_map("factorized", 5, 7, p=6, seed=30, inner=inner_kind)
-            lifted = sym_enforce(mp.basis @ x @ mp.basis.T)
+            lifted = sym(mp.basis @ x @ mp.basis.T)
             got = factorized_inner_map(mp).apply(lifted)
             assert np.max(np.abs(got - mp.apply(x))) <= 1e-10, inner_kind
 
@@ -543,37 +541,6 @@ class TestProbeCache:
 
 
 class TestEstimateRip:
-    def test_isometry_hook_matches_loop_reference(self):
-        # diagonal units first, then (E_ij + E_ji)/sqrt(2) for i < j in row-major order
-        n = 4
-        ref = []
-        for i in range(n):
-            unit = np.zeros((n, n))
-            unit[i, i] = 1.0
-            ref.append(unit)
-        for i in range(n):
-            for j in range(i + 1, n):
-                pair = np.zeros((n, n))
-                pair[i, j] = pair[j, i] = 1.0 / np.sqrt(2.0)
-                ref.append(pair)
-        assert np.array_equal(isometry_map(n).matrices, np.stack(ref))
-
-    def test_isometry_hook_refuses_oversized_or_empty_before_allocating(self):
-        # n=119 is the first n whose n(n+1)/2 x n x n payload exceeds the cap; 150 would be 2 GB
-        assert 119 * 120 // 2 * 119**2 > PAYLOAD_CAP >= 118 * 119 // 2 * 118**2
-        tracemalloc.start()
-        try:
-            for n in (119, 150):
-                with pytest.raises(ValueError, match="exceeds the cap"):
-                    isometry_map(n)
-            for n in (0, -3):
-                with pytest.raises(ValueError, match="dimensions must be positive"):
-                    isometry_map(n)
-            _, peak = tracemalloc.get_traced_memory()
-        finally:
-            tracemalloc.stop()
-        assert peak < 10**7
-
     def test_isometry_hook_gives_zero_delta(self):
         mp = isometry_map(5)
         est = estimate_rip(mp, 2, 1, 50, seed=0)
@@ -635,11 +602,11 @@ class TestSerialization:
     @pytest.mark.parametrize("kind,kwargs", ALL_KINDS)
     def test_header_roundtrip(self, kind, kwargs):
         mp = sample_map(kind, 5, 8, seed=19, **kwargs)
-        buf = io.StringIO()
-        write_map_header(mp, buf)
-        back = read_map_header(io.StringIO(buf.getvalue()))
-        assert back.kind == mp.kind and back.n == mp.n and back.m == mp.m
         x = random_sym(5, 60)
+        buf = io.StringIO()
+        write_measurement_file(mp, mp.apply(x), buf)
+        back, _ = read_measurement_file(io.StringIO(buf.getvalue()))
+        assert back.kind == mp.kind and back.n == mp.n and back.m == mp.m
         assert np.array_equal(back.apply(x), mp.apply(x))
 
     def test_measurement_file_roundtrip(self):
@@ -659,12 +626,12 @@ class TestSerialization:
     def test_unknown_header_key_rejected(self):
         text = "kind factorized\nn 4\nm 6\np 5\ninnr rank-one\nseed 3\n"
         with pytest.raises(ValueError, match="innr"):
-            read_map_header(io.StringIO(text))
+            read_measurement_file(io.StringIO(text + "y\n" + "1.0\n" * 6))
 
     def test_header_option_the_kind_does_not_take_rejected(self):
         text = "kind dense-gaussian\nn 4\nm 6\nscale unit\ninner rank-one\nseed 3\n"
         with pytest.raises(ValueError, match="dense-gaussian.*inner.*scale"):
-            read_map_header(io.StringIO(text))
+            read_measurement_file(io.StringIO(text + "y\n" + "1.0\n" * 6))
 
     def test_values_after_last_measurement_rejected(self):
         mp = sample_map("rank-one", 3, 2, seed=31)

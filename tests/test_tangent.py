@@ -19,7 +19,8 @@ st = hypothesis.strategies
 
 from bisparse.measurements import MeasurementMap, sample_map  # noqa: E402
 from bisparse.recovery import _normal_solve, _tangent_lstsq  # noqa: E402
-from bisparse.symcore import _project_rank_vectors, project_rank, sym_enforce  # noqa: E402
+from bisparse.symcore import _project_rank_vectors, project_rank  # noqa: E402
+from helpers import sym  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -47,7 +48,7 @@ def tangent_case(draw, overdetermined=False):
     mp = sample_map(kind, n, draw(st.integers(low, low + 29)), p=p, seed=seed, inner=inner)
     rng = np.random.default_rng(seed)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    out, vecs = _project_rank_vectors(sym_enforce(rng.standard_normal((n, n))), r)
+    out, vecs = _project_rank_vectors(sym(rng.standard_normal((n, n))), r)
     return mp, out, vecs, rng.standard_normal(mp.m) * scale
 
 
@@ -133,7 +134,7 @@ def test_repeated_measurements_step_matches_lstsq():
     base = sample_map("dense-gaussian", 12, 8, seed=5)
     mp = MeasurementMap("dense-gaussian", 12, 32, matrices=np.tile(base.matrices, (4, 1, 1)))
     rng = np.random.default_rng(6)
-    y = mp._apply(project_rank(sym_enforce(rng.standard_normal((12, 12))), 1))
+    y = mp._apply(project_rank(sym(rng.standard_normal((12, 12))), 1))
     u = _project_rank_vectors(mp.adjoint(y), 1)[1]
     times = mp._times(u)
     want = np.linalg.lstsq(times.reshape(32, -1), y, rcond=None)[0].reshape(u.shape) / 2.0

@@ -15,7 +15,9 @@ from bisparse import measurements as M
 from bisparse import projections as P
 from bisparse import symcore as S
 
-SYM4 = S.sym_enforce(np.random.default_rng(0).standard_normal((4, 4)))
+from helpers import sym
+
+SYM4 = sym(np.random.default_rng(0).standard_normal((4, 4)))
 
 MATRIX_FAULTS = {
     "non-square": (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
@@ -27,8 +29,6 @@ MATRIX_FAULTS = {
 # public functions of one matrix argument (the rest fixed to valid values)
 MATRIX_FUNCTIONS = {
     "check_sym": S.check_sym,
-    "restrict": lambda m: S.restrict(m, [0]),
-    "eigen": S.eigen,
     "project_rank": lambda m: S.project_rank(m, 1),
     "exact_project": lambda m: P.exact_project(m, 1, 1),
     "tail_bisparse": lambda m: P.tail_bisparse(m, 1),
@@ -40,7 +40,6 @@ MATRIX_FUNCTIONS = {
     "head_joint": lambda m: P.head_joint(m, 1, 1),
     "head_square_variant": lambda m: P.head_square_variant(m, 1, 1),
     "head_shrink": lambda m: P.head_shrink(m, [0, 1], 2),
-    "rank_project_on_support": lambda m: P.rank_project_on_support(m, [0], 1),
 }
 
 SUPPORT_FAULTS = {
@@ -52,9 +51,7 @@ SUPPORT_FAULTS = {
 
 SUPPORT_FUNCTIONS = {
     "check_support": lambda sp: S.check_support(sp, 4),
-    "restrict": lambda sp: S.restrict(SYM4, sp),
     "head_shrink": lambda sp: P.head_shrink(SYM4, sp, 2),
-    "rank_project_on_support": lambda sp: P.rank_project_on_support(SYM4, sp, 1),
 }
 
 _RANK_ONE = M.sample_map("rank-one", 4, 10, seed=0)
@@ -98,8 +95,6 @@ PARAMETER_FAULTS = {
                                     "rank bound must satisfy 1 <= r <= 4, got 0"),
     "head_shrink odd s": (lambda: P.head_shrink(SYM4, [0, 1], 1),
                           "sparsity must be even, got 1"),
-    "rank_project_on_support negative rank": (lambda: P.rank_project_on_support(SYM4, [0], -1),
-                                              "rank bound must be nonnegative"),
     "hierarchical_mask vector": (lambda: P.hierarchical_mask(np.ones(3), 1, 1),
                                  "expected a matrix, got shape (3,)"),
     "project_hierarchical t": (lambda: P.project_hierarchical(SYM4, 1, 0),
@@ -133,13 +128,6 @@ def test_matrix_faults(name, fault):
     _raises_exactly(lambda: MATRIX_FUNCTIONS[name](mat), message)
 
 
-@pytest.mark.parametrize("fault", ["non-square", "non-finite"])
-def test_sym_enforce_faults(fault):
-    # sym_enforce symmetrizes, so asymmetry is its input, not a fault
-    mat, message = MATRIX_FAULTS[fault]
-    _raises_exactly(lambda: S.sym_enforce(mat), message)
-
-
 @pytest.mark.parametrize("fault", list(SUPPORT_FAULTS))
 @pytest.mark.parametrize("name", list(SUPPORT_FUNCTIONS))
 def test_support_faults(name, fault):
@@ -150,3 +138,17 @@ def test_support_faults(name, fault):
 @pytest.mark.parametrize("case", list(PARAMETER_FAULTS))
 def test_parameter_faults(case):
     _raises_exactly(*PARAMETER_FAULTS[case])
+
+
+@pytest.mark.parametrize("name", ["tail_joint", "head_joint", "head_square_variant"])
+def test_joint_projections_validate_the_matrix_once(name, monkeypatch):
+    calls = []
+
+    def counted(mat):
+        calls.append(1)
+        return S.check_sym(mat)
+
+    monkeypatch.setattr(P, "check_sym", counted)
+    for _ in range(2):
+        getattr(P, name)(SYM4, 2, 1)
+    assert len(calls) == 2
