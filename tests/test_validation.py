@@ -22,6 +22,7 @@ SYM4 = sym(np.random.default_rng(0).standard_normal((4, 4)))
 MATRIX_FAULTS = {
     "non-square": (np.ones((2, 3)), "expected a square matrix, got shape (2, 3)"),
     "non-finite": (np.array([[1.0, np.nan], [np.nan, 1.0]]), "matrix entries must be finite"),
+    "empty": (np.zeros((0, 0)), "matrix must be nonempty"),
     "asymmetric": (np.array([[1.0, 2.0], [0.0, 1.0]]),
                    "matrix is not symmetric (max asymmetry 2.000e+00)"),
 }
@@ -40,6 +41,7 @@ MATRIX_FUNCTIONS = {
     "head_joint": lambda m: P.head_joint(m, 1, 1),
     "head_square_variant": lambda m: P.head_square_variant(m, 1, 1),
     "head_shrink": lambda m: P.head_shrink(m, [0, 1], 2),
+    "apply": lambda m: M.sample_map("rank-one", 2, 3, seed=0).apply(m),
 }
 
 SUPPORT_FAULTS = {
