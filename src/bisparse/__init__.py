@@ -6,7 +6,7 @@ estimators), `recovery` (the solvers), `bench` (the seeded experiment
 harness), `cli` (command-line front end).
 """
 
-from .symcore import frob_inner, project_rank, read_matrix, write_matrix
+from .symcore import project_rank, read_matrix, write_matrix
 from .projections import (
     ProjectionOutcome,
     exact_project,

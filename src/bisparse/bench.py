@@ -35,8 +35,6 @@ from .projections import _check_enumeration
 from .recovery import ALGOS, _check_brute, solve
 
 __all__ = [
-    "ALGOS",
-    "ENSEMBLES",
     "CSV_HEADER",
     "ExperimentSpec",
     "TrialRecord",
@@ -51,8 +49,6 @@ __all__ = [
     "aggregate",
     "write_aggregate_csv",
 ]
-
-ENSEMBLES = KINDS
 
 CSV_HEADER = "algo,ensemble,n,s,r,m,trial,seed,noise,success,rel_error,iters,ms"
 RIP_CSV_HEADER = "ensemble,n,s,r,m,trials,seed,delta_lower,alpha_hat,beta_hat"
@@ -85,7 +81,7 @@ class ExperimentSpec:
     def __post_init__(self):
         if self.algo not in ALGOS:
             raise ValueError(f"unknown algorithm {self.algo!r}")
-        if self.ensemble not in ENSEMBLES:
+        if self.ensemble not in KINDS:
             raise ValueError(f"unknown ensemble {self.ensemble!r}")
         if not (self.n and self.s and self.r and self.m):
             raise ValueError("grid lists n, s, r, m must be nonempty")

@@ -1,8 +1,10 @@
 """Command-line front end: project / measure / recover / rip / bench.
 
-All stochastic subcommands require an explicit --seed; every run echoes the
-resolved seed on stderr.  Exit codes: 0 success, 2 usage or input error,
-1 numerical failure (non-convergence under --strict, or a LinAlgError).
+The stochastic subcommands, measure and rip, require an explicit --seed.  Every
+run echoes on stderr the seed it uses: recover the one in its file's header,
+bench its spec's base_seed after any --seed override.  Exit codes: 0 success,
+2 usage or input error, 1 numerical failure (non-convergence under --strict, or
+a LinAlgError).
 """
 
 from __future__ import annotations
@@ -44,12 +46,6 @@ def _parse_support(text: str, n: int) -> np.ndarray:
     return np.array(support, dtype=int)
 
 
-def _write_outcome(outcome, stream) -> None:
-    stream.write(" ".join(str(i + 1) for i in outcome.support) + "\n")
-    stream.write(format(outcome.objective, ".17g") + "\n")
-    write_matrix(outcome.matrix, stream)
-
-
 def _rank(args) -> int:
     if args.r is None:
         raise ValueError(f"--op {args.op} needs --r")
@@ -64,8 +60,7 @@ def _head_shrink(mat, args):
 
 def _hierarchical(mat, args):
     out = projections.project_hierarchical(mat, args.s, args.s if args.t is None else args.t)
-    support = np.nonzero(np.any(out != 0.0, axis=0))[0]
-    return projections.ProjectionOutcome(out, support, support.size, float(np.linalg.norm(out)))
+    return projections.ProjectionOutcome(out, np.nonzero(np.any(out != 0.0, axis=0))[0])
 
 
 # --op name -> projection of (matrix, parsed arguments) to a ProjectionOutcome
@@ -90,7 +85,9 @@ def _cmd_project(args) -> int:
         mat = read_matrix(fh)
     outcome = PROJECTIONS[args.op](mat, args)
     with _open_out(args.output) as fh:
-        _write_outcome(outcome, fh)
+        fh.write(" ".join(str(i + 1) for i in outcome.support) + "\n")
+        fh.write(format(outcome.objective, ".17g") + "\n")
+        write_matrix(outcome.matrix, fh)
     return 0
 
 
@@ -109,9 +106,9 @@ def _cmd_measure(args) -> int:
 
 
 def _cmd_recover(args) -> int:
-    _echo_seed(args.seed)
     with _open_in(args.input) as fh:
         mp, y = measurements.read_measurement_file(fh)
+    _echo_seed(mp.seed)
     cfg = recovery.RecoveryConfig(max_iters=args.max_iters, tol_residual=args.tol)
     result = recovery.solve(args.algo, mp, y, args.s, args.r, cfg)
     final_res = result.residual_trace[-1] if result.residual_trace else float("nan")
@@ -150,11 +147,11 @@ def _cmd_rip(args) -> int:
 
 
 def _cmd_bench(args) -> int:
-    _echo_seed(args.seed)
     with _open_in(args.spec) as fh:
         spec = bench.parse_spec(fh)
     if args.seed is not None:
         spec.base_seed = args.seed
+    _echo_seed(spec.base_seed)
     if args.mode == "phase":
         records = bench.run_phase_transition(spec, threads=args.threads)
         with _open_out(args.output) as fh:
@@ -205,7 +202,6 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--r", type=int, required=True)
     p_rec.add_argument("--max-iters", type=int, default=500)
     p_rec.add_argument("--tol", type=float, default=1e-9)
-    p_rec.add_argument("--seed", type=int, required=True)
     p_rec.add_argument("--strict", action="store_true",
                        help="exit 1 when the solver does not converge")
     p_rec.add_argument("--input", default="-", help="measurement file (default stdin)")

@@ -27,7 +27,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import _check_sparsity, _project_rank_vectors, check_sym, frob_inner
+from .symcore import _check_sparsity, _project_rank_vectors, check_sym
 
 __all__ = [
     "KINDS",
@@ -280,18 +280,13 @@ def _check_structure_params(n: int, s: int, r: int) -> None:
         raise ValueError(f"rank must satisfy 1 <= r <= s={s}, got {r}")
 
 
-def _draw_block(n: int, s: int, rng: np.random.Generator):
-    support = np.sort(rng.choice(n, size=s, replace=False))
-    g = rng.standard_normal((s, s))
-    return support, (g + g.T) / 2.0
-
-
 def _structured_probe(n: int, s: int, r: int, rng: np.random.Generator):
     """sample_structured's (support, unit-Frobenius s x s block); a zero projection is redrawn."""
     nrm = 0.0
     while nrm == 0.0:
-        support, g = _draw_block(n, s, rng)
-        block = _project_rank_vectors(g, r)[0]
+        support = np.sort(rng.choice(n, size=s, replace=False))
+        g = rng.standard_normal((s, s))
+        block = _project_rank_vectors((g + g.T) / 2.0, r)[0]
         nrm = float(np.linalg.norm(block))
     return support, block / nrm
 
@@ -383,7 +378,7 @@ def cross_term_ratio(mp: MeasurementMap, z, zp) -> float:
     """|<A(Z), A(Z')> - <Z, Z'>| / (||Z|| ||Z'||) for one pair of matrices."""
     za = np.asarray(z, dtype=float)
     zb = np.asarray(zp, dtype=float)
-    num = abs(float(mp.apply(za) @ mp.apply(zb)) - frob_inner(za, zb))
+    num = abs(float(mp.apply(za) @ mp.apply(zb)) - float(np.sum(za * zb)))
     den = float(np.linalg.norm(za)) * float(np.linalg.norm(zb))
     return num / den
 

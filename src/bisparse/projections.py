@@ -85,23 +85,23 @@ class ProjectionOutcome:
 
     `objective` is the Frobenius norm of `matrix`; for every operator here the
     output is of the form P^[rank](M restricted to support), so maximizing the
-    kept norm is the same as minimizing the residual.  `rank_used` is an upper
-    bound on the rank of `matrix` (the truncation rank, or the support size
-    when no truncation was applied).
+    kept norm is the same as minimizing the residual.
     """
 
     matrix: np.ndarray
     support: np.ndarray
-    rank_used: int
-    objective: float
+
+    @property
+    def objective(self) -> float:
+        return float(np.linalg.norm(self.matrix))
 
 
 @dataclass(frozen=True)
 class ShrinkOutcome(ProjectionOutcome):
     """head_shrink result; also records the row and column halves of the support."""
 
-    rows: np.ndarray = None
-    cols: np.ndarray = None
+    rows: np.ndarray
+    cols: np.ndarray
 
 
 def _select(mags: np.ndarray, k: int) -> np.ndarray:
@@ -144,10 +144,6 @@ def _check_rank(r: int, n: int) -> None:
         raise ValueError(f"rank bound must satisfy 1 <= r <= {n}, got {r}")
 
 
-def _outcome(mat: np.ndarray, support: np.ndarray, rank_used: int) -> ProjectionOutcome:
-    return ProjectionOutcome(mat, support, rank_used, float(np.linalg.norm(mat)))
-
-
 def _truncate(m: np.ndarray, support: np.ndarray, r: int) -> np.ndarray:
     """Unchecked _rank_truncated matrix, for M from check_sym, a sorted support and 1 <= r <= n.
 
@@ -176,7 +172,7 @@ def _rank_truncated(mat, s: int, r: int, pick) -> ProjectionOutcome:
     _check_rank(r, m.shape[0])
     _check_sparsity(s, m.shape[0])
     support = pick(m, s)
-    return _outcome(_restrict(project_rank(_restrict(m, support), r), support), support, r)
+    return ProjectionOutcome(_restrict(project_rank(_restrict(m, support), r), support), support)
 
 
 def _projection(mat, s: int, pick) -> ProjectionOutcome:
@@ -184,7 +180,7 @@ def _projection(mat, s: int, pick) -> ProjectionOutcome:
     m = check_sym(mat)
     _check_sparsity(s, m.shape[0])
     support = pick(m, s)
-    return _outcome(_restrict(m, support), support, support.size)
+    return ProjectionOutcome(_restrict(m, support), support)
 
 
 def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
@@ -209,7 +205,7 @@ def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
         if obj > best_obj:
             best_obj, best_support = obj, cand
     support = np.array(best_support, dtype=int)
-    return _outcome(_truncate(m, support, r), support, r)
+    return ProjectionOutcome(_truncate(m, support, r), support)
 
 
 def tail_bisparse(mat, s: int) -> ProjectionOutcome:
@@ -312,8 +308,7 @@ def head_psd_lowrank(mat, s: int, rank_override: int | None = None) -> Projectio
         top = abs(vals[0]) if vals.size else 0.0
         r = int(np.sum(vals > RANK_TOL * top)) if top > 0 else 0
     support = _support(n, _select(np.abs(vecs[:, :r].T), s))
-    out = _restrict(m, support)
-    return _outcome(out, support, support.size)
+    return ProjectionOutcome(_restrict(m, support), support)
 
 
 def head_joint(mat, s: int, r: int) -> ProjectionOutcome:
@@ -355,10 +350,7 @@ def head_shrink(mat, sprime, s: int) -> ShrinkOutcome:
     col_scores = np.linalg.norm(m[np.ix_(rows, sp)], axis=0)
     cols = sp[np.sort(_select(col_scores, half))]
     support = _support(n, rows, cols)
-    out = _restrict(m, support)
-    return ShrinkOutcome(
-        out, support, support.size, float(np.linalg.norm(out)), rows=rows, cols=cols
-    )
+    return ShrinkOutcome(_restrict(m, support), support, rows, cols)
 
 
 def hierarchical_mask(mat, s: int, t: int) -> np.ndarray:

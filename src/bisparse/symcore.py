@@ -20,7 +20,6 @@ __all__ = [
     "check_sym",
     "check_support",
     "project_rank",
-    "frob_inner",
     "read_matrix",
     "write_matrix",
 ]
@@ -86,13 +85,11 @@ def _top_eigen(m: np.ndarray, k: int):
     """The k eigenpairs of largest magnitude of a validated symmetric matrix, largest first.
 
     Ties keep eigh's ascending order; each kept vector's first nonzero component is made
-    positive.  The vectors are the first k columns of the reordered C-ordered eigenvector
-    matrix, a view with row stride n: the solvers' bits are pinned to that layout, as BLAS
-    takes another path for a unit-stride column.
+    positive.
     """
     vals, vecs = np.linalg.eigh(m)
-    order = (-np.abs(vals)).argsort(kind="stable")
-    vals, vecs = vals[order[:k]], vecs.take(order, axis=1)[:, :k]
+    order = (-np.abs(vals)).argsort(kind="stable")[:k]
+    vals, vecs = vals[order], vecs[:, order]
     # flip every column whose first nonzero component is negative
     vecs *= np.sign(vecs[(vecs != 0).argmax(axis=0), np.arange(k)])
     return vals, vecs
@@ -135,15 +132,6 @@ def _project_rank_vectors(m: np.ndarray, r: int):
     out = (vecs * vals) @ vecs.T
     out = (out + out.T) / 2.0 * sign if sign else np.zeros_like(out)    # a zero M gives +0.0
     return out, vecs
-
-
-def frob_inner(a, b) -> float:
-    """Frobenius inner product sum_ij A_ij * B_ij."""
-    x = np.asarray(a, dtype=float)
-    y = np.asarray(b, dtype=float)
-    if x.shape != y.shape:
-        raise ValueError(f"shape mismatch: {x.shape} vs {y.shape}")
-    return float(np.sum(x * y))
 
 
 def read_matrix(lines) -> np.ndarray:

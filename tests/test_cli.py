@@ -35,8 +35,7 @@ def diag_matrix(tmp_path):
 
 def _hierarchical_outcome(mat, s, t):
     out = projections.project_hierarchical(mat, s, t)
-    support = np.nonzero(np.any(out != 0.0, axis=0))[0]
-    return projections.ProjectionOutcome(out, support, support.size, float(np.linalg.norm(out)))
+    return projections.ProjectionOutcome(out, np.nonzero(np.any(out != 0.0, axis=0))[0])
 
 
 # every --op: its extra flags and the library call they must reproduce
@@ -203,7 +202,7 @@ class TestMeasureRecover:
 
         rec = tmp_path / "rec.txt"
         code = main(["recover", "--algo", "exact-iht", "--s", "2", "--r", "1",
-                     "--seed", "1", "--input", str(meas), "--output", str(rec)])
+                     "--input", str(meas), "--output", str(rec)])
         assert code == 0
         lines = rec.read_text().split("\n")
         assert lines[0] == "converged 1"
@@ -222,7 +221,7 @@ class TestMeasureRecover:
               "--input", str(xfile), "--output", str(meas)])
         code = main(["recover", "--algo", "rank-one", "--s", "2", "--r", "1",
                      "--max-iters", "2", "--strict",
-                     "--seed", "1", "--input", str(meas), "--output", str(tmp_path / "r.txt")])
+                     "--input", str(meas), "--output", str(tmp_path / "r.txt")])
         assert code == 1
 
     def test_strict_two_step_fails_on_measurement_residual(self, tmp_path):
@@ -230,7 +229,7 @@ class TestMeasureRecover:
         # leaves a relative residual of about 0.57 on y
         meas = Path(__file__).parent / "golden" / "outputs" / "measure-factorized.txt"
         out = tmp_path / "r.txt"
-        argv = ["recover", "--algo", "two-step", "--s", "2", "--r", "1", "--seed", "1",
+        argv = ["recover", "--algo", "two-step", "--s", "2", "--r", "1",
                 "--input", str(meas), "--output", str(out)]
         assert main(argv) == 0
         with open(meas) as fh:
@@ -245,11 +244,28 @@ class TestMeasureRecover:
             1e-12 * np.linalg.norm(y))
         assert main(argv + ["--strict"]) == 1
 
+    def test_seed_flag_is_gone(self, tmp_path, capsys):
+        # the map is regenerated from the file header's seed, and no solver draws randomness
+        meas = Path(__file__).parent / "golden" / "outputs" / "measure-dense.txt"
+        code = main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1", "--seed", "1",
+                     "--input", str(meas), "--output", str(tmp_path / "r.txt")])
+        assert code == 2
+        assert "unrecognized arguments: --seed 1" in capsys.readouterr().err
+        assert main(["recover", "--help"]) == 0
+        assert "--seed" not in capsys.readouterr().out
+
+    def test_echoes_the_seed_of_the_file(self, tmp_path, capsys):
+        # the golden dense measurements were taken at seed 7
+        meas = Path(__file__).parent / "golden" / "outputs" / "measure-dense.txt"
+        assert main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1",
+                     "--input", str(meas), "--output", str(tmp_path / "r.txt")]) == 0
+        assert "# seed 7" in capsys.readouterr().err.splitlines()
+
     @pytest.mark.parametrize("flag", [["--head", "anchor"], ["--beta", "1"]], ids=["head", "beta"])
     def test_head_and_beta_flags_are_gone(self, tmp_path, capsys, flag):
         meas = Path(__file__).parent / "golden" / "outputs" / "measure-dense.txt"
         code = main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1", *flag,
-                     "--seed", "1", "--input", str(meas), "--output", str(tmp_path / "r.txt")])
+                     "--input", str(meas), "--output", str(tmp_path / "r.txt")])
         assert code == 2
         assert f"unrecognized arguments: {' '.join(flag)}" in capsys.readouterr().err
 
@@ -260,7 +276,7 @@ class TestMeasureRecover:
         meas = Path(__file__).parent / "golden" / "outputs" / "measure-dense.txt"
         out = tmp_path / "r.txt"
         code = main(["recover", "--algo", "head-tail", "--s", "2", "--r", "1", "--tol", tol,
-                     "--strict", "--seed", "1", "--input", str(meas), "--output", str(out)])
+                     "--strict", "--input", str(meas), "--output", str(out)])
         assert code == 2
         assert "tol_residual must lie in (0, 1)" in capsys.readouterr().err
         assert not out.exists()
@@ -291,7 +307,7 @@ class TestMeasureRecover:
                      "--input", str(xfile), "--output", str(meas)]) == 0
         rec = tmp_path / "rec.txt"
         code = main(["recover", "--algo", algo, "--s", "2", "--r", "1", "--max-iters", "300",
-                     "--seed", "1", "--input", str(meas), "--output", str(rec)])
+                     "--input", str(meas), "--output", str(rec)])
         assert code == 0
         with open(meas) as fh:
             mp, y = read_measurement_file(fh)
@@ -308,7 +324,7 @@ class TestMeasureRecover:
     def _recover_text(self, tmp_path, text, algo="head-tail"):
         meas = tmp_path / "meas.txt"
         meas.write_text(text)
-        return main(["recover", "--algo", algo, "--s", "2", "--r", "1", "--seed", "1",
+        return main(["recover", "--algo", algo, "--s", "2", "--r", "1",
                      "--input", str(meas), "--output", str(tmp_path / "rec.txt")])
 
     def test_oversized_header_exits_two_without_allocating(self, tmp_path, capsys):
@@ -355,7 +371,7 @@ class TestMeasureRecover:
         lines[-2] = value + "\n"
         meas = tmp_path / "meas.txt"
         meas.write_text("".join(lines))
-        code = main(["recover", "--algo", algo, "--s", "2", "--r", "1", "--seed", "1",
+        code = main(["recover", "--algo", algo, "--s", "2", "--r", "1",
                      "--input", str(meas), "--output", str(tmp_path / "rec.txt")])
         assert code == 2
         assert f"measurement 4 of 5 is not finite: {float(value)}" in capsys.readouterr().err
@@ -371,7 +387,7 @@ class TestMeasureRecover:
                      "--scale", "unit", "--input", str(xfile), "--output", str(meas)]) == 0
         assert all(np.isfinite(read_measurement_file(meas.read_text().splitlines())[1]))
         out = tmp_path / "rec.txt"
-        code = main(["recover", "--algo", "head-tail", "--s", "1", "--r", "1", "--seed", "1",
+        code = main(["recover", "--algo", "head-tail", "--s", "1", "--r", "1",
                      "--input", str(meas), "--output", str(out), *strict])
         assert code == 2
         assert "error: the norm of the measurements overflows" in capsys.readouterr().err
@@ -412,7 +428,7 @@ def test_library_never_imports_numpy_ma(tmp_path):
     runs = [["project", "--op", op, *flags, "--input", str(psd if op == "head-psd" else sym),
              "--output", os.devnull] for op, (flags, _) in OP_CASES.items()]
     runs.append(["recover", "--algo", "head-tail", "--s", "2", "--r", "1",
-                 "--seed", "1", "--input", str(meas), "--output", os.devnull])
+                 "--input", str(meas), "--output", os.devnull])
     script = (
         "import json, sys\n"
         "from bisparse.cli import main\n"
@@ -496,6 +512,15 @@ class TestBench:
             assert code == 0
             csvs.append(out.read_bytes())
         assert csvs[0] == csvs[1]
+
+    def test_echoes_the_seed_the_sweep_uses(self, tmp_path, capsys):
+        # the spec's base_seed, or the --seed that overrides it
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC)
+        for flags, seed in [([], 9), (["--seed", "123"], 123)]:
+            out = tmp_path / "o.csv"
+            assert main(["bench", "--spec", str(spec), *flags, "--output", str(out)]) == 0
+            assert f"# seed {seed}" in capsys.readouterr().err.splitlines()
 
     def test_aggregate_output(self, tmp_path):
         spec = tmp_path / "spec.txt"

@@ -42,7 +42,7 @@ def _mangle(draw, lines):
 def spec_texts(draw):
     lists = st.lists(TOKENS, min_size=1, max_size=3).map(", ".join)
     pairs = [("algo", st.sampled_from(bench.ALGOS + ("nope",))),
-             ("ensemble", st.sampled_from(bench.ENSEMBLES)),
+             ("ensemble", st.sampled_from(KINDS)),
              ("n", lists), ("s", lists), ("r", lists), ("m", lists)]
     pairs += [(key, TOKENS) for key in draw(st.lists(st.sampled_from(
         ["trials_per_cell", "noise_level", "success_tol", "base_seed", "p"]), max_size=2))]

@@ -12,7 +12,7 @@ MODULES = ("symcore", "projections", "measurements", "recovery", "bench")
 
 # names the package no longer has: nothing outside the tests used them
 REMOVED = ("eigen", "EigenDecomp", "restrict", "sym_enforce", "isometry_map", "read_map_header",
-           "format_spec", "rank_project_on_support")
+           "format_spec", "rank_project_on_support", "frob_inner", "ENSEMBLES")
 
 
 @pytest.mark.parametrize("name", MODULES)

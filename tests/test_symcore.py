@@ -9,7 +9,6 @@ from bisparse.symcore import (
     _restrict,
     _top_eigen,
     check_support,
-    frob_inner,
     project_rank,
     read_matrix,
     write_matrix,
@@ -49,7 +48,7 @@ class TestRestrict:
         for seed in range(5):
             m = random_sym(5, seed)
             n = random_sym(5, seed + 100)
-            inner = frob_inner(m - _restrict(m, support), _restrict(n, support))
+            inner = np.sum((m - _restrict(m, support)) * _restrict(n, support))
             assert inner == 0.0
 
 
@@ -241,23 +240,6 @@ class TestProjectRank:
                     assert np.array_equal(self.bits(u), self.bits(v))
                     assert np.allclose(u.T @ u, np.eye(r), atol=1e-12)
                     assert np.allclose(u @ (u.T @ out), out, atol=1e-12)
-
-
-class TestFrobInner:
-    def test_identity_pair(self):
-        assert frob_inner(np.eye(3), np.eye(3)) == 3.0
-
-    def test_zero(self):
-        assert frob_inner(random_sym(4, 0), np.zeros((4, 4))) == 0.0
-
-    def test_matches_trace(self):
-        a = random_sym(4, 5)
-        b = random_sym(4, 6)
-        assert abs(frob_inner(a, b) - np.trace(a.T @ b)) <= 1e-12
-
-    def test_shape_mismatch(self):
-        with pytest.raises(ValueError):
-            frob_inner(np.eye(2), np.eye(3))
 
 
 class TestMatrixText:

@@ -8,7 +8,7 @@ the stack A_i U of `MeasurementMap._times`, since A_i(U W^T + W U^T) =
 `_tangent_lstsq` on that design; the bases come from the rank kernel the
 solver uses.  `_normal_solve` is the pivot rule behind that least squares and HiHTP's
 restricted fit: it solves the normal equations of a design of full column rank, and
-refuses an underdetermined or numerically rank-deficient one, which then goes to lstsq.
+refuses an underdetermined, rank-deficient or ill-conditioned one, which then goes to lstsq.
 """
 
 import numpy as np
@@ -182,15 +182,16 @@ def test_normal_solve_refuses_wide_and_repeated_designs(case):
 @hypothesis.given(normal_case())
 def test_normal_solve_is_lstsq_where_it_solves(case):
     # a solved system agrees with lstsq to the accuracy both reach (kappa^2 eps, kappa the
-    # design's condition number); a well-conditioned tall design is always solved, and a
-    # refused tall one has kappa >= 1e5 (its Gram has a squared pivot <= 1e-10 of its diagonal)
+    # design's condition number).  A refused tall one has a Gram squared pivot <= 1e-5 of its
+    # diagonal, and each squared pivot is at least the Gram's smallest eigenvalue, so kappa^2
+    # >= 1e5; a tall design with a smaller kappa is always solved
     _, _, design, target = case
     got = normal_solve(design, target)
     kappa = np.linalg.cond(design)
-    if len(design) >= design.shape[1] and kappa <= 1e3:
+    if len(design) >= design.shape[1] and kappa <= 300.0:
         assert got is not None
     if got is None:
-        assert len(design) < design.shape[1] or kappa >= 1e4
+        assert len(design) < design.shape[1] or kappa >= 300.0
         return
     want = np.linalg.lstsq(design, target, rcond=None)[0]
     bound = max(1e-10, 1e-15 * kappa ** 2)
@@ -199,12 +200,36 @@ def test_normal_solve_is_lstsq_where_it_solves(case):
 
 
 @SETTINGS
-@hypothesis.given(st.integers(-14, -6), st.sampled_from([0.3, 3.0]))
+@hypothesis.given(st.integers(-9, -1), st.sampled_from([0.3, 3.0]))
 def test_normal_solve_pivot_threshold(exponent, mantissa):
-    # diag(1, d) has squared Cholesky pivots 1 and d: solved iff d > 1e-10 of the largest
+    # diag(1, d) has squared Cholesky pivots 1 and d: solved iff d > 1e-5 of the largest
     d = mantissa * 10.0 ** exponent
     for scale in (1e-200, 1.0, 1e200):
         got = _normal_solve(scale * np.diag([1.0, d]), scale * np.ones(2), 2)
-        assert (got is None) == (d <= 1e-10)
+        assert (got is None) == (d <= 1e-5)
         if got is not None:
             assert np.allclose(got, [1.0, 1.0 / d], rtol=1e-14, atol=0.0)
+
+
+def test_normal_solve_is_as_accurate_as_lstsq_where_it_solves():
+    # overdetermined designs U diag(sigma) V^T with singular values log-spaced from 1 down to
+    # 1/kappa, kappa log-uniform in [1, 1e6]: every system the rule solves agrees with lstsq
+    # to 1e-8 relative, and both the solved and the refused side occur above kappa = 100
+    rng = np.random.default_rng(2300)
+    solved = refused = 0
+    for _ in range(3000):
+        cols = int(rng.integers(1, 13))
+        rows = int(rng.integers(cols, 40))
+        kappa = 10.0 ** rng.uniform(0.0, 6.0)
+        u = np.linalg.qr(rng.standard_normal((rows, cols)))[0]
+        v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
+        design = (u * np.geomspace(1.0, 1.0 / kappa, cols)) @ v.T
+        target = rng.standard_normal(rows)
+        got = normal_solve(design, target)
+        if got is None:
+            refused += kappa > 100.0
+            continue
+        solved += kappa > 100.0
+        want = np.linalg.lstsq(design, target, rcond=None)[0]
+        assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want), (rows, cols, kappa)
+    assert solved >= 100 and refused >= 100
