@@ -134,7 +134,7 @@ class MeasurementMap:
         if self.kind == "factorized":
             x = self.basis @ x @ self.basis.T
         if self.matrices is not None:
-            return np.einsum("kij,ij->k", self.matrices, x)
+            return self.matrices.reshape(self.m, -1) @ x.ravel()    # one GEMV on a view
         return ((self.vectors @ x) * self.vectors).sum(axis=1)
 
     def _apply_blocks(self, supports: np.ndarray, blocks: np.ndarray) -> np.ndarray:
@@ -190,7 +190,7 @@ class MeasurementMap:
         if w.shape != (self.m,):
             raise ValueError(f"expected {self.m} coefficients, got shape {w.shape}")
         if self.matrices is not None:
-            out = np.einsum("k,kij->ij", w, self.matrices)
+            out = (w @ self.matrices.reshape(self.m, -1)).reshape(self.matrices.shape[1:])
         else:
             out = self.vectors.T @ (w[:, None] * self.vectors)
         if self.kind == "factorized":

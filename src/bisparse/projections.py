@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (_check_sparsity, _restrict, _sign_canonical, _top_eigen, check_support,
-                      check_sym, project_rank)
+from .symcore import (_check_sparsity, _project_rank_vectors, _restrict, check_support, check_sym,
+                      project_rank)
 
 __all__ = [
     "ProjectionOutcome",
@@ -145,20 +145,15 @@ def _check_rank(r: int, n: int) -> None:
 
 
 def _truncate(m: np.ndarray, support: np.ndarray, r: int) -> np.ndarray:
-    """Unchecked _rank_truncated matrix, for M from check_sym, a sorted support and 1 <= r <= n.
+    """M restricted to a sorted support and truncated to rank r >= 1, unchecked (M from check_sym).
 
-    `_project_rank_vectors` of M restricted to the support, from the block alone: eigh
-    sees the same sign-canonical n x n input, but only the block of the product is
-    symmetrized and signed (a zero block gives +0.0 everywhere, as there).
+    `_project_rank_vectors` of the k x k support block at rank min(r, k), written into
+    zeros: eigh sees only the block, and the sign-canonical rule keeps the map exactly odd.
     """
+    k = len(support)
     flat = (support[:, None] * len(m) + support).ravel()    # the block's entries, row-major
-    sign, block = _sign_canonical(m.take(flat))
     out = np.zeros_like(m)
-    if sign:
-        out.put(flat, block)
-        vals, vecs = _top_eigen(out, r)
-        block = ((vecs * vals) @ vecs.T).take(flat).reshape(len(support), -1)
-        out.put(flat, (block + block.T) / 2.0 * sign)
+    out.put(flat, _project_rank_vectors(m.take(flat).reshape(k, k), min(r, k))[0])
     return out
 
 

@@ -52,6 +52,7 @@ from .measurements import (
     factorized_inner_map,
 )
 from .projections import (
+    ProjectionOutcome,
     _check_enumeration,
     _check_rank,
     _square_support,
@@ -179,18 +180,28 @@ def _iterate(y: np.ndarray, n, step_fn, cfg, callback=None) -> RecoveryResult:
     return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
 
 
+def _measure_block(mp: MeasurementMap, mat: np.ndarray, support: np.ndarray) -> np.ndarray:
+    """A(mat) for a symmetric mat that is zero off the block of a nonempty sorted support."""
+    return mp._apply_blocks(support[None], mat[np.ix_(support, support)][None])[0]
+
+
 def _projected_gradient(mp: MeasurementMap, y, update, cfg, callback) -> RecoveryResult:
-    """`_iterate` on the checked y with steps x -> update(x, res), each measured by the map."""
+    """`_iterate` on the checked y with steps x -> update(x, res), each measured by the map.
+
+    update returns a ProjectionOutcome whose matrix is zero off its (nonempty) support
+    block, so the map measures that block alone.
+    """
     y = _measurements(mp, y)
 
     def step(x, res):
         out = update(x, res)
-        return out, mp._apply(out)
+        return out.matrix, _measure_block(mp, out.matrix, out.support)
 
     return _iterate(y, mp.n, step, cfg, callback)
 
 
-def _head_tail_step(x: np.ndarray, grad: np.ndarray, nu: float, s: int, r: int) -> np.ndarray:
+def _head_tail_step(x: np.ndarray, grad: np.ndarray, nu: float, s: int,
+                    r: int) -> ProjectionOutcome:
     """tail_joint(x + nu * H, s, r) for H the square head of grad at (2s, 2r), capped at n.
 
     From zero it runs the checked public projections, as a profiler wrapping them sees; later
@@ -199,11 +210,12 @@ def _head_tail_step(x: np.ndarray, grad: np.ndarray, nu: float, s: int, r: int) 
     n = grad.shape[0]
     if not x.any():
         head = head_square_variant(grad, min(2 * s, n), min(2 * r, n)).matrix
-        return tail_joint(x + nu * head, s, r).matrix
+        return tail_joint(x + nu * head, s, r)
     grad = _square_finite(grad)
     head = _truncate(grad, _square_support(grad, min(2 * s, n)), min(2 * r, n))
     step = _square_finite(x + nu * head)
-    return _truncate(step, _tail_support(step, s), r)
+    support = _tail_support(step, s)
+    return ProjectionOutcome(_truncate(step, support, r), support)
 
 
 def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -216,7 +228,7 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
     _check_structure_params(mp.n, s, r)
     _check_enumeration(mp.n, s)
     return _projected_gradient(
-        mp, y, lambda x, res: exact_project(x + mp.adjoint(res), s, r).matrix, cfg, callback)
+        mp, y, lambda x, res: exact_project(x + mp.adjoint(res), s, r), cfg, callback)
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -429,8 +441,7 @@ def _final_residual(mp: MeasurementMap, y: np.ndarray, est: np.ndarray, support)
     """||y - A(est)|| for a symmetric est that is zero off its support block."""
     if not support.size:
         return float(np.linalg.norm(y))
-    block = est[np.ix_(support, support)]
-    return float(np.linalg.norm(y - mp._apply_blocks(support[None], block[None])[0]))
+    return float(np.linalg.norm(y - _measure_block(mp, est, support)))
 
 
 def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,

@@ -1,13 +1,14 @@
-"""The head-tail step's kernels against the argsort-based pickers and n x n rank kernel.
+"""The head-tail step's kernels against the argsort-based pickers and the rank kernel.
 
 After its first step, head-tail IHT (and the rank-one variant) runs `projections._truncate`
 on the square head's and the tail's supports, and exact_project runs it on its winning
 support.  The pickers write the diagonal through a flat view, gather kept entries by fancy
-indexing and build the support from one membership mask; `_truncate` builds the
-sign-canonical input from the support block and symmetrizes only that block of the rank-r
-product.  Each must return the bits of the formulation it replaced, written out below with
-argsort, take_along_axis, fill_diagonal and a restriction round trip: ties, -0.0 entries,
--inf diagonals and zero matrices included.
+indexing and build the support from one membership mask.  Each must return the bits of the
+formulation it replaced, written out below with argsort, take_along_axis and fill_diagonal:
+ties, -0.0 entries, -inf diagonals and zero matrices included.  `_truncate` rank-projects
+the k x k support block alone, so it is the rank kernel of that block placed on the support,
+bitwise, and agrees with the n x n kernel of the restriction wherever the rank-r projection
+is unique.
 """
 
 import numpy as np
@@ -115,10 +116,20 @@ def test_truncate_matches_the_restricted_rank_kernel(m, data):
     # the pickers' supports, as the head-tail step runs, and any sorted one, as exact_project
     drawn = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1), min_size=1))), dtype=int)
     for support in (P._square_support(m, s), P._tail_support(m, s), drawn):
-        want = _restrict(_project_rank_vectors(_restrict(m, support), r)[0], support)
+        k = len(support)
+        block = m[np.ix_(support, support)]
+        want = np.zeros_like(m)
+        want[np.ix_(support, support)] = _project_rank_vectors(block, min(r, k))[0]
         got = P._truncate(m, support, r)
         assert bits(got) == bits(want)
         assert np.array_equal(P._truncate(-m, support, r), -got)    # odd, as the solvers need
+        # the n x n kernel of the restriction, where the r-th and (r+1)-th eigenvalue
+        # magnitudes of the block are apart, so that the rank-r projection is unique
+        scale = float(np.linalg.norm(block))
+        mags = np.sort(np.abs(np.linalg.eigvalsh(block)))[::-1]
+        if r >= k or mags[r - 1] - mags[r] > 1e-2 * scale:
+            full = _restrict(_project_rank_vectors(_restrict(m, support), r)[0], support)
+            assert np.linalg.norm(got - full) <= 1e-12 * scale
 
 
 @SETTINGS
