@@ -181,6 +181,8 @@ def parse_spec(lines) -> ExperimentSpec:
         key = key.strip()
         if key not in _REQUIRED_KEYS and key not in _SCALAR_KEYS:
             raise ValueError(f"line {lineno}: unknown spec key {key!r}")
+        if key in raw:
+            raise ValueError(f"line {lineno}: repeated spec key {key!r}")
         raw[key] = value.strip()
     for key in _REQUIRED_KEYS:
         if key not in raw:

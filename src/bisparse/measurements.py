@@ -412,13 +412,15 @@ def write_map_header(mp: MeasurementMap, stream) -> None:
 
 def _parse_header_lines(it) -> dict:
     fields = {}
-    for raw in it:
+    for lineno, raw in enumerate(it, start=1):
         line = raw.strip()
         if not line:
             continue
         key, _, value = line.partition(" ")
         if key not in _HEADER_KEYS:
             raise ValueError(f"unknown map header key {key!r}")
+        if key in fields:
+            raise ValueError(f"line {lineno}: repeated map header key {key!r}")
         fields[key] = value.strip()
         if key == "seed":
             break

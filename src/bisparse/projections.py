@@ -144,38 +144,34 @@ def _check_rank(r: int, n: int) -> None:
         raise ValueError(f"rank bound must satisfy 1 <= r <= {n}, got {r}")
 
 
-def _truncate(m: np.ndarray, support: np.ndarray, r: int) -> np.ndarray:
-    """M restricted to a sorted support and truncated to rank r >= 1, unchecked (M from check_sym).
-
-    `_project_rank_vectors` of the k x k support block at rank min(r, k), written into
-    zeros: eigh sees only the block, and the sign-canonical rule keeps the map exactly odd.
-    """
+def _on_block(m: np.ndarray, support: np.ndarray, kernel) -> np.ndarray:
+    """kernel(M's k x k block on a sorted support), written into zeros: eigh sees only the block."""
     k = len(support)
     flat = (support[:, None] * len(m) + support).ravel()    # the block's entries, row-major
     out = np.zeros_like(m)
-    out.put(flat, _project_rank_vectors(m.take(flat).reshape(k, k), min(r, k))[0])
+    out.put(flat, kernel(m.take(flat).reshape(k, k)))
     return out
 
 
-def _rank_truncated(mat, s: int, r: int, pick) -> ProjectionOutcome:
-    """M restricted to pick(M, s), truncated to rank r; M faults first, then r, then s.
+def _truncate(m: np.ndarray, support: np.ndarray, r: int) -> np.ndarray:
+    """M on a sorted support truncated to rank r >= 1, unchecked (M from check_sym); exactly odd."""
+    return _on_block(m, support, lambda block: _project_rank_vectors(block, min(r, len(block)))[0])
 
-    The eigensolver can leave O(1e-17) dirt outside the block of the restriction;
-    restricting again keeps the output exactly structured.
+
+def _projection(mat, s: int, pick, r: int | None = None) -> ProjectionOutcome:
+    """Validated restriction of M to the support pick(M, s), truncated to rank r if given.
+
+    M faults first, then r, then s.  The truncation is `project_rank` of the support block
+    (a public call, which perfbench's per-layer counts see), the bits of the solvers' `_truncate`.
     """
     m = check_sym(mat)
-    _check_rank(r, m.shape[0])
+    if r is not None:
+        _check_rank(r, m.shape[0])
     _check_sparsity(s, m.shape[0])
     support = pick(m, s)
-    return ProjectionOutcome(_restrict(project_rank(_restrict(m, support), r), support), support)
-
-
-def _projection(mat, s: int, pick) -> ProjectionOutcome:
-    """Validated restriction of M to the support pick(M, s)."""
-    m = check_sym(mat)
-    _check_sparsity(s, m.shape[0])
-    support = pick(m, s)
-    return ProjectionOutcome(_restrict(m, support), support)
+    if r is None:
+        return ProjectionOutcome(_restrict(m, support), support)
+    return ProjectionOutcome(_on_block(m, support, lambda block: project_rank(block, r)), support)
 
 
 def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
@@ -222,7 +218,7 @@ def tail_joint(mat, s: int, r: int) -> ProjectionOutcome:
     Composing the sqrt(2)-tail with the exact rank projection gives a tail
     operator for the joint structure with constant 1 + 2*sqrt(2).
     """
-    return _rank_truncated(mat, s, r, _tail_support)
+    return _projection(mat, s, _tail_support, r)
 
 
 def head_square(mat, s: int) -> ProjectionOutcome:
@@ -308,9 +304,12 @@ def head_psd_lowrank(mat, s: int, rank_override: int | None = None) -> Projectio
 
 def head_joint(mat, s: int, r: int) -> ProjectionOutcome:
     """Head for the joint structure: rank-truncated head_anchor, constant sqrt(r)/s."""
-    if r > s:
-        raise ValueError(f"rank bound must not exceed sparsity, got r={r} > s={s}")
-    return _rank_truncated(mat, s, r, _anchor_support)
+    def pick(m, s):    # after M's, r's and s's checks
+        if r > s:
+            raise ValueError(f"rank bound must not exceed sparsity, got r={r} > s={s}")
+        return _anchor_support(m, s)
+
+    return _projection(mat, s, pick, r)
 
 
 def head_square_variant(mat, s: int, r: int) -> ProjectionOutcome:
@@ -319,7 +318,7 @@ def head_square_variant(mat, s: int, r: int) -> ProjectionOutcome:
     Maps into matrices of rank <= r supported on at most s^2 indices; keeps at
     least an r/s^2 fraction (in squared norm) of the best rank-r s x s block.
     """
-    return _rank_truncated(mat, s, r, _square_support)
+    return _projection(mat, s, _square_support, r)
 
 
 def head_shrink(mat, sprime, s: int) -> ShrinkOutcome:
@@ -357,6 +356,8 @@ def hierarchical_mask(mat, s: int, t: int) -> np.ndarray:
     m = np.asarray(mat, dtype=float)
     if m.ndim != 2:
         raise ValueError(f"expected a matrix, got shape {m.shape}")
+    if not np.isfinite(m).all():
+        raise ValueError("matrix entries must be finite")
     n_rows, n_cols = m.shape
     if not 1 <= t <= n_rows:
         raise ValueError(f"per-column sparsity must satisfy 1 <= t <= {n_rows}, got {t}")

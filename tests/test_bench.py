@@ -66,6 +66,16 @@ class TestSpecParsing:
         with pytest.raises(ValueError, match="unknown spec key"):
             parse_spec(io.StringIO("algo = brute\nbogus = 1\n"))
 
+    @pytest.mark.parametrize("extra,key,lineno", [
+        ("n = 12\n", "n", 7),    # a second value used to replace the first
+        ("n = 30\n", "n", 7),    # the same value twice
+        ("trials_per_cell = 3\n# a comment\n\ntrials_per_cell = 5\n", "trials_per_cell", 10),
+    ])
+    def test_repeated_key_rejected(self, extra, key, lineno):
+        base = "algo = head-tail\nensemble = dense-gaussian\nn = 30\ns = 2\nr = 1\nm = 40\n"
+        with pytest.raises(ValueError, match=f"^line {lineno}: repeated spec key '{key}'$"):
+            parse_spec(io.StringIO(base + extra))
+
     def test_missing_key_rejected(self):
         with pytest.raises(ValueError, match="missing"):
             parse_spec(io.StringIO("algo = brute\n"))

@@ -361,6 +361,14 @@ class TestMeasureRecover:
         assert self._recover_text(tmp_path, text) == 2
         assert "innr" in capsys.readouterr().err
 
+    def test_repeated_header_key_exits_two(self, tmp_path, capsys):
+        mp = sample_map("dense-gaussian", 4, 3, seed=3)
+        buf = io.StringIO()
+        write_measurement_file(mp, [1.0, 2.0, 3.0], buf)
+        text = buf.getvalue().replace("n 4\n", "n 4\nn 5\n")
+        assert self._recover_text(tmp_path, text) == 2
+        assert "line 3: repeated map header key 'n'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo", ["head-tail", "rank-one"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_measurement_exits_two(self, tmp_path, capsys, algo, value):
@@ -572,16 +580,24 @@ class TestBench:
         assert f"{key} must be finite and {bound}, got {float(value)}" in capsys.readouterr().err
         assert not out.exists()
 
-    @pytest.mark.parametrize("extra,message", [
-        ("p = 12\n", "dense-gaussian maps take no p"),
-        ("ensemble = factorized\np = 0\n", "factorized maps need a positive inner dimension p, got 0"),
+    @pytest.mark.parametrize("ensemble,p,message", [
+        ("dense-gaussian", 12, "dense-gaussian maps take no p"),
+        ("factorized", 0, "factorized maps need a positive inner dimension p, got 0"),
     ])
-    def test_p_a_map_cannot_take_exits_two(self, tmp_path, capsys, extra, message):
+    def test_p_a_map_cannot_take_exits_two(self, tmp_path, capsys, ensemble, p, message):
         spec = tmp_path / "spec.txt"
-        spec.write_text(self.SPEC + extra)
+        spec.write_text(self.SPEC.replace("dense-gaussian", ensemble) + f"p = {p}\n")
         out = tmp_path / "o.csv"
         assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 2
         assert f"error: {message}" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_repeated_spec_key_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC + "n = 12\n")
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 2
+        assert "error: line 9: repeated spec key 'n'" in capsys.readouterr().err
         assert not out.exists()
 
     @pytest.mark.parametrize("mode", ["phase", "rip"])

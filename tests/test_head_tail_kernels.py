@@ -8,7 +8,9 @@ formulation it replaced, written out below with argsort, take_along_axis and fil
 ties, -0.0 entries, -inf diagonals and zero matrices included.  `_truncate` rank-projects
 the k x k support block alone, so it is the rank kernel of that block placed on the support,
 bitwise, and agrees with the n x n kernel of the restriction wherever the rank-r projection
-is unique.
+is unique.  The public joint projections run `project_rank` on the same block, so they are
+`_truncate` on their picker's support, bit for bit, and the head-tail step from zero (which
+runs them) is its kernel step.
 """
 
 import numpy as np
@@ -18,6 +20,7 @@ hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
 from bisparse import projections as P  # noqa: E402
+from bisparse.recovery import _head_tail_step  # noqa: E402
 from bisparse.symcore import _project_rank_vectors, _restrict  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=200, deadline=None)
@@ -130,6 +133,40 @@ def test_truncate_matches_the_restricted_rank_kernel(m, data):
         if r >= k or mags[r - 1] - mags[r] > 1e-2 * scale:
             full = _restrict(_project_rank_vectors(_restrict(m, support), r)[0], support)
             assert np.linalg.norm(got - full) <= 1e-12 * scale
+
+
+@SETTINGS
+@hypothesis.given(symmetric(), st.data())
+def test_public_joint_projections_are_the_kernel(m, data):
+    n = len(m)
+    s = data.draw(st.integers(1, n))
+    r = data.draw(st.integers(1, n))
+    for public, picker in ((P.tail_joint, P._tail_support), (P.head_joint, P._anchor_support),
+                           (P.head_square_variant, P._square_support)):
+        if public is P.head_joint and r > s:
+            continue
+        got = public(m, s, r)
+        support = picker(m, s)
+        assert np.array_equal(got.support, support), public.__name__
+        assert bits(got.matrix) == bits(P._truncate(m, support, r)), public.__name__
+        assert np.array_equal(public(-m, s, r).matrix, -got.matrix), public.__name__
+
+
+@SETTINGS
+@hypothesis.given(symmetric(), st.data())
+def test_head_tail_step_from_zero_is_the_kernel_step(grad, data):
+    n = len(grad)
+    s = data.draw(st.integers(1, n))
+    r = data.draw(st.integers(1, n))
+    nu = data.draw(st.sampled_from([1.0, 0.5, 3.0, 1e-3]))
+    x = np.zeros_like(grad)
+    got = _head_tail_step(x, grad, nu, s, r)
+    # the branch after the first step, by hand: square head at (2s, 2r), then the tail
+    head = P._truncate(grad, P._square_support(grad, min(2 * s, n)), min(2 * r, n))
+    step = x + nu * head
+    support = P._tail_support(step, s)
+    assert np.array_equal(got.support, support)
+    assert bits(got.matrix) == bits(P._truncate(step, support, r))
 
 
 @SETTINGS

@@ -628,6 +628,16 @@ class TestSerialization:
         with pytest.raises(ValueError, match="innr"):
             read_measurement_file(io.StringIO(text + "y\n" + "1.0\n" * 6))
 
+    @pytest.mark.parametrize("header,key,lineno", [
+        ("kind dense-gaussian\nn 4\nm 6\nn 5\nseed 3\n", "n", 4),
+        ("kind rank-one\nn 4\nm 6\nscale unit\n\nscale unit\nseed 3\n", "scale", 6),
+        ("kind rank-one\nkind dense-gaussian\nn 4\nm 6\nseed 3\n", "kind", 2),
+    ])
+    def test_repeated_header_key_rejected(self, header, key, lineno):
+        # the last value used to win silently: the first case built an n=5 map
+        with pytest.raises(ValueError, match=f"^line {lineno}: repeated map header key '{key}'$"):
+            read_measurement_file(io.StringIO(header + "y\n" + "1.0\n" * 6))
+
     def test_header_option_the_kind_does_not_take_rejected(self):
         text = "kind dense-gaussian\nn 4\nm 6\nscale unit\ninner rank-one\nseed 3\n"
         with pytest.raises(ValueError, match="dense-gaussian.*inner.*scale"):

@@ -89,6 +89,11 @@ PARAMETER_FAULTS = {
                      "rank bound must satisfy 1 <= r <= 4, got 0"),
     "head_joint s and r": (lambda: P.head_joint(SYM4, 0, 0),
                            "rank bound must satisfy 1 <= r <= 4, got 0"),
+    # the r <= s rule runs after the matrix's, r's and s's checks
+    "head_joint matrix and r above s": (lambda: P.head_joint(np.ones((2, 3)), 1, 2),
+                                        "expected a square matrix, got shape (2, 3)"),
+    "head_joint s and r above s": (lambda: P.head_joint(SYM4, 0, 1),
+                                   "sparsity must satisfy 1 <= s <= 4, got 0"),
     "head_square_variant s": (lambda: P.head_square_variant(SYM4, 0, 1),
                               "sparsity must satisfy 1 <= s <= 4, got 0"),
     "head_square_variant r": (lambda: P.head_square_variant(SYM4, 2, 0),
@@ -101,6 +106,16 @@ PARAMETER_FAULTS = {
                                  "expected a matrix, got shape (3,)"),
     "project_hierarchical t": (lambda: P.project_hierarchical(SYM4, 1, 0),
                                "per-column sparsity must satisfy 1 <= t <= 4, got 0"),
+    "hierarchical_mask nan": (lambda: P.hierarchical_mask(np.full((3, 3), np.nan), 1, 1),
+                              "matrix entries must be finite"),
+    "hierarchical_mask rectangular inf": (
+        lambda: P.hierarchical_mask(np.array([[1.0, 2.0, -np.inf], [0.0, 1.0, 2.0]]), 1, 1),
+        "matrix entries must be finite"),
+    "project_hierarchical inf": (lambda: P.project_hierarchical([[np.inf, 1], [2, 3]], 1, 1),
+                                 "matrix entries must be finite"),
+    "project_hierarchical nan and t": (
+        lambda: P.project_hierarchical([[np.nan, 1], [2, 3]], 1, 0),
+        "matrix entries must be finite"),
     "sample_structured s": (lambda: M.sample_structured(4, 5, 1, np.random.default_rng(0)),
                             "sparsity must satisfy 1 <= s <= 4, got 5"),
     "sample_structured r": (lambda: M.sample_structured(4, 2, 3, np.random.default_rng(0)),
