@@ -29,8 +29,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import (KINDS, _check_payload, _check_structure_params, _payload_shapes,
-                           estimate_rip, sample_map, sample_structured)
+from .measurements import (KINDS, _check_payload, _check_structure_params, _parse_value,
+                           _payload_shapes, estimate_rip, sample_map, sample_structured)
 from .projections import _check_enumeration
 from .recovery import ALGOS, _check_brute, solve
 
@@ -161,16 +161,16 @@ def default_inner_dim(n: int, s: int) -> int:
 
 
 _REQUIRED_KEYS = ("algo", "ensemble", "n", "s", "r", "m")
-_LIST_INT_KEYS = ("n", "s", "r")
-# optional scalar keys and the types their values are parsed as
-_SCALAR_KEYS = {
-    "trials_per_cell": int, "noise_level": float, "success_tol": float, "base_seed": int, "p": int,
+# the type each key's value is parsed as; the grid keys n, s, r and m take comma-separated lists
+_KEY_TYPES = {
+    "algo": str, "ensemble": str, "n": int, "s": int, "r": int, "m": str, "trials_per_cell": int,
+    "noise_level": float, "success_tol": float, "base_seed": int, "p": int,
 }
 
 
 def parse_spec(lines) -> ExperimentSpec:
     """Parse the flat key = value spec format; lists are comma-separated."""
-    raw = {}
+    kwargs = {}
     for lineno, line in enumerate(lines, start=1):
         text = line.split("#", 1)[0].strip()
         if not text:
@@ -179,24 +179,18 @@ def parse_spec(lines) -> ExperimentSpec:
             raise ValueError(f"line {lineno}: expected 'key = value', got {text!r}")
         key, _, value = text.partition("=")
         key = key.strip()
-        if key not in _REQUIRED_KEYS and key not in _SCALAR_KEYS:
+        if key not in _KEY_TYPES:
             raise ValueError(f"line {lineno}: unknown spec key {key!r}")
-        if key in raw:
+        if key in kwargs:
             raise ValueError(f"line {lineno}: repeated spec key {key!r}")
-        raw[key] = value.strip()
+        if key in _REQUIRED_KEYS[2:]:    # the grid lists
+            kwargs[key] = [_parse_value(_KEY_TYPES[key], key, tok.strip(), lineno)
+                           for tok in value.split(",") if tok.strip()]
+        else:
+            kwargs[key] = _parse_value(_KEY_TYPES[key], key, value.strip(), lineno)
     for key in _REQUIRED_KEYS:
-        if key not in raw:
+        if key not in kwargs:
             raise ValueError(f"spec is missing the required key {key!r}")
-    kwargs = {
-        "algo": raw["algo"],
-        "ensemble": raw["ensemble"],
-        "m": [tok.strip() for tok in raw["m"].split(",") if tok.strip()],
-    }
-    for key in _LIST_INT_KEYS:
-        kwargs[key] = [int(tok) for tok in raw[key].split(",") if tok.strip()]
-    for key, cast in _SCALAR_KEYS.items():
-        if key in raw:
-            kwargs[key] = cast(raw[key])
     return ExperimentSpec(**kwargs)
 
 

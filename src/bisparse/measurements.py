@@ -10,7 +10,8 @@ Three linear measurement families on symmetric n x n matrices are supported:
 
 A map stores its payload arrays but is reproducible from (kind, n, m, p, seed,
 inner, scale) alone, which is what the text serialization records.  Payloads
-can also be injected directly for test hooks.
+can also be injected directly for test hooks.  A dense-gaussian map stores each
+symmetric A_i once, as its packed upper triangle.
 
 The RIP estimators probe the structured set with random unit-Frobenius
 members; the reported constants are empirical lower bounds on the true
@@ -35,7 +36,6 @@ __all__ = [
     "RipEstimate",
     "CrossTermReport",
     "sample_map",
-    "factorized_inner_map",
     "sample_structured",
     "estimate_rip",
     "cross_term_ratio",
@@ -78,7 +78,7 @@ def _payload_shapes(kind: str, n: int, m: int, p=None, inner="dense", scale="inv
     if given:
         raise ValueError(f"{kind} maps take no {' or '.join(given)}")
     if kind == "dense-gaussian":
-        return {"matrices": (m, n, n)}
+        return {"matrices": (m, n * (n + 1) // 2)}
     if kind == "rank-one":
         return {"vectors": (m, n)}
     if p is None or p < 1:
@@ -88,17 +88,43 @@ def _payload_shapes(kind: str, n: int, m: int, p=None, inner="dense", scale="inv
     return {"basis": (p, n), "vectors": (m, p)}
 
 
+@functools.lru_cache(maxsize=16)
+def _triangle(n: int) -> tuple:
+    """The packed upper triangle of n x n matrices, in np.triu_indices order: its rows, columns
+    and weights (2 off the diagonal, where an entry stands for two, 1 on it), and the n x n
+    table of each entry's packed position, which unpacks a packed matrix by one `take`."""
+    rows, cols = np.triu_indices(n)
+    pos = np.empty((n, n), dtype=np.intp)
+    pos[rows, cols] = pos[cols, rows] = np.arange(len(rows))
+    out = rows, cols, np.where(rows == cols, 1.0, 2.0), pos
+    for arr in out:
+        arr.flags.writeable = False
+    return out
+
+
+def _pack(stack: np.ndarray, out=None) -> np.ndarray:
+    """(k, n(n+1)/2) packed upper triangles of the symmetric parts of a (k, n, n) stack."""
+    k, n = stack.shape[:2]
+    rows, cols = _triangle(n)[:2]
+    stack = stack.reshape(k, -1)
+    out = np.take(stack, rows * n + cols, axis=1, out=out, mode="clip")    # "raise" would buffer
+    out += stack[:, cols * n + rows]    # a_ij + a_ji, the sum symmetrizing the whole stack adds
+    out /= 2.0
+    return out
+
+
 @dataclass(frozen=True)
 class MeasurementMap:
     """A tagged linear map from symmetric n x n matrices to R^m.
 
-    Exactly one payload layout per kind: `matrices` (m, n, n) for
-    dense-gaussian; `vectors` (m, n) for rank-one; `basis` (p, n) plus either
-    `matrices` (m, p, p) or `vectors` (m, p) for factorized.  Payload fields
-    outside the kind's layout are rejected, and so are options the kind does
-    not take: only rank-one maps take a `scale`, only factorized maps `p` and
-    `inner`.  `seed` is the sampling seed when the payload came from
-    `sample_map`, else None.
+    Exactly one payload layout per kind: `matrices` (m, n(n+1)/2) for
+    dense-gaussian, the packed upper triangles of the A_i (given an (m, n, n)
+    stack, it packs the stack's symmetric parts, the map the stack measures);
+    `vectors` (m, n) for rank-one; `basis` (p, n) plus either `matrices`
+    (m, p, p) or `vectors` (m, p) for factorized.  Payload fields outside the
+    kind's layout are rejected, and so are options the kind does not take: only
+    rank-one maps take a `scale`, only factorized maps `p` and `inner`.  `seed`
+    is the sampling seed when the payload came from `sample_map`, else None.
     """
 
     kind: str
@@ -118,6 +144,9 @@ class MeasurementMap:
                  if name not in shapes and getattr(self, name) is not None]
         if stray:
             raise ValueError(f"{self.kind} payload takes no {' or '.join(stray)}")
+        if self.kind == "dense-gaussian" and \
+                getattr(self.matrices, "shape", None) == (self.m, self.n, self.n):
+            object.__setattr__(self, "matrices", _pack(np.asarray(self.matrices, dtype=float)))
         for name, shape in shapes.items():
             if getattr(self, name) is None or getattr(self, name).shape != shape:
                 raise ValueError(f"{self.kind} payload needs {name} of shape {shape}")
@@ -131,6 +160,9 @@ class MeasurementMap:
 
     def _apply(self, x: np.ndarray) -> np.ndarray:
         """apply without validation; x must be a symmetric n x n float64 array."""
+        if self.kind == "dense-gaussian":
+            rows, cols, weights, _ = _triangle(self.n)
+            return self.matrices @ (x[rows, cols] * weights)    # one GEMV on the packed payload
         if self.kind == "factorized":
             x = self.basis @ x @ self.basis.T
         if self.matrices is not None:
@@ -141,16 +173,16 @@ class MeasurementMap:
         """(c, m) measurements of c matrices, each an s x s block on a sorted support.
 
         `supports` is (c, s) and `blocks` is (c, s, s) symmetric.  Only a support's
-        slice of the payload is read: the S x S slices of dense matrices, the columns
-        S of rank-one vectors or of a factorized basis.  The blocks are measured in
-        batches whose gathered scratch holds about one payload at most, and each
-        block's measurement is the same bits in any batch.
+        slice of the payload is read: the s(s+1)/2 packed entries of its pairs in a dense
+        map, the columns S of rank-one vectors or of a factorized basis.  The blocks are
+        measured in batches whose gathered scratch holds about one payload at most, and
+        each block's measurement is the same bits in any batch.
         """
         c, s = supports.shape
         if self.kind == "factorized" and self.matrices is not None:
             scratch = self.p * self.p    # one lifted p x p block B_S Z B_S^T per matrix
         else:
-            scratch = self.m * s ** (2 if self.matrices is not None else 1)
+            scratch = self.m * (s * (s + 1) // 2 if self.matrices is not None else s)
         payload = sum(arr.size for arr in (self.matrices, self.vectors, self.basis)
                       if arr is not None)
         width = max(1, payload // scratch)
@@ -172,30 +204,40 @@ class MeasurementMap:
         if self.kind == "factorized":
             flat = (bs @ blocks @ bs.transpose(0, 2, 1)).reshape(c, -1, 1)
             return (self.matrices.reshape(self.m, -1) @ flat)[:, :, 0]
-        g = self.matrices[:, supports[:, :, None], supports[:, None, :]]
-        return (g.reshape(self.m, c, -1).transpose(1, 0, 2) @ blocks.reshape(c, -1, 1))[:, :, 0]
+        rows, cols, weights, _ = _triangle(s)
+        pos = _triangle(self.n)[3]
+        # (c, k, m) and (c, k) in C order: a block's product has one memory layout in any batch
+        g = self.matrices.T[pos[supports[:, rows], supports[:, cols]]]
+        vals = blocks.reshape(c, -1).take(rows * s + cols, axis=1) * weights
+        return (vals[:, None, :] @ g)[:, 0]
 
     def _times(self, q: np.ndarray) -> np.ndarray:
-        """(m, n, k) stack A_i Q for an n x k Q, in one payload pass: A_i(Q W^T) = <A_i Q, W>."""
-        bq = q if self.kind != "factorized" else self.basis @ q
+        """(m, d, k) stack A_i Q for a d x k Q, in one payload pass: A_i(Q W^T) = <A_i Q, W>.
+
+        The A_i are the stored ones, so d = p on a factorized map; a dense map unpacks them."""
+        if self.vectors is not None:
+            return self.vectors[:, :, None] * (self.vectors @ q)[:, None, :]
+        mats = self.matrices if self.kind == "factorized" else \
+            self.matrices.take(_triangle(self.n)[3], axis=1)
+        return (mats.reshape(-1, len(q)) @ q).reshape(self.m, len(q), -1)
+
+    def _gather(self, w: np.ndarray) -> np.ndarray:
+        """sum_i w_i A_i over the stored A_i: n x n, or p x p inner ones in a factorized map."""
+        if self.kind == "dense-gaussian":    # both triangles from one entry: exactly symmetric
+            return (w @ self.matrices).take(_triangle(self.n)[3])
         if self.matrices is not None:
-            out = (self.matrices.reshape(-1, len(bq)) @ bq).reshape(self.m, len(bq), -1)
-        else:
-            out = self.vectors[:, :, None] * (self.vectors @ bq)[:, None, :]
-        return out if self.kind != "factorized" else self.basis.T @ out
+            return (w @ self.matrices.reshape(self.m, -1)).reshape(self.p, self.p)
+        return self.vectors.T @ (w[:, None] * self.vectors)
 
     def adjoint(self, u) -> np.ndarray:
         """Adjoint sum_i u_i A_i; always lands on a symmetric matrix."""
         w = np.asarray(u, dtype=float)
         if w.shape != (self.m,):
             raise ValueError(f"expected {self.m} coefficients, got shape {w.shape}")
-        if self.matrices is not None:
-            out = (w @ self.matrices.reshape(self.m, -1)).reshape(self.matrices.shape[1:])
-        else:
-            out = self.vectors.T @ (w[:, None] * self.vectors)
+        out = self._gather(w)
         if self.kind == "factorized":
             out = self.basis.T @ out @ self.basis
-        return (out + out.T) / 2.0
+        return out if self.kind == "dense-gaussian" else (out + out.T) / 2.0
 
 
 def sample_map(
@@ -214,26 +256,31 @@ def sample_map(
     have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws the
     basis and the inner matrices/vectors with standard N(0, 1) entries.
     Refuses options the kind does not take, and payloads of more than
-    PAYLOAD_CAP entries, before allocating.  Each array is drawn once and
-    scaled and symmetrized in place, so sampling holds the payload plus about
-    1 MiB of scratch (one n x n or p x p slice, if that is larger).
+    PAYLOAD_CAP entries, before allocating.  Matrices are drawn, scaled,
+    symmetrized and packed about 1 MiB of n x n (or p x p) slices at a time,
+    the bits of one whole draw, so sampling holds the payload plus about
+    1.5 MiB of scratch (more if one slice is larger).
     """
     shapes = _check_payload(kind, n, m, p, inner, scale)
     rng = np.random.default_rng(seed)
     # drawn in table order, so a factorized basis comes before its inner payload
-    payload = {name: rng.standard_normal(shape) for name, shape in shapes.items()}
-    if kind != "factorized" and scale == "inv_m":
-        for arr in payload.values():
-            arr /= np.sqrt(m)
-    mats = payload.get("matrices")
-    if mats is not None:
-        # numpy buffers the overlapping transposed operand: one chunk of scratch, same bits;
-        # ~1 MiB chunks keep the Python loop as cheap as one whole-payload pass
-        rows = max(1, 2**17 // mats[0].size)
-        for start in range(0, len(mats), rows):
-            chunk = mats[start:start + rows]
-            chunk += chunk.transpose(0, 2, 1)
-        mats /= 2.0
+    payload = {name: np.empty(shape) if name == "matrices" else rng.standard_normal(shape)
+               for name, shape in shapes.items()}
+    if kind == "rank-one" and scale == "inv_m":
+        payload["vectors"] /= np.sqrt(m)
+    if "matrices" in payload:
+        d = n if kind == "dense-gaussian" else p
+        rows = max(1, 2**17 // (d * d))    # ~1 MiB chunks cost what one whole pass does
+        scratch = np.empty((min(rows, m), d, d))
+        for start in range(0, m, rows):
+            chunk = rng.standard_normal(out=scratch[:min(rows, m - start)])
+            part = payload["matrices"][start:start + len(chunk)]
+            if kind == "dense-gaussian":
+                chunk /= np.sqrt(m)
+                _pack(chunk, out=part)
+            else:
+                np.add(chunk, chunk.transpose(0, 2, 1), out=part)
+                part /= 2.0
     return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, scale=scale, **payload)
 
 
@@ -258,20 +305,6 @@ def _check_entries(what: str, entries: int) -> None:
     """Refuse, before allocating, an array of more than PAYLOAD_CAP entries."""
     if entries > PAYLOAD_CAP:
         raise ValueError(f"{what} of {entries} entries exceeds the cap {PAYLOAD_CAP}")
-
-
-def factorized_inner_map(mp: MeasurementMap) -> MeasurementMap:
-    """The p x p stage-one map of a factorized map (measuring Y = B X B^T).
-
-    The inner payload is returned as sampled, with standard Gaussian entries
-    and no N(0, 1/m) rescale, so the inner map measures B X B^T to the same
-    y as the factorized map.
-    """
-    if mp.kind != "factorized":
-        raise ValueError("inner map is only defined for factorized maps")
-    if mp.inner == "dense":
-        return MeasurementMap("dense-gaussian", mp.p, mp.m, matrices=mp.matrices)
-    return MeasurementMap("rank-one", mp.p, mp.m, scale="unit", vectors=mp.vectors)
 
 
 def _check_structure_params(n: int, s: int, r: int) -> None:
@@ -410,6 +443,15 @@ def write_map_header(mp: MeasurementMap, stream) -> None:
         stream.write(f"{key} {getattr(mp, key)}\n")
 
 
+def _parse_value(cast, key: str, text: str, lineno: int):
+    """cast(text) for the value of a key on a line of user text; a bad value names both."""
+    try:
+        return cast(text)
+    except ValueError:
+        raise ValueError(f"line {lineno}: {key} takes {cast.__name__} values, "
+                         f"got {text!r}") from None
+
+
 def _parse_header_lines(it) -> dict:
     fields = {}
     for lineno, raw in enumerate(it, start=1):
@@ -418,28 +460,18 @@ def _parse_header_lines(it) -> dict:
             continue
         key, _, value = line.partition(" ")
         if key not in _HEADER_KEYS:
-            raise ValueError(f"unknown map header key {key!r}")
+            raise ValueError(f"line {lineno}: unknown map header key {key!r}")
         if key in fields:
             raise ValueError(f"line {lineno}: repeated map header key {key!r}")
         fields[key] = value.strip()
+        if key in ("n", "m", "p", "seed"):
+            fields[key] = _parse_value(int, key, fields[key], lineno)
         if key == "seed":
             break
     for key in ("seed", "kind", "n", "m"):
         if key not in fields:
             raise ValueError(f"map header is missing the {key} line")
     return fields
-
-
-def _map_from_fields(fields: dict) -> MeasurementMap:
-    return sample_map(
-        fields["kind"],
-        int(fields["n"]),
-        int(fields["m"]),
-        p=int(fields["p"]) if "p" in fields else None,
-        seed=int(fields["seed"]),
-        inner=fields.get("inner", "dense"),
-        scale=fields.get("scale", "inv_m"),
-    )
 
 
 def write_measurement_file(mp: MeasurementMap, y, stream) -> None:
@@ -458,7 +490,7 @@ def read_measurement_file(lines):
     sentinel = next(it, "").strip()
     if sentinel != "y":
         raise ValueError(f"expected 'y' sentinel after the map header, got {sentinel!r}")
-    m = int(fields["m"])
+    m = fields["m"]
     vals = [float(raw.strip()) for raw in itertools.islice(it, m)]
     if len(vals) < m:
         raise ValueError(f"expected {m} measurement lines, got {len(vals)}")
@@ -468,4 +500,4 @@ def read_measurement_file(lines):
     extra = next((raw for raw in it if raw.strip()), None)
     if extra is not None:
         raise ValueError(f"unexpected line after the {m} measurements: {extra.strip()!r}")
-    return _map_from_fields(fields), np.array(vals)
+    return sample_map(**fields), np.array(vals)    # the header keys are sample_map's arguments

@@ -49,7 +49,6 @@ from .measurements import (
     _check_structure_params,
     _measurements,
     estimate_rip,
-    factorized_inner_map,
 )
 from .projections import (
     ProjectionOutcome,
@@ -317,28 +316,30 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
                 callback=None) -> RecoveryResult:
     """Rank-only iterative hard thresholding on p x p symmetric matrices.
 
-    Every step is a Gauss-Newton step on the rank-r manifold (Luo, Huang, Li
-    and Zhang, 2023) at x = U L U^T; the first is at x = 0 with U the top-r
+    On a factorized map it recovers B X B^T from the inner A_i, which measure it to
+    the map's own y.  Every step is a Gauss-Newton step on the rank-r manifold (Luo,
+    Huang, Li and Zhang, 2023) at x = U L U^T; the first is at x = 0 with U the top-r
     eigenvectors of A*(y), the spectral start of Wirtinger flow (Candes, Li
     and Soltanolkotabi, 2015).  A step solves the least squares over the
     tangent space, W = argmin ||res - A(U W^T + W U^T)|| over p x r matrices
     W, whose design is 2 A_i U since A_i(U W^T + W U^T) = 2 <A_i U, W> for
-    symmetric A_i, by `_tangent_lstsq`.
-    Then x + U W^T + W U^T, which lies in span Q = span{U, W}, is
-    rank-projected through its 2r x 2r core Q^T (.) Q.  The new iterate is
-    measured from A_i U_new, which is also the next step's design, so a step
-    makes one pass over the payload and returns the new iterate with its
-    measurement.  The step is invariant to the scale of the map and of y.
+    symmetric A_i, by `_tangent_lstsq`.  Then x + U W^T + W U^T, which lies in
+    span Q = span{U, W}, is rank-projected through its 2r x 2r core Q^T (.) Q.
+    The new iterate is measured from A_i U_new, which is also the next step's
+    design, so a step makes one pass over the payload and returns the new
+    iterate with its measurement.  The step is invariant to the scale of the
+    map and of y.
     The iteration map is exactly odd: negating y negates every iterate
     bitwise, as the rank kernel gives the same basis for A*(y) and -A*(y).
     """
-    p = mp.n
+    p = mp.p if mp.kind == "factorized" else mp.n
     _check_rank(r, p)
     y = _measurements(mp, y)
     _norm(y)    # before the spectral start, which an overflowing y can make non-finite
     # spectral start: the tangent space at U holds mu P_r(A*(y)) for every mu, so the first
     # least squares fits y at least as well as a gradient step from zero of any length
-    basis = _project_rank_vectors(mp.adjoint(y), r)[1]
+    start = mp._gather(y)
+    basis = _project_rank_vectors((start + start.T) / 2.0, r)[1]
     times = mp._times(basis)    # the (m, p, r) stack A_i U
 
     def step(x, res):
@@ -462,7 +463,7 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
         raise ValueError("two_step_factorized needs a factorized measurement map")
     _check_structure_params(mp.n, s, r)
     y = _measurements(mp, y)
-    stage1 = iht_lowrank(factorized_inner_map(mp), y, r, cfg)
+    stage1 = iht_lowrank(mp, y, r, cfg)
     stage2 = hihtp(mp.basis, stage1.estimate, s, s, cfg)
     rnorm = _final_residual(mp, y, stage2.estimate, stage2.support)
     return RecoveryResult(

@@ -22,3 +22,26 @@ def isometry_map(n: int) -> MeasurementMap:
     for k, (i, j) in enumerate(pairs):
         mats[k, i, j] = mats[k, j, i] = 1.0 if i == j else 1.0 / np.sqrt(2.0)
     return MeasurementMap("dense-gaussian", n, len(pairs), matrices=mats)
+
+
+def dense_stack(mp: MeasurementMap) -> np.ndarray:
+    """The (m, n, n) symmetric matrices of a dense-gaussian map, unpacked from its payload.
+
+    The payload holds each matrix's upper triangle in np.triu_indices order.
+    """
+    rows, cols = np.triu_indices(mp.n)
+    out = np.empty((mp.m, mp.n, mp.n))
+    out[:, rows, cols] = mp.matrices
+    out[:, cols, rows] = mp.matrices
+    return out
+
+
+def inner_map(mp: MeasurementMap) -> MeasurementMap:
+    """A factorized map's inner payload as a p x p map of its own, unscaled.
+
+    It measures Y = B X B^T to the factorized map's y of X: the map stage one works with,
+    kept here as a reference for the solver, which runs on the factorized map itself.
+    """
+    if mp.inner == "dense":
+        return MeasurementMap("dense-gaussian", mp.p, mp.m, matrices=mp.matrices)
+    return MeasurementMap("rank-one", mp.p, mp.m, scale="unit", vectors=mp.vectors)

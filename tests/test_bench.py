@@ -215,7 +215,7 @@ class TestPhaseTransition:
         assert all(math.isnan(rec.rel_error) and not rec.success for rec in records)
 
     @pytest.mark.parametrize("overrides,cap,reason", [
-        ({}, 400, "a dense-gaussian payload of 756 entries exceeds the cap 400"),
+        ({}, 400, "a dense-gaussian payload of 441 entries exceeds the cap 400"),
         ({"algo": "two-step", "ensemble": "factorized", "p": 5}, 400,
          "a factorized payload of 555 entries exceeds the cap 400"),
         ({"algo": "brute", "ensemble": "rank-one"}, 300,
@@ -317,7 +317,7 @@ class TestRipSweep:
     def test_cell_over_payload_cap_is_skipped(self, monkeypatch):
         monkeypatch.setattr(measurements, "PAYLOAD_CAP", 400)
         spec = small_spec(trials_per_cell=5, m=["10", "21"])
-        with pytest.warns(UserWarning, match="payload of 756 entries exceeds the cap 400"):
+        with pytest.warns(UserWarning, match="payload of 441 entries exceeds the cap 400"):
             rows = run_rip_sweep(spec)
         assert [row["m"] for row in rows] == [10]
 

@@ -369,6 +369,14 @@ class TestMeasureRecover:
         assert self._recover_text(tmp_path, text) == 2
         assert "line 3: repeated map header key 'n'" in capsys.readouterr().err
 
+    def test_non_integer_header_value_exits_two(self, tmp_path, capsys):
+        mp = sample_map("dense-gaussian", 4, 3, seed=3)
+        buf = io.StringIO()
+        write_measurement_file(mp, [1.0, 2.0, 3.0], buf)
+        text = buf.getvalue().replace("n 4\n", "n four\n")
+        assert self._recover_text(tmp_path, text) == 2
+        assert "line 2: n takes int values, got 'four'" in capsys.readouterr().err
+
     @pytest.mark.parametrize("algo", ["head-tail", "rank-one"])
     @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
     def test_non_finite_measurement_exits_two(self, tmp_path, capsys, algo, value):
@@ -600,6 +608,14 @@ class TestBench:
         assert "error: line 9: repeated spec key 'n'" in capsys.readouterr().err
         assert not out.exists()
 
+    def test_non_integer_spec_value_exits_two(self, tmp_path, capsys):
+        spec = tmp_path / "spec.txt"
+        spec.write_text(self.SPEC.replace("s = 2", "s = 2, two"))
+        out = tmp_path / "o.csv"
+        assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 2
+        assert "error: line 4: s takes int values, got 'two'" in capsys.readouterr().err
+        assert not out.exists()
+
     @pytest.mark.parametrize("mode", ["phase", "rip"])
     @pytest.mark.parametrize("entry", ["infx", "nanx", "x", "2xx", "1.5"])
     def test_bad_m_entry_exits_two_before_any_cell(self, tmp_path, capsys, monkeypatch, mode,
@@ -614,14 +630,14 @@ class TestBench:
         assert not out.exists()
 
     def test_cell_over_payload_cap_does_not_abort_the_sweep(self, tmp_path):
-        # the n = 500, m = 500 dense payload has 1.25e8 entries, over the 1e8 cap
+        # the n = 500, m = 1000 dense payload stores 1.2525e8 packed entries, over the 1e8 cap
         spec = tmp_path / "spec.txt"
-        spec.write_text(self.SPEC.replace("n = 6", "n = 6, 500").replace("m = 21", "m = 500")
+        spec.write_text(self.SPEC.replace("n = 6", "n = 6, 500").replace("m = 21", "m = 1000")
                         .replace("exact-iht", "head-tail"))
         out = tmp_path / "o.csv"
         tracemalloc.start()
         try:
-            with pytest.warns(UserWarning, match="payload of 125000000 entries exceeds the cap"):
+            with pytest.warns(UserWarning, match="payload of 125250000 entries exceeds the cap"):
                 assert main(["bench", "--spec", str(spec), "--output", str(out)]) == 0
             _, peak = tracemalloc.get_traced_memory()
         finally:

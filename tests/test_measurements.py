@@ -14,7 +14,6 @@ from bisparse.measurements import (
     check_rip_cross_term,
     cross_term_ratio,
     estimate_rip,
-    factorized_inner_map,
     read_measurement_file,
     sample_map,
     sample_structured,
@@ -22,7 +21,7 @@ from bisparse.measurements import (
     write_measurement_file,
 )
 from bisparse.symcore import project_rank
-from helpers import isometry_map, sym
+from helpers import dense_stack, isometry_map, sym
 
 
 def random_sym(n, seed):
@@ -38,7 +37,9 @@ ALL_KINDS = [
 
 
 # sha256 of each sampled payload array's bytes, taken when sample_map still
-# scaled and symmetrized into fresh arrays; sampling in place keeps every bit
+# scaled and symmetrized into fresh arrays; sampling in place keeps every bit.
+# A dense-gaussian digest is of the unpacked (m, n, n) stack, which sample_map
+# once stored whole: packing a chunk at a time draws the same entries
 PAYLOAD_SHA256 = [
     ("dense-gaussian", {}, 5, 7, 0, {
         "matrices": "c487f29a4993a6727a4bd10f91116ae405d3b69f42fca63f88ad4cffea7739e6"}),
@@ -83,10 +84,11 @@ class TestSampling:
         # off-diagonal averaging halves it
         m_count, n = 10_000, 4
         mp = sample_map("dense-gaussian", n, m_count, seed=1)
-        diag = mp.matrices[:, range(n), range(n)]
+        stack = dense_stack(mp)
+        diag = stack[:, range(n), range(n)]
         assert np.var(diag) == pytest.approx(1.0 / m_count, rel=0.05)
         triu = np.triu_indices(n, k=1)
-        off = mp.matrices[:, triu[0], triu[1]]
+        off = stack[:, triu[0], triu[1]]
         assert np.var(off) == pytest.approx(0.5 / m_count, rel=0.05)
 
     def test_rank_one_scales(self):
@@ -167,7 +169,10 @@ class TestSampling:
     @pytest.mark.parametrize("kind,kwargs,n,m,seed,digests", PAYLOAD_SHA256)
     def test_payload_bytes_are_pinned(self, kind, kwargs, n, m, seed, digests):
         mp = sample_map(kind, n, m, seed=seed, **kwargs)
-        got = {name: hashlib.sha256(getattr(mp, name).tobytes()).hexdigest() for name in digests}
+        arrays = {name: getattr(mp, name) for name in digests}
+        if kind == "dense-gaussian":
+            arrays["matrices"] = dense_stack(mp)
+        got = {name: hashlib.sha256(arr.tobytes()).hexdigest() for name, arr in arrays.items()}
         assert got == digests
 
     @pytest.mark.parametrize("kind,kwargs,n,m", [
@@ -226,7 +231,7 @@ class TestApplyAdjoint:
         unit[3] = 1.0
         got = mp.adjoint(unit)
         if kind == "dense-gaussian":
-            assert np.allclose(got, mp.matrices[3], atol=1e-15)
+            assert np.allclose(got, dense_stack(mp)[3], atol=1e-15)
         elif kind == "rank-one":
             assert np.allclose(got, np.outer(mp.vectors[3], mp.vectors[3]), atol=1e-12)
         assert np.array_equal(mp.adjoint(np.zeros(8)), np.zeros((5, 5)))
@@ -281,12 +286,13 @@ class TestApplyAdjoint:
             mp.adjoint(np.zeros(6))
 
     def test_inner_map_consistency(self):
-        # the inner map measures B X B^T to the factorized map's own y, unscaled
+        # the inner matrices, stage one's design A_i Q at Q = I, measure B X B^T to the
+        # factorized map's own y, unscaled
         x = random_sym(5, 31)
         for inner_kind in ("dense", "rank-one"):
             mp = sample_map("factorized", 5, 7, p=6, seed=30, inner=inner_kind)
             lifted = sym(mp.basis @ x @ mp.basis.T)
-            got = factorized_inner_map(mp).apply(lifted)
+            got = mp._times(np.eye(6)).reshape(7, -1) @ lifted.ravel()
             assert np.max(np.abs(got - mp.apply(x))) <= 1e-10, inner_kind
 
 

@@ -13,7 +13,6 @@ import pytest
 from bisparse import measurements, projections, recovery, symcore
 from bisparse.measurements import (
     MeasurementMap,
-    factorized_inner_map,
     sample_map,
     sample_structured,
 )
@@ -35,7 +34,7 @@ from bisparse.recovery import (
     two_step_factorized,
 )
 from bisparse.symcore import _project_rank_vectors, _restrict, _top_eigen, project_rank
-from helpers import isometry_map, sym
+from helpers import dense_stack, inner_map, isometry_map, sym
 
 
 def assert_structured(s, r):
@@ -72,9 +71,9 @@ def criterion_10_instance(t, inner="dense"):
 
 
 def criterion_10_stage_one(t, inner="dense"):
-    """Stage-one map and measurements of criterion 10's instance t."""
+    """Factorized map and measurements of criterion 10's instance t, which stage one takes."""
     mp, _, y = criterion_10_instance(t, inner)
-    return factorized_inner_map(mp), y
+    return mp, y
 
 
 class TestConfig:
@@ -351,20 +350,21 @@ class TestIhtLowrank:
             return step
 
         for t in range(5):
-            inner, y = criterion_10_stage_one(t, inner_kind)
+            mp, y = criterion_10_stage_one(t, inner_kind)
             ref, got = [], []
-            want = _iterate(y, inner.n, dense_step(inner, y), RecoveryConfig(), ref.append)
-            res = iht_lowrank(inner, y, 1, callback=got.append)
+            want = _iterate(y, mp.p, dense_step(inner_map(mp), y), RecoveryConfig(), ref.append)
+            res = iht_lowrank(mp, y, 1, callback=got.append)
             assert res.iterations == want.iterations == len(got) == len(ref)
             for k, (a, b) in enumerate(zip(got, ref)):
                 assert np.linalg.norm(a - b) <= 1e-10 * np.linalg.norm(b), (t, k)
 
     def test_subspace_steps_measure_nothing_twice(self, monkeypatch):
-        # a solve makes one adjoint and one _times for its spectral start; every step then
+        # a solve makes one _gather (the adjoint sum of the inner matrices, without the
+        # factorized map's sandwich) and one _times for its spectral start; every step then
         # makes one _times, A_i U of its new basis, which measures the new iterate and is
         # the next step's design
         inner, y = criterion_10_stage_one(0)
-        calls = {"_apply": 0, "_times": 0, "adjoint": 0}
+        calls = {"_apply": 0, "_times": 0, "_gather": 0, "adjoint": 0}
         for name in calls:
             def counted(self, arg, _name=name, _orig=getattr(MeasurementMap, name)):
                 calls[_name] += 1
@@ -372,7 +372,8 @@ class TestIhtLowrank:
             monkeypatch.setattr(MeasurementMap, name, counted)
         res = iht_lowrank(inner, y, 1)
         assert res.iterations > 2
-        assert calls["adjoint"] == 1 and calls["_times"] == res.iterations + 1
+        assert calls["_gather"] == 1 and calls["_times"] == res.iterations + 1
+        assert calls["adjoint"] == 0
         assert calls["_apply"] == 0
 
     def test_iteration_budget_on_criterion_10(self):
@@ -491,7 +492,7 @@ class TestTwoStep:
         mp, x, _ = planted_instance("factorized", n, s, r, m, seed=22, p=p)
         y = mp.apply(x)
         combined = two_step_factorized(mp, y, s, r)
-        stage1 = iht_lowrank(factorized_inner_map(mp), y, r)
+        stage1 = iht_lowrank(mp, y, r)
         stage2 = hihtp(mp.basis, stage1.estimate, s, s)
         assert np.array_equal(combined.estimate, (stage2.estimate + stage2.estimate.T) / 2)
         assert combined.iterations == stage1.iterations + stage2.iterations
@@ -534,7 +535,7 @@ class TestTwoStep:
         mp = sample_map("factorized", 10, 64, p=16, seed=0)
         x, _ = sample_structured(10, 4, 1, np.random.default_rng(0))
         y = mp.apply(x)
-        stage1 = iht_lowrank(factorized_inner_map(mp), y, 1)
+        stage1 = iht_lowrank(mp, y, 1)
         stage2 = hihtp(mp.basis, stage1.estimate, 2, 2)
         assert stage1.converged and stage2.converged
         res = two_step_factorized(mp, y, 2, 1)
@@ -644,7 +645,7 @@ def hihtp_cases():
     shapes = [(40, 3, 43, 258)] + [(12, 2, 16, 48)] * 12
     for k, (n, s, p, m) in enumerate(shapes):
         mp, x, _ = planted_instance("factorized", n, s, 1, m, seed=4200 + k, p=p)
-        stage1 = iht_lowrank(factorized_inner_map(mp), mp.apply(x), 1)
+        stage1 = iht_lowrank(mp, mp.apply(x), 1)
         for t in sorted({1, s, min(s + 2, n)}):
             yield mp.basis, stage1.estimate, s, t, RecoveryConfig()
     rng = np.random.default_rng(4300)
@@ -926,7 +927,7 @@ class TestBruteForce:
 
     def test_non_finite_pair_design_refused(self):
         sampled = sample_map("dense-gaussian", 6, 12, seed=32)
-        matrices = sampled.matrices.copy()
+        matrices = dense_stack(sampled)
         matrices[3, 4, 5] = np.nan
         mp = MeasurementMap("dense-gaussian", 6, 12, matrices=matrices)
         with pytest.raises(ValueError, match="pair design has non-finite entries"):
@@ -1081,7 +1082,7 @@ class TestStepValidation:
 
 
 def _stage_one(mp, y, s, r):
-    return iht_lowrank(factorized_inner_map(mp), y, r)
+    return iht_lowrank(mp, y, r)
 
 
 # every solver of a map and m = 12 measurements, called as solver(map, y, s=2, r=1)

@@ -6,7 +6,9 @@ orthogonal projection onto it.  The solver measures a tangent matrix through
 the stack A_i U of `MeasurementMap._times`, since A_i(U W^T + W U^T) =
 2 <A_i U, W> for symmetric A_i, and takes W from the least squares of
 `_tangent_lstsq` on that design; the bases come from the rank kernel the
-solver uses.  `_normal_solve` is the pivot rule behind that least squares and HiHTP's
+solver uses.  On a factorized map the A_i are its inner p x p matrices, so the
+iterate is p x p and its reference measurement is the inner payload's own map.
+`_normal_solve` is the pivot rule behind that least squares and HiHTP's
 restricted fit: it solves the normal equations of a design of full column rank, and
 refuses an underdetermined, rank-deficient or ill-conditioned one, which then goes to lstsq.
 """
@@ -20,7 +22,7 @@ st = hypothesis.strategies
 from bisparse.measurements import MeasurementMap, sample_map  # noqa: E402
 from bisparse.recovery import _normal_solve, _tangent_lstsq  # noqa: E402
 from bisparse.symcore import _project_rank_vectors, project_rank  # noqa: E402
-from helpers import sym  # noqa: E402
+from helpers import inner_map, sym  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -35,8 +37,9 @@ def tangent_project(u, g):
 def tangent_case(draw, overdetermined=False):
     """A small map of each kind, an iterate x of rank <= r, its kept basis u, and a residual.
 
-    With overdetermined=True the map has at least twice as many measurements as the
-    tangent space has dimensions, n r - r (r - 1) / 2.
+    The iterate is d x d, for d the map's n, or its inner p for a factorized map.  With
+    overdetermined=True the map has at least twice as many measurements as the tangent
+    space has dimensions, d r - r (r - 1) / 2.
     """
     kind, inner = draw(st.sampled_from([("dense-gaussian", "dense"), ("rank-one", "dense"),
                                         ("factorized", "dense"), ("factorized", "rank-one")]))
@@ -44,12 +47,18 @@ def tangent_case(draw, overdetermined=False):
     r = draw(st.integers(1, min(n, 3)))
     seed = draw(st.integers(0, 2**32 - 1))
     p = n + 2 if kind == "factorized" else None
-    low = 2 * (n * r - r * (r - 1) // 2) if overdetermined else 1
+    d = p or n
+    low = 2 * (d * r - r * (r - 1) // 2) if overdetermined else 1
     mp = sample_map(kind, n, draw(st.integers(low, low + 29)), p=p, seed=seed, inner=inner)
     rng = np.random.default_rng(seed)
     scale = draw(st.sampled_from([1e-3, 1.0, 1e3]))
-    out, vecs = _project_rank_vectors(sym(rng.standard_normal((n, n))), r)
+    out, vecs = _project_rank_vectors(sym(rng.standard_normal((d, d))), r)
     return mp, out, vecs, rng.standard_normal(mp.m) * scale
+
+
+def measure(mp, x):
+    """The measurement of a d x d x that `_times` stands for: by the inner map if factorized."""
+    return (inner_map(mp) if mp.kind == "factorized" else mp)._apply(x)
 
 
 def tangent_matrix(u, w):
@@ -63,9 +72,9 @@ def test_times_measures_tangent_matrices_like_the_map(case, seed):
     mp, _, u, _ = case
     w = np.random.default_rng(seed).standard_normal(u.shape)
     times = mp._times(u)
-    assert times.shape == (mp.m, mp.n, u.shape[1])
+    assert times.shape == (mp.m, *u.shape)
     got = 2.0 * times.reshape(mp.m, -1) @ w.ravel()
-    want = mp._apply(tangent_matrix(u, w))
+    want = measure(mp, tangent_matrix(u, w))
     assert np.linalg.norm(got - want) <= 1e-12 * max(float(np.linalg.norm(want)), 1e-300)
 
 
@@ -75,7 +84,7 @@ def test_times_measures_the_iterate_like_the_map(case):
     # the solver measures x = U L U^T as <A_i U, x U>
     mp, x, u, _ = case
     got = mp._times(u).reshape(mp.m, -1) @ (x @ u).ravel()
-    want = mp._apply(x)
+    want = measure(mp, x)
     assert np.linalg.norm(got - want) <= 1e-12 * max(float(np.linalg.norm(want)), 1e-300)
 
 
@@ -97,7 +106,7 @@ def test_step_solves_the_tangent_least_squares(case):
     # the normal equations: the residual after the step is orthogonal to every A_i U column
     mp, _, u, res = case
     design = 2.0 * mp._times(u).reshape(mp.m, -1)
-    left = res - mp._apply(tangent_matrix(u, _tangent_lstsq(mp._times(u), u, res)))
+    left = res - measure(mp, tangent_matrix(u, _tangent_lstsq(mp._times(u), u, res)))
     bound = 1e-10 * float(np.linalg.norm(design)) * max(float(np.linalg.norm(res)), 1e-300)
     assert np.linalg.norm(design.T @ left) <= bound
 
@@ -132,7 +141,7 @@ def test_repeated_measurements_step_matches_lstsq():
     # design has rank 8 < 12 although m >= 12, so its Gram matrix is singular beyond the
     # gauge; the step must still be lstsq's least-norm tangent matrix
     base = sample_map("dense-gaussian", 12, 8, seed=5)
-    mp = MeasurementMap("dense-gaussian", 12, 32, matrices=np.tile(base.matrices, (4, 1, 1)))
+    mp = MeasurementMap("dense-gaussian", 12, 32, matrices=np.tile(base.matrices, (4, 1)))
     rng = np.random.default_rng(6)
     y = mp._apply(project_rank(sym(rng.standard_normal((12, 12))), 1))
     u = _project_rank_vectors(mp.adjoint(y), 1)[1]

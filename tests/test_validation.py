@@ -6,11 +6,13 @@ went through check_sym/check_support; faults are tried one at a time, plus the
 precedence between a bad matrix, a bad rank and a bad sparsity.
 """
 
+import io
 import re
 
 import numpy as np
 import pytest
 
+from bisparse import bench as B
 from bisparse import measurements as M
 from bisparse import projections as P
 from bisparse import symcore as S
@@ -57,6 +59,17 @@ SUPPORT_FUNCTIONS = {
 }
 
 _RANK_ONE = M.sample_map("rank-one", 4, 10, seed=0)
+
+SPEC = "algo = head-tail\nensemble = dense-gaussian\nn = 6\ns = 2\nr = 1\nm = 21\n"
+HEADER = "kind dense-gaussian\nn 4\nm 2\nseed 7\ny\n1.0\n2.0\n"
+
+
+def _spec(old, new):
+    return lambda: B.parse_spec(io.StringIO(SPEC.replace(old, new)))
+
+
+def _header(old, new):
+    return lambda: M.read_measurement_file(io.StringIO(HEADER.replace(old, new)))
 
 PARAMETER_FAULTS = {
     "project_rank negative rank": (lambda: S.project_rank(SYM4, -1),
@@ -130,6 +143,20 @@ PARAMETER_FAULTS = {
                         "matrix dimension 3 != map dimension 4"),
     "apply asymmetric": (lambda: _RANK_ONE.apply(np.triu(np.ones((4, 4)))),
                          "matrix is not symmetric (max asymmetry 1.000e+00)"),
+    # a value that does not parse names its key and line
+    "parse_spec list entry": (_spec("n = 6", "n = 6, abc"),
+                              "line 3: n takes int values, got 'abc'"),
+    "parse_spec int scalar": (_spec("m = 21\n", "m = 21\ntrials_per_cell = 2.5\n"),
+                              "line 7: trials_per_cell takes int values, got '2.5'"),
+    "parse_spec float scalar": (_spec("m = 21\n", "m = 21\nnoise_level = lots\n"),
+                                "line 7: noise_level takes float values, got 'lots'"),
+    "map header n": (_header("n 4", "n x"), "line 2: n takes int values, got 'x'"),
+    "map header m": (_header("m 2", "m 2.0"), "line 3: m takes int values, got '2.0'"),
+    "map header seed": (_header("seed 7", "seed"), "line 4: seed takes int values, got ''"),
+    "map header p": (_header("kind dense-gaussian", "kind factorized\np 1e3\ninner dense"),
+                     "line 2: p takes int values, got '1e3'"),
+    "map header unknown key": (_header("m 2\n", "m 2\nbogus 1\n"),
+                               "line 4: unknown map header key 'bogus'"),
 }
 
 
