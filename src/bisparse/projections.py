@@ -107,16 +107,41 @@ class ShrinkOutcome(ProjectionOutcome):
 def _select(mags: np.ndarray, k: int) -> np.ndarray:
     """Indices of the k largest entries in each row of `mags`, largest first.
 
-    The one sort behind every support selection in this module: a stable sort
+    The one tie rule of every support selection in this module: a stable sort
     of -mags, so of equal magnitudes the lower index wins.  A 1-D array is a
-    single row.
+    single row.  The pickers sort only the lines that win: a line's score
+    needs its top-k values alone, which `_top_energy` finds by partition.
     """
     return (-mags).argsort(axis=-1, kind="stable")[..., :k]
 
 
-def _kept_energy(mags: np.ndarray, idx: np.ndarray) -> np.ndarray:
-    """Score of each row of `mags`: the sum of squares of its entries at `idx`."""
-    return (mags[np.arange(len(mags))[:, None], idx] ** 2).sum(axis=1)
+def _top_energy(lines: np.ndarray, k: int) -> np.ndarray:
+    """Score of each row of `lines`: the sum of squares of its k largest entries, largest first.
+
+    np.partition finds the k values without ordering the row.  Sorted in descending order they
+    are the values at `_select(lines, k)`, as entries that tie are equal, so the C-order sum
+    has the bits of gathering the entries at those indices.
+    """
+    top = np.negative(lines, order="C")
+    top.partition(k - 1, axis=1)    # k = 0 partitions at -1, the last column, and keeps none
+    return (np.sort(top[:, :k], axis=1) ** 2).sum(axis=1)
+
+
+def _rescaled_on_overflow(pick):
+    """`pick(m, ...)`, rerun on M scaled by a power of two if squaring its magnitudes overflows.
+
+    Above about 1e154 a squared magnitude is inf, and inf scores tie.  Scaling by 2^e is exact
+    short of underflow, so the scores keep their order and the picks are M's.  The largest
+    magnitude scaled below 2^500 lets up to 2^23 squares sum below the float64 maximum.
+    Inputs whose squares stay finite run once and keep their bits.
+    """
+    def picked(m, *args):
+        try:
+            with np.errstate(over="raise"):
+                return pick(m, *args)
+        except FloatingPointError:
+            return pick(np.ldexp(m, 500 - np.frexp(np.abs(m).max())[1]), *args)
+    return picked
 
 
 def _support(n: int, *parts) -> np.ndarray:
@@ -126,17 +151,17 @@ def _support(n: int, *parts) -> np.ndarray:
     return members.nonzero()[0]
 
 
-def _partners(absm: np.ndarray, k: int):
-    """Partner rule of the square and anchor heads, on the rows of an n x n |M|.
+def _partner_scores(absm: np.ndarray, k: int) -> np.ndarray:
+    """Row scores of the square and anchor heads' partner rule, on the rows of an n x n |M|.
 
     Each row's partners are its k < n largest off-diagonal magnitudes; its
     score is their energy plus the squared diagonal.  Overwrites the diagonal
-    of `absm` (with -inf, so it ranks last).
+    of `absm` with -inf, so it ranks last, and `_select` of a winning row of
+    `absm` then gives that row's partners.
     """
     diag_sq = absm.diagonal() ** 2
     absm.flat[::len(absm) + 1] = -np.inf
-    partners = _select(absm, k)
-    return partners, diag_sq + _kept_energy(absm, partners)
+    return diag_sq + _top_energy(absm, k)
 
 
 def _check_rank(r: int, n: int) -> None:
@@ -208,6 +233,7 @@ def tail_bisparse(mat, s: int) -> ProjectionOutcome:
     return _projection(mat, s, _tail_support)
 
 
+@_rescaled_on_overflow
 def _tail_support(m: np.ndarray, s: int) -> np.ndarray:
     return np.sort(_select(np.sqrt((m * m).sum(axis=0)), s))    # np.linalg.norm(m, axis=0)
 
@@ -232,10 +258,11 @@ def head_square(mat, s: int) -> ProjectionOutcome:
     return _projection(mat, s, _square_support)
 
 
+@_rescaled_on_overflow
 def _square_support(m: np.ndarray, s: int) -> np.ndarray:
-    partners, scores = _partners(np.abs(m), s - 1)
-    anchors = _select(scores, s)
-    return _support(m.shape[0], anchors, partners[anchors])
+    absm = np.abs(m)
+    anchors = _select(_partner_scores(absm, s - 1), s)
+    return _support(m.shape[0], anchors, _select(absm[anchors], s - 1))
 
 
 def head_rowcol(mat, s: int) -> ProjectionOutcome:
@@ -247,6 +274,7 @@ def head_rowcol(mat, s: int) -> ProjectionOutcome:
     return _projection(mat, s, _rowcol_support)
 
 
+@_rescaled_on_overflow
 def _rowcol_support(m: np.ndarray, s: int) -> np.ndarray:
     rows = np.sort(_select(np.linalg.norm(m, axis=1), s))
     cols = _select(np.linalg.norm(m[rows, :], axis=0), s)
@@ -263,11 +291,11 @@ def head_anchor(mat, s: int) -> ProjectionOutcome:
     return _projection(mat, s, _anchor_support)
 
 
+@_rescaled_on_overflow
 def _anchor_support(m: np.ndarray, s: int) -> np.ndarray:
-    # the partner rule on columns: row j of |M|^T is column j of |M|
-    partners, scores = _partners(np.abs(m).T, s - 1)
-    best = np.argmax(scores)  # the first of equally good anchors
-    return _support(m.shape[0], partners[best], best)
+    absm = np.abs(m).T    # the partner rule on columns: row j of |M|^T is column j of |M|
+    best = np.argmax(_partner_scores(absm, s - 1))  # the first of equally good anchors
+    return _support(m.shape[0], _select(absm[best], s - 1), best)
 
 
 def head_psd_lowrank(mat, s: int, rank_override: int | None = None) -> ProjectionOutcome:
@@ -338,13 +366,16 @@ def head_shrink(mat, sprime, s: int) -> ShrinkOutcome:
         raise ValueError(f"sparsity must be at least 2, got {s}")
     if sp.size < s:
         raise ValueError(f"given support has {sp.size} indices, need at least s={s}")
-    half = s // 2
-    row_scores = np.linalg.norm(m[np.ix_(sp, sp)], axis=1)
-    rows = sp[np.sort(_select(row_scores, half))]
-    col_scores = np.linalg.norm(m[np.ix_(rows, sp)], axis=0)
-    cols = sp[np.sort(_select(col_scores, half))]
+    rows, cols = _shrink_halves(m, sp, s // 2)
     support = _support(n, rows, cols)
     return ShrinkOutcome(_restrict(m, support), support, rows, cols)
+
+
+@_rescaled_on_overflow
+def _shrink_halves(m: np.ndarray, sp: np.ndarray, half: int):
+    """head_shrink's picks in a support: its `half` heaviest rows there, then columns."""
+    rows = sp[np.sort(_select(np.linalg.norm(m[np.ix_(sp, sp)], axis=1), half))]
+    return rows, sp[np.sort(_select(np.linalg.norm(m[np.ix_(rows, sp)], axis=0), half))]
 
 
 def hierarchical_mask(mat, s: int, t: int) -> np.ndarray:
@@ -363,11 +394,15 @@ def hierarchical_mask(mat, s: int, t: int) -> np.ndarray:
         raise ValueError(f"per-column sparsity must satisfy 1 <= t <= {n_rows}, got {t}")
     if not 1 <= s <= n_cols:
         raise ValueError(f"column sparsity must satisfy 1 <= s <= {n_cols}, got {s}")
+    return _hierarchical_pick(m, s, t)
+
+
+@_rescaled_on_overflow
+def _hierarchical_pick(m: np.ndarray, s: int, t: int) -> np.ndarray:
     lines = np.abs(m).T  # row j is column j of |M|
-    rows = _select(lines, t)
-    cols = _select(_kept_energy(lines, rows), s)
+    cols = _select(_top_energy(lines, t), s)
     mask = np.zeros(m.shape, dtype=bool)
-    mask[rows[cols], cols[:, None]] = True
+    mask[_select(lines[cols], t), cols[:, None]] = True
     return mask
 
 

@@ -104,9 +104,10 @@ def test_partners_match_on_inf_diagonals(m, data):
     if data.draw(st.booleans()):
         np.fill_diagonal(absm, -np.inf)
     k = data.draw(st.integers(0, max(len(m) - 1, 0)))
-    got_partners, got_scores = P._partners(absm.copy(), k)
+    got = absm.copy()
+    got_scores = P._partner_scores(got, k)
     want_partners, want_scores = partners_reference(absm.copy(), k)
-    assert np.array_equal(got_partners, want_partners)
+    assert np.array_equal(P._select(got, k), want_partners)    # the winners' partners, any row
     assert bits(got_scores) == bits(want_scores)
 
 
@@ -179,3 +180,82 @@ def test_hierarchical_mask_matches_argsort_reference(m, data):
     want = np.zeros(m.shape, dtype=bool)
     want[rows[cols], cols[:, None]] = True
     assert np.array_equal(P.hierarchical_mask(m, s, t), want)
+
+
+# np.partition chooses its selection path by line length and k, so the partition kernel is
+# checked against the references at sizes the 8 x 8 strategy above never reaches, on
+# rectangles for hierarchical_mask, and on lines of tied entries
+KINDS = ["gaussian", "integer ties", "equal rows", "sparse", "zero"]
+
+
+def entries(kind, shape, seed):
+    rng = np.random.default_rng(seed)
+    if kind == "gaussian":
+        return rng.standard_normal(shape)
+    if kind == "integer ties":
+        return rng.integers(-3, 4, shape).astype(float)
+    if kind == "equal rows":    # each row one value; symmetrized, rows tie in long runs
+        return np.repeat(rng.integers(-2, 3, (shape[0], 1)).astype(float), shape[1], axis=1)
+    if kind == "sparse":
+        return rng.standard_normal(shape) * (rng.random(shape) < 0.1)
+    return np.zeros(shape)
+
+
+def symmetrized(a):
+    return np.where(np.tri(len(a), k=-1, dtype=bool), a.T, a)
+
+
+def hierarchical_mask_reference(m, s, t):
+    lines = np.abs(m).T
+    rows = select_reference(lines, t)
+    cols = select_reference(kept_energy_reference(lines, rows), s)
+    want = np.zeros(m.shape, dtype=bool)
+    want[rows[cols], cols[:, None]] = True
+    return want
+
+
+def assert_pickers_match(m, s):
+    for picker, reference in PICKERS:
+        assert np.array_equal(picker(m, s), reference(m, s)), (picker.__name__, len(m), s)
+
+
+def assert_top_energy_matches(lines, k):
+    # a C-order and a transposed (F-order) line matrix, as the square and anchor heads pass
+    for view in (lines, np.asfortranarray(lines)):
+        want = kept_energy_reference(view, select_reference(view, k))
+        assert bits(P._top_energy(view, k)) == bits(want), (view.shape, k)
+
+
+def sparsity(data, n):
+    return data.draw(st.one_of(st.sampled_from([1, n]), st.integers(1, n)))
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 64), st.sampled_from(KINDS), st.integers(0, 2**32 - 1), st.data())
+def test_pickers_match_argsort_references_up_to_n64(n, kind, seed, data):
+    m = symmetrized(entries(kind, (n, n), seed))
+    assert_pickers_match(m, sparsity(data, n))
+    assert_top_energy_matches(np.abs(m), data.draw(st.integers(0, n)))
+
+
+@SETTINGS
+@hypothesis.given(st.integers(1, 64), st.integers(1, 64), st.sampled_from(KINDS),
+                  st.integers(0, 2**32 - 1), st.data())
+def test_hierarchical_mask_matches_argsort_reference_on_rectangles(rows, cols, kind, seed, data):
+    m = entries(kind, (rows, cols), seed)
+    s, t = sparsity(data, cols), sparsity(data, rows)
+    assert np.array_equal(P.hierarchical_mask(m, s, t), hierarchical_mask_reference(m, s, t))
+
+
+@pytest.mark.parametrize("n", [100, 300])
+@pytest.mark.parametrize("kind", KINDS)
+def test_pickers_match_argsort_references_at_large_n(n, kind):
+    m = symmetrized(entries(kind, (n, n), n))
+    for s in (1, 2, 4, 9, n):
+        assert_pickers_match(m, s)
+        assert_top_energy_matches(np.abs(m), s)
+    for shape in ((n, n // 3), (n // 3, n)):
+        rect = entries(kind, shape, n + 1)
+        for s, t in ((1, 1), (3, 5), (shape[1], shape[0]), (shape[1] // 2, 2)):
+            assert np.array_equal(P.hierarchical_mask(rect, s, t),
+                                  hierarchical_mask_reference(rect, s, t)), (shape, s, t)

@@ -629,6 +629,29 @@ class TestProjectHierarchical:
                         assert np.array_equal(hierarchical_mask(m, s, t), expected), (dims, s, t)
 
 
+# Squares of magnitudes above about 1e154 overflow to inf.  Every picker must still rank 1e300
+# above 1e200 (both within read_matrix's range), not tie them at inf and keep index 0; a
+# RuntimeWarning fails the suite.
+HUGE = np.array([[1e200, 0.0], [0.0, 1e300]])
+HUGE_PICKS = {
+    "tail_bisparse": lambda: tail_bisparse(HUGE, 1).support,
+    "tail_joint": lambda: tail_joint(HUGE, 1, 1).support,
+    "head_square": lambda: head_square(HUGE, 1).support,
+    "head_square_variant": lambda: head_square_variant(HUGE, 1, 1).support,
+    "head_rowcol": lambda: head_rowcol(HUGE, 1).support,
+    "head_anchor": lambda: head_anchor(HUGE, 1).support,
+    "head_joint": lambda: head_joint(HUGE, 1, 1).support,
+    "head_shrink rows": lambda: head_shrink(HUGE, [0, 1], 2).rows,
+    "head_shrink cols": lambda: head_shrink(HUGE, [0, 1], 2).cols,
+    "hierarchical_mask": lambda: np.argwhere(hierarchical_mask(HUGE, 1, 1))[0],
+}
+
+
+@pytest.mark.parametrize("name", HUGE_PICKS)
+def test_pickers_rank_magnitudes_whose_squares_overflow(name):
+    assert np.all(HUGE_PICKS[name]() == 1)
+
+
 class TestSupportMonotone:
     def test_outputs_on_restriction_stay_inside(self):
         sup = [0, 2, 3, 6]
