@@ -23,6 +23,8 @@ from __future__ import annotations
 import functools
 import itertools
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import NamedTuple
 
@@ -56,6 +58,10 @@ PAYLOAD_CAP = 100_000_000
 # probes estimate_rip measures in one block batch; bounds its memory for any trial count
 PROBE_CHUNK = 32
 PROBE_CACHE_CHUNKS = 16
+# stored entries from which an adjoint's product runs as column chunks (BENCH_28.json) on one pool
+# thread per other usable CPU; the pool is cached by pid, its threads' name, so a fork makes anew
+SPLIT_ENTRIES = 1_000_000
+_pool = functools.lru_cache(maxsize=1)(ThreadPoolExecutor)
 
 
 # the map options each kind takes, in map-header order; any other option must keep its default
@@ -99,6 +105,30 @@ def _triangle(n: int) -> tuple:
     out = rows, cols, np.where(rows == cols, 1.0, 2.0), pos
     for arr in out:
         arr.flags.writeable = False
+    return out
+
+
+def _vecmat(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
+    """w @ mat for an (m, k) payload; from SPLIT_ENTRIES entries on in 2 column chunks (2^j from
+    2^j * SPLIT_ENTRIES on) whose shape-only bounds fall on multiples of 64 columns, keeping one
+    GEMV's bits.  The caller runs chunk 0 and each chunk no pool thread took: no nested deadlock."""
+    m, k = mat.shape
+    if m * k < SPLIT_ENTRIES:
+        return w @ mat
+    width = -(-k // (128 << (m * k // (4 * SPLIT_ENTRIES)).bit_length())) * 64
+    ends = [*range(width, k - 1, width), k]    # no 1-column chunk, which numpy runs as a dot
+    out = np.empty(k)
+    def part(a, b):
+        np.matmul(w, mat[:, a:b], out=out[a:b])
+    workers = len(os.sched_getaffinity(0)) - 1
+    pool = _pool(workers, f"bisparse-{os.getpid()}") if workers > 0 else None
+    later = [(a, b, pool and pool.submit(part, a, b)) for a, b in zip(ends, ends[1:])]
+    part(0, ends[0])
+    for a, b, job in reversed(later):
+        if job is None or job.cancel():
+            part(a, b)
+        else:
+            job.result()
     return out
 
 
@@ -205,10 +235,11 @@ class MeasurementMap:
             flat = (bs @ blocks @ bs.transpose(0, 2, 1)).reshape(c, -1, 1)
             return (self.matrices.reshape(self.m, -1) @ flat)[:, :, 0]
         rows, cols, weights, _ = _triangle(s)
-        pos = _triangle(self.n)[3]
+        upper = rows * s + cols    # the upper triangle's entries of an s x s block, row-major
+        pos = _triangle(self.n)[3][supports[:, :, None], supports[:, None, :]].reshape(c, -1)
         # (c, k, m) and (c, k) in C order: a block's product has one memory layout in any batch
-        g = self.matrices.T[pos[supports[:, rows], supports[:, cols]]]
-        vals = blocks.reshape(c, -1).take(rows * s + cols, axis=1) * weights
+        g = self.matrices.T[pos.take(upper, axis=1)]
+        vals = blocks.reshape(c, -1).take(upper, axis=1) * weights
         return (vals[:, None, :] @ g)[:, 0]
 
     def _times(self, q: np.ndarray) -> np.ndarray:
@@ -224,9 +255,9 @@ class MeasurementMap:
     def _gather(self, w: np.ndarray) -> np.ndarray:
         """sum_i w_i A_i over the stored A_i: n x n, or p x p inner ones in a factorized map."""
         if self.kind == "dense-gaussian":    # both triangles from one entry: exactly symmetric
-            return (w @ self.matrices).take(_triangle(self.n)[3])
+            return _vecmat(w, self.matrices).take(_triangle(self.n)[3])
         if self.matrices is not None:
-            return (w @ self.matrices.reshape(self.m, -1)).reshape(self.p, self.p)
+            return _vecmat(w, self.matrices.reshape(self.m, -1)).reshape(self.p, self.p)
         return self.vectors.T @ (w[:, None] * self.vectors)
 
     def adjoint(self, u) -> np.ndarray:

@@ -212,16 +212,19 @@ def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
     if not 1 <= r <= s:
         raise ValueError(f"rank bound must satisfy 1 <= r <= s={s}, got {r}")
     _check_enumeration(n, s)
+    support = _exact_support(m, s, r)
+    return ProjectionOutcome(_truncate(m, support, r), support)
+
+
+@_rescaled_on_overflow
+def _exact_support(m: np.ndarray, s: int, r: int) -> np.ndarray:
     best_obj, best_support = -1.0, None
-    for cand in itertools.combinations(range(n), s):
-        block = m[np.ix_(cand, cand)]
-        vals = np.linalg.eigvalsh(block)
-        kept = np.sort(vals * vals)[::-1][:r]
-        obj = float(np.sum(kept))
+    for cand in itertools.combinations(range(m.shape[0]), s):
+        vals = np.linalg.eigvalsh(m[np.ix_(cand, cand)])
+        obj = float(np.sum(np.sort(vals * vals)[::-1][:r]))
         if obj > best_obj:
             best_obj, best_support = obj, cand
-    support = np.array(best_support, dtype=int)
-    return ProjectionOutcome(_truncate(m, support, r), support)
+    return np.array(best_support, dtype=int)
 
 
 def tail_bisparse(mat, s: int) -> ProjectionOutcome:
@@ -309,7 +312,8 @@ def head_psd_lowrank(mat, s: int, rank_override: int | None = None) -> Projectio
     m = check_sym(mat)
     n = m.shape[0]
     _check_sparsity(s, n)
-    fro = float(np.linalg.norm(m))
+    top = float(np.abs(m).max())
+    fro = top * float(np.linalg.norm(m / top)) if top > 0 else 0.0    # no overflow above 1e154
     vals, vecs = np.linalg.eigh(m)
     if vals.size and float(vals.min()) < -PSD_TOL * fro:
         raise ValueError(

@@ -405,6 +405,19 @@ class TestHeadPsdLowrank:
         with pytest.raises(ValueError, match="indefinite"):
             head_psd_lowrank(np.diag([1.0, -1.0]), 1)
 
+    def test_indefinite_rejected_where_the_frobenius_norm_overflows(self):
+        # ||M||_F of entries above about 1e154 overflows to inf, and a tolerance of
+        # -PSD_TOL * inf would accept every indefinite input; a RuntimeWarning fails the suite
+        with pytest.raises(ValueError, match="significantly indefinite"):
+            head_psd_lowrank(np.diag([1e200, -1e200]), 1)
+
+    def test_psd_accepted_where_the_frobenius_norm_overflows(self):
+        v = 1e100 * np.array([1.0, 3.0, 2.0])
+        m = np.outer(v, v)    # rank one, entries up to 9e200
+        out = head_psd_lowrank(m, 2)
+        assert np.array_equal(out.support, [1, 2]) and out.matrix[0].sum() == 0.0
+        assert np.array_equal(out.matrix[1:, 1:], m[1:, 1:])
+
     def test_rank_override(self):
         m = random_psd(6, 3, 77)
         out = head_psd_lowrank(m, 2, rank_override=1)
@@ -629,11 +642,13 @@ class TestProjectHierarchical:
                         assert np.array_equal(hierarchical_mask(m, s, t), expected), (dims, s, t)
 
 
-# Squares of magnitudes above about 1e154 overflow to inf.  Every picker must still rank 1e300
+# Squares of magnitudes above about 1e154 overflow to inf.  Every picker, and the exact
+# projection's enumeration, must still rank 1e300
 # above 1e200 (both within read_matrix's range), not tie them at inf and keep index 0; a
 # RuntimeWarning fails the suite.
 HUGE = np.array([[1e200, 0.0], [0.0, 1e300]])
 HUGE_PICKS = {
+    "exact_project": lambda: exact_project(HUGE, 1, 1).support,
     "tail_bisparse": lambda: tail_bisparse(HUGE, 1).support,
     "tail_joint": lambda: tail_joint(HUGE, 1, 1).support,
     "head_square": lambda: head_square(HUGE, 1).support,
