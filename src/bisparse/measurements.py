@@ -58,10 +58,9 @@ PAYLOAD_CAP = 100_000_000
 # probes estimate_rip measures in one block batch; bounds its memory for any trial count
 PROBE_CHUNK = 32
 PROBE_CACHE_CHUNKS = 16
-# stored entries from which an adjoint's product runs as column chunks (BENCH_28.json) on one pool
-# thread per other usable CPU; the pool is cached by pid, its threads' name, so a fork makes anew
+# stored entries from which an adjoint's product runs as two column chunks (BENCH_28.json); a
+# threaded GEMV per chunk was slower than one threaded GEMV, so only under one BLAS thread
 SPLIT_ENTRIES = 1_000_000
-_pool = functools.lru_cache(maxsize=1)(ThreadPoolExecutor)
 
 
 # the map options each kind takes, in map-header order; any other option must keep its default
@@ -108,27 +107,44 @@ def _triangle(n: int) -> tuple:
     return out
 
 
+def _one_blas_thread(env) -> bool:
+    """Whether OpenBLAS runs one thread: at load it takes the first of these variables that is a
+    positive count, else one thread per CPU."""
+    values = map(env.get, ("OPENBLAS_NUM_THREADS", "GOTO_NUM_THREADS", "OMP_NUM_THREADS"))
+    counts = [int(v) for v in values if v and v.strip().isdigit() and int(v)]
+    return counts[:1] == [1]
+
+
+def _new_pool() -> None:    # a forked child needs its own: an inherited pool has no thread
+    global _pool
+    _pool = ThreadPoolExecutor(1, "bisparse-split")
+
+
+_ONE_BLAS_THREAD = _one_blas_thread(os.environ)
+_new_pool()
+if hasattr(os, "register_at_fork"):
+    os.register_at_fork(after_in_child=_new_pool)
+
+
 def _vecmat(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """w @ mat for an (m, k) payload; from SPLIT_ENTRIES entries on in 2 column chunks (2^j from
-    2^j * SPLIT_ENTRIES on) whose shape-only bounds fall on multiples of 64 columns, keeping one
-    GEMV's bits.  The caller runs chunk 0 and each chunk no pool thread took: no nested deadlock."""
+    """w @ mat for an (m, k) payload.  From SPLIT_ENTRIES entries on, under one BLAS thread and on
+    two usable CPUs or more, in two column chunks split at a multiple of 64 columns that the shape
+    alone sets, so each keeps the whole GEMV's bits.  The caller runs the first chunk, and the
+    second too unless the pool thread has started it: nested calls cannot deadlock."""
     m, k = mat.shape
-    if m * k < SPLIT_ENTRIES:
+    a = k // 128 * 64    # the second chunk has 64 columns or more, not the one numpy runs as a dot
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    if m * k < SPLIT_ENTRIES or not a or not _ONE_BLAS_THREAD or (cpus or 1) < 2:
         return w @ mat
-    width = -(-k // (128 << (m * k // (4 * SPLIT_ENTRIES)).bit_length())) * 64
-    ends = [*range(width, k - 1, width), k]    # no 1-column chunk, which numpy runs as a dot
     out = np.empty(k)
-    def part(a, b):
-        np.matmul(w, mat[:, a:b], out=out[a:b])
-    workers = len(os.sched_getaffinity(0)) - 1
-    pool = _pool(workers, f"bisparse-{os.getpid()}") if workers > 0 else None
-    later = [(a, b, pool and pool.submit(part, a, b)) for a, b in zip(ends, ends[1:])]
-    part(0, ends[0])
-    for a, b, job in reversed(later):
-        if job is None or job.cancel():
-            part(a, b)
-        else:
-            job.result()
+    def part(lo, hi):
+        np.matmul(w, mat[:, lo:hi], out=out[lo:hi])
+    job = _pool.submit(part, a, k)
+    part(0, a)
+    if job.cancel():
+        part(a, k)
+    else:
+        job.result()
     return out
 
 

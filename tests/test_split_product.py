@@ -1,12 +1,13 @@
 """The adjoint's split payload product: the bits of one GEMV, on any number of cores.
 
 `measurements._vecmat(w, mat)` computes w @ mat for a payload of SPLIT_ENTRIES or more
-stored entries as column chunks, run on a thread pool beside the caller.  The chunk bounds
-depend on the payload's shape alone and fall on multiples of 64 columns, so the product, and
-every adjoint and solve built on it, has the bytes of the single product whether the chunks
-run inline (one usable CPU), on one pool thread or on several, from one caller or from many,
-and in a forked child of a process that already split.  That is the one-BLAS-thread product:
-OpenBLAS threads large products itself, so the checks at the benchmark's size pin it to one.
+stored entries, under one BLAS thread and on two usable CPUs or more, as two column chunks: the
+caller runs one, a one-thread pool the other.  The bound between them depends on the payload's
+shape alone and falls on a multiple of 64 columns, so the product, and every adjoint and solve
+built on it, has the bytes of the single product whether the chunks run inline (one usable CPU)
+or on the pool, from one caller or from many, and in a forked child of a process that already
+split.  That is the one-BLAS-thread product: OpenBLAS threads large products itself, so the
+checks at the benchmark's size pin it to one.
 """
 
 import json
@@ -15,6 +16,7 @@ import os
 import subprocess
 import sys
 import threading
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +32,29 @@ def bits(arr) -> bytes:
     return np.ascontiguousarray(arr).tobytes()
 
 
-def usable_cpus(monkeypatch, count: int) -> None:
-    """Make the split see `count` usable CPUs, so a pool of count - 1 threads."""
-    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(count)))
+def force_split(patch, cpus: int = 2, threshold: int = 1) -> None:
+    """Split from `threshold` entries on, as under one BLAS thread with `cpus` usable CPUs."""
+    patch.setattr(measurements, "SPLIT_ENTRIES", threshold)
+    patch.setattr(measurements, "_ONE_BLAS_THREAD", True)
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    patch.setattr(os, "cpu_count", lambda: cpus)
+
+
+class CountingPool:
+    """The split's pool, counting the chunks handed to it."""
+
+    def __init__(self, pool):
+        self.pool, self.jobs = pool, 0
+
+    def submit(self, *args):
+        self.jobs += 1
+        return self.pool.submit(*args)
+
+
+def counting_pool(patch, pool=None) -> CountingPool:
+    counting = CountingPool(pool or measurements._pool)
+    patch.setattr(measurements, "_pool", counting)
+    return counting
 
 
 @pytest.fixture(scope="module")
@@ -47,34 +69,69 @@ def big_map():
 
 
 @settings(max_examples=150, deadline=None)
-@given(st.integers(1, 1000), st.integers(0, 4), st.integers(0, 63), st.integers(0, 2**32 - 1),
-       st.data())
-def test_split_product_is_the_single_product_bitwise(m, blocks, rest, seed, data):
-    # N = 64 * blocks + rest covers every remainder mod 64; a forced threshold from 1 up to the
-    # payload's size gives every chunk count the shape allows, down to 64-column chunks.  At most
+@given(st.integers(1, 1000), st.integers(0, 4), st.integers(0, 63), st.integers(0, 2**32 - 1))
+def test_split_product_is_the_single_product_bitwise(m, blocks, rest, seed):
+    # N = 64 * blocks + rest covers every remainder mod 64, split from 128 columns on; at most
     # 1000 x 319 entries, below the sizes OpenBLAS splits across threads of its own (see below)
     k = 64 * blocks + rest or 1
     rng = np.random.default_rng(seed)
     mat, w = rng.standard_normal((m, k)), rng.standard_normal(m)
-    threshold = data.draw(st.integers(1, m * k))
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(measurements, "SPLIT_ENTRIES", threshold)
+        force_split(patch)
+        pool = counting_pool(patch)
         assert bits(measurements._vecmat(w, mat)) == bits(w @ mat)
+    assert pool.jobs == (k >= 128)
 
 
-@pytest.mark.parametrize("cpus", [1, 2, 3])
-def test_the_bits_do_not_depend_on_the_pool_size(monkeypatch, cpus):
-    # 0, 1 and 2 pool threads; with none every chunk runs inline on the caller
+@pytest.mark.parametrize("cpus, threads", [(1, 0), (2, 1), (3, 2)])
+def test_the_bits_do_not_depend_on_the_pool(monkeypatch, cpus, threads):
+    # no pool thread (one usable CPU: both chunks inline), the split's own, a pool of two
     rng = np.random.default_rng(cpus)
     mat, w = rng.standard_normal((300, 64 * 9 + 5)), rng.standard_normal(300)
     want = bits(w @ mat)
-    usable_cpus(monkeypatch, cpus)
-    pools, real_pool = [], measurements._pool
-    monkeypatch.setattr(measurements, "_pool", lambda *args: pools.append(args) or real_pool(*args))
-    for threshold in (1, 1000, mat.size // 2, mat.size):
-        monkeypatch.setattr(measurements, "SPLIT_ENTRIES", threshold)
-        assert bits(measurements._vecmat(w, mat)) == want, threshold
-    assert {workers for workers, _ in pools} == ({cpus - 1} if cpus > 1 else set())
+    with ThreadPoolExecutor(2) as two:
+        pool = counting_pool(monkeypatch, two if threads == 2 else None)
+        for threshold in (1, mat.size, mat.size + 1):
+            force_split(monkeypatch, cpus, threshold)
+            assert bits(measurements._vecmat(w, mat)) == want, threshold
+    assert pool.jobs == (2 if cpus > 1 else 0)
+
+
+def test_without_sched_getaffinity_every_cpu_counts(monkeypatch):
+    # macOS and Windows have no os.sched_getaffinity; the split counts os.cpu_count() there
+    rng = np.random.default_rng(17)
+    mat, w = rng.standard_normal((200, 64 * 5 + 3)), rng.standard_normal(200)
+    force_split(monkeypatch)
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    pool = counting_pool(monkeypatch)
+    for cpus, jobs in ((2, 1), (1, 1), (None, 1)):
+        monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+        assert bits(measurements._vecmat(w, mat)) == bits(w @ mat)
+        assert pool.jobs == jobs
+
+
+def test_under_threaded_blas_the_product_is_one_call(monkeypatch):
+    # each chunk's GEMV would be threaded again, which was slower than one threaded GEMV
+    rng = np.random.default_rng(18)
+    mat, w = rng.standard_normal((200, 64 * 5)), rng.standard_normal(200)
+    force_split(monkeypatch)
+    monkeypatch.setattr(measurements, "_ONE_BLAS_THREAD", False)
+    pool = counting_pool(monkeypatch)
+    assert bits(measurements._vecmat(w, mat)) == bits(w @ mat)
+    assert pool.jobs == 0
+
+
+@pytest.mark.parametrize("env, one", [
+    ({"OPENBLAS_NUM_THREADS": "1"}, True),
+    ({"GOTO_NUM_THREADS": "1"}, True),
+    ({"OMP_NUM_THREADS": " 1 "}, True),
+    ({}, False),
+    ({"OPENBLAS_NUM_THREADS": "2", "OMP_NUM_THREADS": "1"}, False),
+    ({"OPENBLAS_NUM_THREADS": "0", "OMP_NUM_THREADS": "1"}, True),
+    ({"OPENBLAS_NUM_THREADS": "x", "GOTO_NUM_THREADS": "4"}, False),
+])
+def test_one_blas_thread_reads_openblas_variables_in_its_order(env, one):
+    assert measurements._one_blas_thread(env) is one
 
 
 # OpenBLAS splits products of about 0.5M entries and more across its own threads, in other
@@ -82,6 +139,7 @@ def test_the_bits_do_not_depend_on_the_pool_size(monkeypatch, cpus):
 # size run in a child process pinned to one BLAS thread
 PINNED_SCRIPT = """
 import json
+import os
 import numpy as np
 from bisparse import measurements
 from bisparse.measurements import _triangle, sample_map, sample_structured
@@ -93,6 +151,8 @@ w = np.random.default_rng(12).standard_normal(629)
 x, _ = sample_structured(100, 2, 1, np.random.default_rng(13))
 y = dense.apply(x)
 assert min(dense.matrices.size, factorized.matrices.size) >= measurements.SPLIT_ENTRIES
+assert measurements._ONE_BLAS_THREAD
+os.sched_getaffinity = lambda pid: {0, 1}    # two usable CPUs, so the split runs on any runner
 
 def solve():
     res = iht_head_tail(dense, y, 2, 1)
@@ -108,11 +168,10 @@ default = measurements.SPLIT_ENTRIES
 same = {"dense adjoint is w @ payload": dense.adjoint(w).tobytes()
         == (w @ dense.matrices).take(_triangle(100)[3]).tobytes()}
 for name, run in cases.items():
-    for threshold in (default, 1):    # two chunks; 64-column chunks
-        measurements.SPLIT_ENTRIES = threshold
-        got = run()
-        measurements.SPLIT_ENTRIES = 10**12    # one GEMV
-        same[f"{name}, threshold {threshold}"] = got == run()
+    measurements.SPLIT_ENTRIES = default    # two chunks
+    got = run()
+    measurements.SPLIT_ENTRIES = 10**12    # one GEMV
+    same[name] = got == run()
 print(json.dumps(same))
 """
 
@@ -130,12 +189,13 @@ def pinned_checks():
 
 def test_at_the_benchmark_size_split_outputs_have_one_gemvs_bytes(pinned_checks):
     # the adjoint of a dense and of a factorized map, and a whole head-tail solve, split in
-    # two, split in 64-column chunks and not split at all
-    assert len(pinned_checks) == 7 and all(pinned_checks.values()), pinned_checks
+    # two and not split at all
+    assert len(pinned_checks) == 4 and all(pinned_checks.values()), pinned_checks
 
 
-def test_concurrent_adjoints_match_the_serial_bits(big_map):
+def test_concurrent_adjoints_match_the_serial_bits(monkeypatch, big_map):
     # more callers than cores, switching often: each caller's chunks write only its own output
+    force_split(monkeypatch, threshold=measurements.SPLIT_ENTRIES)
     ws = np.random.default_rng(14).standard_normal((6, big_map.m))
     want = [bits(big_map.adjoint(w)) for w in ws]
     got = [None] * len(ws)
@@ -161,16 +221,17 @@ def test_concurrent_adjoints_match_the_serial_bits(big_map):
 
 def _child_adjoint(mp, w, want):
     same = bits(mp.adjoint(w)) == want
-    # with two usable CPUs or more the child split on live threads of its own pool
-    own_pool = any(t.name.startswith(f"bisparse-{os.getpid()}_") for t in threading.enumerate())
-    os._exit(0 if same and (own_pool or len(os.sched_getaffinity(0)) < 2) else 1)
+    # a forked child keeps only its forking thread, so a live pool thread is the child's own
+    own_pool = any(t.name.startswith("bisparse-split") for t in threading.enumerate())
+    os._exit(0 if same and own_pool else 1)
 
 
 @pytest.mark.skipif("fork" not in multiprocessing.get_all_start_methods(),
                     reason="needs the fork start method")
 # python 3.12 on warns that forking a process with threads (the parent's pool) may deadlock
 @pytest.mark.filterwarnings("ignore:This process .* is multi-threaded:DeprecationWarning")
-def test_a_forked_child_splits_after_its_parent_did(big_map):
+def test_a_forked_child_splits_after_its_parent_did(monkeypatch, big_map):
+    force_split(monkeypatch, threshold=measurements.SPLIT_ENTRIES)    # the child inherits this
     w = np.random.default_rng(15).standard_normal(big_map.m)
     want = bits(big_map.adjoint(w))    # the parent's pool now has threads; a child has none
     child = multiprocessing.get_context("fork").Process(target=_child_adjoint,
