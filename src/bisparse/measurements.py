@@ -229,11 +229,12 @@ class MeasurementMap:
             scratch = self.p * self.p    # one lifted p x p block B_S Z B_S^T per matrix
         else:
             scratch = self.m * (s * (s + 1) // 2 if self.matrices is not None else s)
-        payload = sum(arr.size for arr in (self.matrices, self.vectors, self.basis)
-                      if arr is not None)
+        payload = (self.vectors if self.matrices is None else self.matrices).size + \
+            (0 if self.basis is None else self.basis.size)
         width = max(1, payload // scratch)
-        return np.concatenate([self._apply_batch(supports[i:i + width], blocks[i:i + width])
-                               for i in range(0, c, width)])
+        parts = [self._apply_batch(supports[i:i + width], blocks[i:i + width])
+                 for i in range(0, c, width)]
+        return parts[0] if len(parts) == 1 else np.concatenate(parts)
 
     def _apply_batch(self, supports: np.ndarray, blocks: np.ndarray) -> np.ndarray:
         """_apply_blocks of one batch; every block takes its own matrix-vector products."""
@@ -267,6 +268,22 @@ class MeasurementMap:
         mats = self.matrices if self.kind == "factorized" else \
             self.matrices.take(_triangle(self.n)[3], axis=1)
         return (mats.reshape(-1, len(q)) @ q).reshape(self.m, len(q), -1)
+
+    def _restrict(self, support: np.ndarray) -> MeasurementMap:
+        """The map measuring |S| x |S| blocks as this one does on a sorted support S, with whole A_i
+        for `_times`: a dense map's S x S blocks, or sym(B_S^T A_i B_S), with B = I in a
+        factorized map; vectors[:, S], or the B_S^T v_i, in a rank-one map."""
+        k = len(support)
+        if self.vectors is not None:
+            vecs = self.vectors[:, support] if self.kind == "rank-one" else \
+                self.vectors @ self.basis[:, support]
+            return MeasurementMap("rank-one", k, self.m, vectors=vecs)
+        if self.kind == "dense-gaussian":
+            mats = self.matrices.take(_triangle(self.n)[3][support[:, None], support], axis=1)
+        else:
+            mats = self.basis[:, support].T @ self.matrices @ self.basis[:, support]
+            mats = (mats + mats.transpose(0, 2, 1)) / 2.0
+        return MeasurementMap("factorized", k, self.m, p=k, basis=np.eye(k), matrices=mats)
 
     def _gather(self, w: np.ndarray) -> np.ndarray:
         """sum_i w_i A_i over the stored A_i: n x n, or p x p inner ones in a factorized map."""

@@ -8,7 +8,9 @@ a divergence guard):
   iht_exact            hard thresholding with the exact (enumerating) joint
                        projection; desk scale only
   iht_head_tail        hard thresholding with the polynomial square head at
-                       doubled parameters followed by a tail projection
+                       doubled parameters followed by a tail projection, whose
+                       output is refitted on its support: pursuit, where the
+                       paper's IHT keeps it (Foucart 2011)
   iht_rank_one         the head-tail iteration adapted to rank-one
                        measurements: sign of the residual in the gradient and
                        an l1-residual step size
@@ -97,6 +99,7 @@ BETA_SEED = 0
 # brute_force_decode's rank polish and least-absolute-deviations fit stop after this many rounds
 POLISH_ROUNDS = 25
 L1_FIT_ITERS = 50
+REFIT_STEPS = 3    # Gauss-Newton steps of iht_head_tail's refit of each tail output
 
 
 @dataclass
@@ -179,24 +182,10 @@ def _iterate(y: np.ndarray, n, step_fn, cfg, callback=None) -> RecoveryResult:
     return RecoveryResult(x, len(trace), trace, converged, _support_of(x))
 
 
-def _measure_block(mp: MeasurementMap, mat: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """A(mat) for a symmetric mat that is zero off the block of a nonempty sorted support."""
-    return mp._apply_blocks(support[None], mat[np.ix_(support, support)][None])[0]
-
-
-def _projected_gradient(mp: MeasurementMap, y, update, cfg, callback) -> RecoveryResult:
-    """`_iterate` on the checked y with steps x -> update(x, res), each measured by the map.
-
-    update returns a ProjectionOutcome whose matrix is zero off its (nonempty) support
-    block, so the map measures that block alone.
-    """
-    y = _measurements(mp, y)
-
-    def step(x, res):
-        out = update(x, res)
-        return out.matrix, _measure_block(mp, out.matrix, out.support)
-
-    return _iterate(y, mp.n, step, cfg, callback)
+def _measured(mp: MeasurementMap, out: ProjectionOutcome):
+    """(X, A(X)) for an outcome X that is zero off the block of its nonempty sorted support."""
+    block = out.matrix[np.ix_(out.support, out.support)]
+    return out.matrix, mp._apply_blocks(out.support[None], block[None])[0]
 
 
 def _head_tail_step(x: np.ndarray, grad: np.ndarray, nu: float, s: int,
@@ -226,22 +215,39 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
     """
     _check_structure_params(mp.n, s, r)
     _check_enumeration(mp.n, s)
-    return _projected_gradient(
-        mp, y, lambda x, res: exact_project(x + mp.adjoint(res), s, r), cfg, callback)
+    return _iterate(_measurements(mp, y), mp.n, lambda x, res: _measured(
+        mp, exact_project(x + mp.adjoint(res), s, r)), cfg, callback)
+
+
+def _refit(mp: MeasurementMap, y: np.ndarray, out: ProjectionOutcome, r: int):
+    """(x, A(x)) for the tail output x refitted by REFIT_STEPS `_gauss_newton` steps of rank r on
+    the map restricted to its support, kept only if that fits y better than the tail output."""
+    support = out.support
+    block, fit = out.matrix[np.ix_(support, support)], _measured(mp, out)[1]
+    step, refit = _gauss_newton(mp._restrict(support), _project_rank_vectors(block, r)[1], r), fit
+    for _ in range(REFIT_STEPS):
+        block, refit = step(block, y - refit)
+    if not _l2(y - refit) < _l2(y - fit):    # also when the refit is not finite
+        return out.matrix, fit
+    out.matrix[np.ix_(support, support)] = block
+    return out.matrix, refit
 
 
 def iht_head_tail(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
                   callback=None) -> RecoveryResult:
-    """Head-tail iterative hard thresholding.
+    """Head-tail hard thresholding pursuit.
 
     The gradient is compressed by the square head run at doubled structure
     parameters (the update direction lives in the doubled set), the summed
     iterate is then pulled back by the near-best tail projection.  Polynomial
-    time; the head grows the intermediate support to at most (2s)^2.
+    time; the head grows the intermediate support to at most (2s)^2.  Unlike the
+    paper's IHT, each tail output is then refitted on its support (`_refit`), as
+    in hard thresholding pursuit (Foucart, SIAM J. Numer. Anal., 2011).
     """
     _check_structure_params(mp.n, s, r)
-    return _projected_gradient(
-        mp, y, lambda x, res: _head_tail_step(x, mp.adjoint(res), 1.0, s, r), cfg, callback)
+    y = _measurements(mp, y)
+    return _iterate(y, mp.n, lambda x, res: _refit(
+        mp, y, _head_tail_step(x, mp.adjoint(res), 1.0, s, r), r), cfg, callback)
 
 
 def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None = None,
@@ -261,11 +267,11 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     if beta == 0.0:    # the map measures every probe as zero
         raise ValueError("the probed l1-RIP constant beta is 0, so the step size is undefined")
 
-    def update(x, res):
+    def step(x, res):
         nu = float(np.abs(res).sum()) / (beta * beta)
-        return _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r)
+        return _measured(mp, _head_tail_step(x, mp.adjoint(np.sign(res)), nu, s, r))
 
-    return _projected_gradient(mp, y, update, cfg, callback)
+    return _iterate(_measurements(mp, y), mp.n, step, cfg, callback)
 
 
 def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray | None:
@@ -312,35 +318,12 @@ def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndar
     return w.reshape(p, r) / 2.0
 
 
-def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
-                callback=None) -> RecoveryResult:
-    """Rank-only iterative hard thresholding on p x p symmetric matrices.
-
-    On a factorized map it recovers B X B^T from the inner A_i, which measure it to
-    the map's own y.  Every step is a Gauss-Newton step on the rank-r manifold (Luo,
-    Huang, Li and Zhang, 2023) at x = U L U^T; the first is at x = 0 with U the top-r
-    eigenvectors of A*(y), the spectral start of Wirtinger flow (Candes, Li
-    and Soltanolkotabi, 2015).  A step solves the least squares over the
-    tangent space, W = argmin ||res - A(U W^T + W U^T)|| over p x r matrices
-    W, whose design is 2 A_i U since A_i(U W^T + W U^T) = 2 <A_i U, W> for
-    symmetric A_i, by `_tangent_lstsq`.  Then x + U W^T + W U^T, which lies in
-    span Q = span{U, W}, is rank-projected through its 2r x 2r core Q^T (.) Q.
-    The new iterate is measured from A_i U_new, which is also the next step's
-    design, so a step makes one pass over the payload and returns the new
-    iterate with its measurement.  The step is invariant to the scale of the
-    map and of y.
-    The iteration map is exactly odd: negating y negates every iterate
-    bitwise, as the rank kernel gives the same basis for A*(y) and -A*(y).
-    """
-    p = mp.p if mp.kind == "factorized" else mp.n
-    _check_rank(r, p)
-    y = _measurements(mp, y)
-    _norm(y)    # before the spectral start, which an overflowing y can make non-finite
-    # spectral start: the tangent space at U holds mu P_r(A*(y)) for every mu, so the first
-    # least squares fits y at least as well as a gradient step from zero of any length
-    start = mp._gather(y)
-    basis = _project_rank_vectors((start + start.T) / 2.0, r)[1]
-    times = mp._times(basis)    # the (m, p, r) stack A_i U
+def _gauss_newton(mp: MeasurementMap, basis: np.ndarray, r: int):
+    """step(x, res) -> (x_new, A(x_new)): Gauss-Newton steps on the rank-r manifold, the first at
+    an x = U L U^T of this basis U.  W = `_tangent_lstsq` on the design A_i U; x + U W^T + W U^T,
+    in span Q = span{U, W}, is rank-projected through its 2r x 2r core Q^T (.) Q; the stack
+    A_i U_new measures x_new and is the next step's design: one payload pass a step."""
+    times = mp._times(basis)
 
     def step(x, res):
         nonlocal basis, times
@@ -354,7 +337,32 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
         times = mp._times(basis)
         return out, times.reshape(mp.m, -1) @ (out @ basis).ravel()
 
-    return _iterate(y, p, step, cfg, callback)
+    return step
+
+
+def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None,
+                callback=None) -> RecoveryResult:
+    """Rank-only iterative hard thresholding on p x p symmetric matrices.
+
+    On a factorized map it recovers B X B^T from the inner A_i, which measure it to
+    the map's own y.  Every step is a Gauss-Newton step on the rank-r manifold (Luo,
+    Huang, Li and Zhang, 2023) at x = U L U^T; the first is at x = 0 with U the top-r
+    eigenvectors of A*(y), the spectral start of Wirtinger flow (Candes, Li
+    and Soltanolkotabi, 2015).  Each step is `_gauss_newton`, one pass over the
+    stored A_i, and is invariant to the scale of the map and of y.
+    The iteration map is exactly odd: negating y negates every iterate
+    bitwise, as the rank kernel gives the same basis for A*(y) and -A*(y).
+    """
+    p = mp.p if mp.kind == "factorized" else mp.n
+    _check_rank(r, p)
+    y = _measurements(mp, y)
+    _norm(y)    # before the spectral start, which an overflowing y can make non-finite
+    # spectral start: the tangent space at U holds mu P_r(A*(y)) for every mu, so the first
+    # least squares fits y at least as well as a gradient step from zero of any length
+    start = mp._gather(y)
+    basis = _project_rank_vectors((start + start.T) / 2.0, r)[1]
+    inner = mp if mp.kind == "factorized" else mp._restrict(np.arange(p))    # unpacked once
+    return _iterate(y, p, _gauss_newton(inner, basis, r), cfg, callback)
 
 
 def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
@@ -442,7 +450,7 @@ def _final_residual(mp: MeasurementMap, y: np.ndarray, est: np.ndarray, support)
     """||y - A(est)|| for a symmetric est that is zero off its support block."""
     if not support.size:
         return float(np.linalg.norm(y))
-    return float(np.linalg.norm(y - _measure_block(mp, est, support)))
+    return float(np.linalg.norm(y - _measured(mp, ProjectionOutcome(est, support))[1]))
 
 
 def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,

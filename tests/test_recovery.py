@@ -156,11 +156,41 @@ class TestIhtHeadTail:
         assert np.linalg.norm(res.estimate - x) <= 1e-6
 
 
+def refit_reference(mp, y, tail, r):
+    """iht_head_tail's guarded refit of a tail outcome, through public calls.
+
+    Each Gauss-Newton step measures every tangent matrix U E^T + E U^T of the support block
+    with apply, for U the top-r eigenvectors of the block (from eigh) and E a unit s x r
+    matrix, takes lstsq's W on that design and projects the block plus U W^T + W U^T with
+    project_rank.  The refit is kept if it fits y better than the tail.  Returns (x, y - A(x)).
+    """
+    support, n = tail.support, mp.n
+
+    def lift(block):
+        out = np.zeros((n, n))
+        out[np.ix_(support, support)] = block
+        return out
+
+    x = tail.matrix
+    for _ in range(recovery.REFIT_STEPS):
+        block = x[np.ix_(support, support)]
+        vals, vecs = np.linalg.eigh(block)
+        u = vecs[:, np.argsort(-np.abs(vals), kind="stable")[:r]]
+        units = np.eye(u.size).reshape(-1, *u.shape)
+        design = np.stack([mp.apply(lift(u @ e.T + e @ u.T)) for e in units], axis=1)
+        w = np.linalg.lstsq(design, y - mp.apply(x), rcond=None)[0].reshape(u.shape)
+        x = lift(project_rank(block + u @ w.T + w @ u.T, r))
+    if np.linalg.norm(y - mp.apply(x)) < np.linalg.norm(y - mp.apply(tail.matrix)):
+        return x, y - mp.apply(x)
+    return tail.matrix, y - mp.apply(tail.matrix)
+
+
 def head_tail_reference(mp, y, s, r, cfg, beta=None):
     """iht_head_tail (beta None) or iht_rank_one validating every step, with _iterate's rules.
 
     Every step calls the public head_square_variant, tail_joint, apply and adjoint, and every
-    norm is np.linalg.norm.  Returns (estimate, residual trace, converged).
+    norm is np.linalg.norm; head-tail refits each tail outcome by `refit_reference`.  Returns
+    (estimate, residual trace, converged).
     """
     n = mp.n
     x = np.zeros((n, n))
@@ -173,8 +203,11 @@ def head_tail_reference(mp, y, s, r, cfg, beta=None):
         else:
             nu, grad = float(np.sum(np.abs(res))) / (beta * beta), mp.adjoint(np.sign(res))
         head = head_square_variant(grad, min(2 * s, n), min(2 * r, n)).matrix
-        x_new = tail_joint(x + nu * head, s, r).matrix
-        res = y - mp.apply(x_new)
+        tail = tail_joint(x + nu * head, s, r)
+        if beta is None:
+            x_new, res = refit_reference(mp, y, tail, r)
+        else:
+            x_new, res = tail.matrix, y - mp.apply(tail.matrix)
         trace.append(float(np.linalg.norm(res)))
         step, prev = float(np.linalg.norm(x_new - x)), float(np.linalg.norm(x))
         x = x_new
@@ -220,8 +253,8 @@ class TestMatchesValidatedLoop:
             got = iht_head_tail(mp, y, 2, 1, cfg)
             self._check(got, head_tail_reference(mp, y, 2, 1, cfg), y)
             outcomes.add((got.converged, got.iterations == max_iters))
-        # noiseless solves settle; some noisy ones run to the cap
-        assert outcomes == {(True, False)} if noise == 0.0 else (False, True) in outcomes
+        # noiseless and noisy solves alike settle before the cap
+        assert outcomes == {(True, False)}
 
     def test_rank_one_on_y_and_minus_y(self):
         cfg = RecoveryConfig(max_iters=60)
@@ -964,14 +997,16 @@ class TestTailRestrictionAnalogue:
 
 class TestDivergenceFlag:
     def test_bad_beta_flags_not_converged(self):
-        # an injected payload 10x its N(0, 1/m) scale makes the unit step
-        # overshoot by about 100x, so the iteration explodes
+        # an injected payload 10x its N(0, 1/m) scale makes the unit step of exact-projection
+        # IHT overshoot by about 100x, so the iteration explodes; head-tail's Gauss-Newton
+        # refit is invariant to the map's scale, so it recovers the same instance
         sampled, x, _ = planted_instance("dense-gaussian", 10, 2, 1, 60, seed=31)
         mp = MeasurementMap("dense-gaussian", 10, 60, matrices=10 * sampled.matrices)
         cfg = RecoveryConfig(max_iters=200)
-        res = iht_head_tail(mp, mp.apply(x), 2, 1, cfg)
+        res = iht_exact(mp, mp.apply(x), 2, 1, cfg)
         assert not res.converged
         assert res.iterations < 200
+        assert np.linalg.norm(iht_head_tail(mp, mp.apply(x), 2, 1, cfg).estimate - x) <= 1e-9
 
 
 # one head-tail n=30 solve and one rank-one y / -y pair; prints a digest of the estimates
@@ -1046,19 +1081,19 @@ class TestStepValidation:
             solver(mp, y, 2, 1)
 
     def test_overflow_after_the_first_step_fails_as_non_finite(self):
-        # a 1e200 payload on 1e-270 measurements: the first step and its residual
+        # a 1e220 payload on 1e-290 measurements: the first step and its residual
         # are finite, the second gradient overflows, so the unchecked kernels'
         # finiteness check is the one that fires
         sampled, x, _ = planted_instance("dense-gaussian", 10, 2, 1, 60, seed=31)
-        mp = MeasurementMap("dense-gaussian", 10, 60, matrices=1e200 * sampled.matrices)
+        mp = MeasurementMap("dense-gaussian", 10, 60, matrices=1e220 * sampled.matrices)
         steps = []
         with np.errstate(over="ignore", invalid="ignore"), \
                 pytest.raises(ValueError, match="matrix entries must be finite"):
-            iht_head_tail(mp, 1e-270 * sampled.apply(x), 2, 1, callback=steps.append)
+            iht_head_tail(mp, 1e-290 * sampled.apply(x), 2, 1, callback=steps.append)
         assert len(steps) == 1 and np.all(np.isfinite(steps[0])) and np.any(steps[0])
 
     @pytest.mark.parametrize("kind, solver, n, m", [("rank-one", iht_rank_one, 24, 300),
-                                                    ("dense-gaussian", iht_head_tail, 16, 60)])
+                                                    ("dense-gaussian", iht_head_tail, 16, 12)])
     def test_check_sym_calls_do_not_grow_with_iterations(self, monkeypatch, kind, solver, n, m):
         calls = []
         original = symcore.check_sym

@@ -149,7 +149,7 @@ dense = sample_map("dense-gaussian", 100, 629, seed=11)    # 629 x 5050 packed e
 factorized = sample_map("factorized", 50, 600, p=43, seed=16)    # 600 x 1849 inner entries
 w = np.random.default_rng(12).standard_normal(629)
 x, _ = sample_structured(100, 2, 1, np.random.default_rng(13))
-y = dense.apply(x)
+y = dense.apply(x) + 1e-3 * w    # noisy, so the solve runs past its first, public step
 assert min(dense.matrices.size, factorized.matrices.size) >= measurements.SPLIT_ENTRIES
 assert measurements._ONE_BLAS_THREAD
 os.sched_getaffinity = lambda pid: {0, 1}    # two usable CPUs, so the split runs on any runner
