@@ -259,31 +259,17 @@ class MeasurementMap:
         vals = blocks.reshape(c, -1).take(upper, axis=1) * weights
         return (vals[:, None, :] @ g)[:, 0]
 
-    def _times(self, q: np.ndarray) -> np.ndarray:
-        """(m, d, k) stack A_i Q for a d x k Q, in one payload pass: A_i(Q W^T) = <A_i Q, W>.
-
-        The A_i are the stored ones, so d = p on a factorized map; a dense map unpacks them."""
+    def _restrict(self, support: np.ndarray) -> np.ndarray:
+        """The stored A_i on a sorted support S, which measure |S| x |S| blocks as this map does
+        on S: (m, k, k) blocks, a dense map's S x S ones or sym(B_S^T A_i B_S) in a factorized
+        map; or (m, k) vectors, vectors[:, S] in a rank-one map or the B_S^T v_i."""
         if self.vectors is not None:
-            return self.vectors[:, :, None] * (self.vectors @ q)[:, None, :]
-        mats = self.matrices if self.kind == "factorized" else \
-            self.matrices.take(_triangle(self.n)[3], axis=1)
-        return (mats.reshape(-1, len(q)) @ q).reshape(self.m, len(q), -1)
-
-    def _restrict(self, support: np.ndarray) -> MeasurementMap:
-        """The map measuring |S| x |S| blocks as this one does on a sorted support S, with whole A_i
-        for `_times`: a dense map's S x S blocks, or sym(B_S^T A_i B_S), with B = I in a
-        factorized map; vectors[:, S], or the B_S^T v_i, in a rank-one map."""
-        k = len(support)
-        if self.vectors is not None:
-            vecs = self.vectors[:, support] if self.kind == "rank-one" else \
+            return self.vectors[:, support] if self.kind == "rank-one" else \
                 self.vectors @ self.basis[:, support]
-            return MeasurementMap("rank-one", k, self.m, vectors=vecs)
         if self.kind == "dense-gaussian":
-            mats = self.matrices.take(_triangle(self.n)[3][support[:, None], support], axis=1)
-        else:
-            mats = self.basis[:, support].T @ self.matrices @ self.basis[:, support]
-            mats = (mats + mats.transpose(0, 2, 1)) / 2.0
-        return MeasurementMap("factorized", k, self.m, p=k, basis=np.eye(k), matrices=mats)
+            return self.matrices.take(_triangle(self.n)[3][support[:, None], support], axis=1)
+        mats = self.basis[:, support].T @ self.matrices @ self.basis[:, support]
+        return (mats + mats.transpose(0, 2, 1)) / 2.0
 
     def _gather(self, w: np.ndarray) -> np.ndarray:
         """sum_i w_i A_i over the stored A_i: n x n, or p x p inner ones in a factorized map."""
@@ -302,6 +288,14 @@ class MeasurementMap:
         if self.kind == "factorized":
             out = self.basis.T @ out @ self.basis
         return out if self.kind == "dense-gaussian" else (out + out.T) / 2.0
+
+
+def _times(stored: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """(m, d, k) stack A_i Q of stored A_i, (m, d) vectors or an (m, d, d) stack, for a d x k Q,
+    in one pass: A_i(Q W^T) = <A_i Q, W>."""
+    if stored.ndim == 2:
+        return stored[:, :, None] * (stored @ q)[:, None, :]
+    return (stored.reshape(-1, len(q)) @ q).reshape(len(stored), len(q), -1)
 
 
 def sample_map(
@@ -390,12 +384,13 @@ def _structured_probe(n: int, s: int, r: int, rng: np.random.Generator):
 
 @functools.lru_cache(maxsize=PROBE_CACHE_CHUNKS)
 def _probe_chunk(n: int, s: int, r: int, seed, start: int, stop: int) -> tuple:
-    """Probes of trials start..stop-1 as (support, read-only s x s block, ||Z||_F^2)."""
+    """Trials start..stop-1 stacked read-only: (c, s) supports, (c, s, s) blocks, (c,) ||Z||_F^2."""
     probes = [_structured_probe(n, s, r, np.random.default_rng([seed, t]))
               for t in range(start, stop)]
-    chunk = tuple((support, block, float(np.sum(block * block))) for support, block in probes)
-    for support, block, _ in chunk:
-        support.flags.writeable = block.flags.writeable = False
+    supports, blocks = (np.array(part) for part in zip(*probes))
+    chunk = supports, blocks, np.array([float(np.sum(block * block)) for _, block in probes])
+    for arr in chunk:
+        arr.flags.writeable = False
     return chunk
 
 
@@ -455,8 +450,8 @@ def estimate_rip(mp: MeasurementMap, s: int, r: int, trials: int, seed: int = 0)
     alpha = np.inf
     beta = -np.inf
     for start in range(0, trials, PROBE_CHUNK):
-        chunk = _probe_chunk(mp.n, s, r, seed, start, min(start + PROBE_CHUNK, trials))
-        supports, blocks, zf2 = (np.array(part) for part in zip(*chunk))
+        supports, blocks, zf2 = _probe_chunk(mp.n, s, r, seed, start,
+                                             min(start + PROBE_CHUNK, trials))
         y = mp._apply_blocks(supports, blocks)
         delta = max(delta, float(np.max(np.abs(np.sum(y * y, axis=1) - zf2) / zf2)))
         ratio1 = np.sum(np.abs(y), axis=1) / np.sqrt(zf2)

@@ -169,18 +169,9 @@ def _check_rank(r: int, n: int) -> None:
         raise ValueError(f"rank bound must satisfy 1 <= r <= {n}, got {r}")
 
 
-def _on_block(m: np.ndarray, support: np.ndarray, kernel) -> np.ndarray:
-    """kernel(M's k x k block on a sorted support), written into zeros: eigh sees only the block."""
-    k = len(support)
-    flat = (support[:, None] * len(m) + support).ravel()    # the block's entries, row-major
-    out = np.zeros_like(m)
-    out.put(flat, kernel(m.take(flat).reshape(k, k)))
-    return out
-
-
 def _truncate(m: np.ndarray, support: np.ndarray, r: int) -> np.ndarray:
     """M on a sorted support truncated to rank r >= 1, unchecked (M from check_sym); exactly odd."""
-    return _on_block(m, support, lambda block: _project_rank_vectors(block, min(r, len(block)))[0])
+    return _restrict(m, support, lambda block: _project_rank_vectors(block, min(r, len(block)))[0])
 
 
 def _projection(mat, s: int, pick, r: int | None = None) -> ProjectionOutcome:
@@ -194,9 +185,8 @@ def _projection(mat, s: int, pick, r: int | None = None) -> ProjectionOutcome:
         _check_rank(r, m.shape[0])
     _check_sparsity(s, m.shape[0])
     support = pick(m, s)
-    if r is None:
-        return ProjectionOutcome(_restrict(m, support), support)
-    return ProjectionOutcome(_on_block(m, support, lambda block: project_rank(block, r)), support)
+    kernel = None if r is None else lambda block: project_rank(block, r)
+    return ProjectionOutcome(_restrict(m, support, kernel), support)
 
 
 def exact_project(mat, s: int, r: int) -> ProjectionOutcome:

@@ -50,6 +50,7 @@ from .measurements import (
     _check_entries,
     _check_structure_params,
     _measurements,
+    _times,
     estimate_rip,
 )
 from .projections import (
@@ -221,7 +222,7 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
 
 def _refit(mp: MeasurementMap, y: np.ndarray, out: ProjectionOutcome, r: int):
     """(x, A(x)) for the tail output x refitted by REFIT_STEPS `_gauss_newton` steps of rank r on
-    the map restricted to its support, kept only if that fits y better than the tail output."""
+    the A_i restricted to its support, kept only if that fits y better than the tail output."""
     support = out.support
     block, fit = out.matrix[np.ix_(support, support)], _measured(mp, out)[1]
     step, refit = _gauss_newton(mp._restrict(support), _project_rank_vectors(block, r)[1], r), fit
@@ -318,12 +319,12 @@ def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndar
     return w.reshape(p, r) / 2.0
 
 
-def _gauss_newton(mp: MeasurementMap, basis: np.ndarray, r: int):
-    """step(x, res) -> (x_new, A(x_new)): Gauss-Newton steps on the rank-r manifold, the first at
-    an x = U L U^T of this basis U.  W = `_tangent_lstsq` on the design A_i U; x + U W^T + W U^T,
-    in span Q = span{U, W}, is rank-projected through its 2r x 2r core Q^T (.) Q; the stack
-    A_i U_new measures x_new and is the next step's design: one payload pass a step."""
-    times = mp._times(basis)
+def _gauss_newton(stored: np.ndarray, basis: np.ndarray, r: int):
+    """step(x, res) -> (x_new, A(x_new)): Gauss-Newton steps on the rank-r manifold for stored A_i,
+    the first at an x = U L U^T of this basis U.  W = `_tangent_lstsq` on the design A_i U; x +
+    U W^T + W U^T, in span Q = span{U, W}, is rank-projected through its 2r x 2r core Q^T (.) Q;
+    the stack A_i U_new measures x_new and is the next step's design: one pass a step."""
+    times = _times(stored, basis)
 
     def step(x, res):
         nonlocal basis, times
@@ -334,8 +335,8 @@ def _gauss_newton(mp: MeasurementMap, basis: np.ndarray, r: int):
         core, vecs = _project_rank_vectors((core + core.T) / 2.0, r)
         out = q @ core @ q.T
         out, basis = (out + out.T) / 2.0, q @ vecs
-        times = mp._times(basis)
-        return out, times.reshape(mp.m, -1) @ (out @ basis).ravel()
+        times = _times(stored, basis)
+        return out, times.reshape(len(stored), -1) @ (out @ basis).ravel()
 
     return step
 
@@ -361,8 +362,11 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
     # least squares fits y at least as well as a gradient step from zero of any length
     start = mp._gather(y)
     basis = _project_rank_vectors((start + start.T) / 2.0, r)[1]
-    inner = mp if mp.kind == "factorized" else mp._restrict(np.arange(p))    # unpacked once
-    return _iterate(y, p, _gauss_newton(inner, basis, r), cfg, callback)
+    if mp.kind == "factorized":
+        stored = mp.vectors if mp.matrices is None else mp.matrices
+    else:
+        stored = mp._restrict(np.arange(p))    # a dense stack, unpacked once a solve
+    return _iterate(y, p, _gauss_newton(stored, basis, r), cfg, callback)
 
 
 def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:

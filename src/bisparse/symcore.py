@@ -74,10 +74,13 @@ def _check_sparsity(s: int, n: int) -> None:
         raise ValueError(f"sparsity must satisfy 1 <= s <= {n}, got {s}")
 
 
-def _restrict(m: np.ndarray, support: np.ndarray) -> np.ndarray:
-    """Zero every entry of a validated matrix outside support x support (sorted, in range)."""
+def _restrict(m: np.ndarray, support: np.ndarray, kernel=None) -> np.ndarray:
+    """A validated matrix's k x k block on a sorted in-range support, or kernel(block), written
+    into zeros: every entry outside support x support is zero, and a kernel sees only the block."""
+    flat = (support[:, None] * len(m) + support).ravel()    # the block's entries, row-major
+    block = m.take(flat).reshape(len(support), len(support))
     out = np.zeros_like(m)
-    out[support[:, None], support] = m[support[:, None], support]
+    out.put(flat, block if kernel is None else kernel(block))
     return out
 
 

@@ -45,3 +45,14 @@ def inner_map(mp: MeasurementMap) -> MeasurementMap:
     if mp.inner == "dense":
         return MeasurementMap("dense-gaussian", mp.p, mp.m, matrices=mp.matrices)
     return MeasurementMap("rank-one", mp.p, mp.m, scale="unit", vectors=mp.vectors)
+
+
+def stored(mp: MeasurementMap) -> np.ndarray:
+    """The stored A_i that iht_lowrank's steps read through `measurements._times`.
+
+    A factorized map's inner payload, (m, p, p) matrices or (m, p) vectors; otherwise the map
+    restricted to every index: a dense map's unpacked (m, n, n) stack, a rank-one map's vectors.
+    """
+    if mp.kind == "factorized":
+        return mp.vectors if mp.matrices is None else mp.matrices
+    return mp._restrict(np.arange(mp.n))

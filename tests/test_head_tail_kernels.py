@@ -6,11 +6,12 @@ support.  The pickers write the diagonal through a flat view, gather kept entrie
 indexing and build the support from one membership mask.  Each must return the bits of the
 formulation it replaced, written out below with argsort, take_along_axis and fill_diagonal:
 ties, -0.0 entries, -inf diagonals and zero matrices included.  `_truncate` rank-projects
-the k x k support block alone, so it is the rank kernel of that block placed on the support,
-bitwise, and agrees with the n x n kernel of the restriction wherever the rank-r projection
-is unique.  The public joint projections run `project_rank` on the same block, so they are
-`_truncate` on their picker's support, bit for bit, and the head-tail step from zero (which
-runs them) is its kernel step.
+the k x k support block alone, through `symcore._restrict`, the one writer of a support's
+block (or a kernel of it) into zeros, so it is the rank kernel of that block placed on the
+support, bitwise, and agrees with the n x n kernel of the restriction wherever the rank-r
+projection is unique.  The public joint projections run `project_rank` on the same block, so
+they are `_truncate` on their picker's support, bit for bit, and the head-tail step from
+zero (which runs them) is its kernel step.
 """
 
 import numpy as np
@@ -134,6 +135,26 @@ def test_truncate_matches_the_restricted_rank_kernel(m, data):
         if r >= k or mags[r - 1] - mags[r] > 1e-2 * scale:
             full = _restrict(_project_rank_vectors(_restrict(m, support), r)[0], support)
             assert np.linalg.norm(got - full) <= 1e-12 * scale
+
+
+@SETTINGS
+@hypothesis.given(symmetric(), st.data())
+def test_restrict_is_the_fancy_index_write(m, data):
+    # the one block writer: a support's block, or a kernel of it, put into zeros by flat
+    # index has the fancy-index write's bits, with no kernel and with `_truncate`'s rank kernel
+    n = len(m)
+    r = data.draw(st.integers(1, n))
+    drawn = np.array(sorted(data.draw(st.sets(st.integers(0, n - 1)))), dtype=int)
+
+    def rank(block):    # an empty block has no rank projection and stays empty
+        return _project_rank_vectors(block, min(r, len(block)))[0] if len(block) else block
+
+    for support in (drawn, np.array([], dtype=int), np.arange(n)):
+        for kernel in (None, rank):
+            block = m[support[:, None], support]
+            want = np.zeros_like(m)
+            want[support[:, None], support] = block if kernel is None else kernel(block)
+            assert bits(_restrict(m, support, kernel)) == bits(want)
 
 
 @SETTINGS

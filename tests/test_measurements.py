@@ -11,6 +11,7 @@ from bisparse.measurements import (
     PROBE_CHUNK,
     MeasurementMap,
     RipEstimate,
+    _times,
     check_rip_cross_term,
     cross_term_ratio,
     estimate_rip,
@@ -21,7 +22,7 @@ from bisparse.measurements import (
     write_measurement_file,
 )
 from bisparse.symcore import project_rank
-from helpers import dense_stack, isometry_map, sym
+from helpers import dense_stack, isometry_map, stored, sym
 
 
 def random_sym(n, seed):
@@ -292,7 +293,7 @@ class TestApplyAdjoint:
         for inner_kind in ("dense", "rank-one"):
             mp = sample_map("factorized", 5, 7, p=6, seed=30, inner=inner_kind)
             lifted = sym(mp.basis @ x @ mp.basis.T)
-            got = mp._times(np.eye(6)).reshape(7, -1) @ lifted.ravel()
+            got = _times(stored(mp), np.eye(6)).reshape(7, -1) @ lifted.ravel()
             assert np.max(np.abs(got - mp.apply(x))) <= 1e-10, inner_kind
 
 
@@ -539,10 +540,13 @@ class TestProbeCache:
         estimate_rip(sample_map("rank-one", n, 40, seed=3), s, r, trials, seed=4)
         misses = fresh_probe_cache.cache_info().misses
         for start in range(0, trials, PROBE_CHUNK):
-            chunk = fresh_probe_cache(n, s, r, 4, start, min(start + PROBE_CHUNK, trials))
-            for support, block, _ in chunk:
-                assert support.size == s and block.shape == (s, s)
-                assert not support.flags.writeable and not block.flags.writeable
+            c = min(PROBE_CHUNK, trials - start)
+            chunk = fresh_probe_cache(n, s, r, 4, start, start + c)
+            supports, blocks, zf2 = chunk
+            # one stacked array each: supports, s x s blocks and their squared norms
+            assert supports.shape == (c, s) and blocks.shape == (c, s, s) and zf2.shape == (c,)
+            assert not any(arr.flags.writeable for arr in chunk)
+            assert np.array_equal(zf2, [float(np.sum(block * block)) for block in blocks])
         assert fresh_probe_cache.cache_info().misses == misses
 
 

@@ -1,9 +1,10 @@
-"""Head-tail pursuit: the refit of each tail output on its support, and the map it runs on.
+"""Head-tail pursuit: the refit of each tail output on its support, and the A_i it runs on.
 
-`iht_head_tail` refits every tail output by Gauss-Newton steps of rank r on the map
-restricted to the tail's support (`MeasurementMap._restrict`), and keeps the refit only
-when it fits y better than the tail output.  Near the phase transition pursuit must recover
-about as often as the paper's plain IHT did on the same instances.
+`iht_head_tail` refits every tail output by Gauss-Newton steps of rank r on the stored A_i
+restricted to the tail's support (`MeasurementMap._restrict`, an array of S x S blocks or of
+vectors on S), and keeps the refit only when it fits y better than the tail output.  Near
+the phase transition pursuit must recover about as often as the paper's plain IHT did on the
+same instances.
 """
 
 import math
@@ -12,11 +13,11 @@ import numpy as np
 import pytest
 
 from bisparse import recovery
-from bisparse.measurements import MeasurementMap, sample_map, sample_structured
+from bisparse.measurements import MeasurementMap, _times, sample_map, sample_structured
 from bisparse.projections import ProjectionOutcome
 from bisparse.recovery import RecoveryConfig, iht_head_tail, iht_lowrank
 from bisparse.symcore import _project_rank_vectors
-from helpers import sym
+from helpers import dense_stack, sym
 
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
@@ -29,6 +30,13 @@ def lift(block, support, n):
     out = np.zeros((n, n))
     out[np.ix_(support, support)] = block
     return out
+
+
+def measure_stored(stored, x):
+    """<A_i, x> for stored A_i: (m, k) vectors a_i, with A_i = a_i a_i^T, or an (m, k, k) stack."""
+    if stored.ndim == 2:
+        return np.einsum("ki,ij,kj->k", stored, x, stored)
+    return np.einsum("kij,ij->k", stored, x)
 
 
 @st.composite
@@ -78,39 +86,47 @@ def test_restricted_map_measures_a_block_as_the_map_does(kind, inner):
         block = sym(rng.standard_normal((s, s)))
         sub = mp._restrict(support)
         want = mp.apply(lift(block, support, n))
-        assert sub.n == s and sub.m == mp.m
-        assert np.linalg.norm(sub.apply(block) - want) <= 1e-12 * np.linalg.norm(want)
+        assert sub.shape == ((mp.m, s) if mp.vectors is not None else (mp.m, s, s))
+        assert np.linalg.norm(measure_stored(sub, block) - want) <= 1e-12 * np.linalg.norm(want)
         u = np.linalg.qr(rng.standard_normal((s, 2)))[0]
-        # the stack A_i U of the restricted map measures U W^T + W U^T as 2 <A_i U, W>
+        # the stack A_i U of the restricted A_i measures U W^T + W U^T as 2 <A_i U, W>
         w = rng.standard_normal((s, 2))
-        tangent = 2.0 * sub._times(u).reshape(mp.m, -1) @ w.ravel()
+        tangent = 2.0 * _times(sub, u).reshape(mp.m, -1) @ w.ravel()
         want = mp.apply(lift(u @ w.T + w @ u.T, support, n))
         assert np.linalg.norm(tangent - want) <= 1e-12 * np.linalg.norm(want)
 
 
 def test_whole_restriction_of_a_dense_map_has_the_unpacked_stack_bits():
-    # iht_lowrank unpacks a dense stack once a solve through _restrict, where _times used to
-    # unpack it on every call: the same stack, so the same bits
+    # iht_lowrank unpacks a dense stack once a solve through _restrict: the stack unpacked from
+    # the packed payload, so the same bits, and so are the stacks A_i Q its steps form of it
     mp = sample_map("dense-gaussian", 12, 50, seed=9)
     q = np.linalg.qr(np.random.default_rng(10).standard_normal((12, 2)))[0]
-    assert np.array_equal(mp._restrict(np.arange(12))._times(q), mp._times(q))
+    whole = mp._restrict(np.arange(12))
+    assert np.array_equal(whole, dense_stack(mp))
+    assert np.array_equal(_times(whole, q), _times(dense_stack(mp), q))
 
 
 def test_dense_lowrank_solve_unpacks_its_stack_once(monkeypatch):
     mp = sample_map("dense-gaussian", 10, 80, seed=11)
     x = _project_rank_vectors(sym(np.random.default_rng(12).standard_normal((10, 10))), 1)[0]
-    kinds = []
-    original = MeasurementMap._times
+    stacks, restricts = [], []
+    original_times, original_restrict = recovery._times, MeasurementMap._restrict
 
-    def recorded(self, q):
-        kinds.append(self.kind)
-        return original(self, q)
+    def recorded_times(stored, q):
+        stacks.append(stored)
+        return original_times(stored, q)
 
-    monkeypatch.setattr(MeasurementMap, "_times", recorded)
+    def recorded_restrict(self, support):
+        restricts.append(support)
+        return original_restrict(self, support)
+
+    monkeypatch.setattr(recovery, "_times", recorded_times)
+    monkeypatch.setattr(MeasurementMap, "_restrict", recorded_restrict)
     res = iht_lowrank(mp, mp.apply(x), 1)
     assert res.iterations > 1
-    # every stack A_i U comes from the whole-matrix map _restrict built once
-    assert kinds == ["factorized"] * (res.iterations + 1)
+    # every stack A_i U comes from the one (m, n, n) stack _restrict unpacked for the solve
+    assert len(restricts) == 1 and len(stacks) == res.iterations + 1
+    assert stacks[0].shape == (80, 10, 10) and all(a is stacks[0] for a in stacks)
 
 
 # ROADMAP item 2's near-transition cells at n=40, r=1 as (s, m), with the recoveries of the

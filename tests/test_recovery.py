@@ -393,16 +393,22 @@ class TestIhtLowrank:
 
     def test_subspace_steps_measure_nothing_twice(self, monkeypatch):
         # a solve makes one _gather (the adjoint sum of the inner matrices, without the
-        # factorized map's sandwich) and one _times for its spectral start; every step then
-        # makes one _times, A_i U of its new basis, which measures the new iterate and is
-        # the next step's design
+        # factorized map's sandwich) and one _times of the stored inner matrices for its
+        # spectral start; every step then makes one _times, A_i U of its new basis, which
+        # measures the new iterate and is the next step's design
         inner, y = criterion_10_stage_one(0)
         calls = {"_apply": 0, "_times": 0, "_gather": 0, "adjoint": 0}
-        for name in calls:
+        for name in ("_apply", "_gather", "adjoint"):
             def counted(self, arg, _name=name, _orig=getattr(MeasurementMap, name)):
                 calls[_name] += 1
                 return _orig(self, arg)
             monkeypatch.setattr(MeasurementMap, name, counted)
+
+        def times(stored, q, _orig=recovery._times):
+            calls["_times"] += 1
+            assert stored is inner.matrices    # the factorized map's own stored A_i
+            return _orig(stored, q)
+        monkeypatch.setattr(recovery, "_times", times)
         res = iht_lowrank(inner, y, 1)
         assert res.iterations > 2
         assert calls["_gather"] == 1 and calls["_times"] == res.iterations + 1

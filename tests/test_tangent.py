@@ -3,8 +3,8 @@
 At a rank-r symmetric matrix x = U L U^T, the tangent space of the rank-r
 manifold is {U W^T + W U^T}, and P_T(G) = UU^T G + G UU^T - UU^T G UU^T is the
 orthogonal projection onto it.  The solver measures a tangent matrix through
-the stack A_i U of `MeasurementMap._times`, since A_i(U W^T + W U^T) =
-2 <A_i U, W> for symmetric A_i, and takes W from the least squares of
+the stack A_i U that `measurements._times` forms of the stored A_i (`helpers.stored`),
+since A_i(U W^T + W U^T) = 2 <A_i U, W> for symmetric A_i, and takes W from the least squares of
 `_tangent_lstsq` on that design; the bases come from the rank kernel the
 solver uses.  On a factorized map the A_i are its inner p x p matrices, so the
 iterate is p x p and its reference measurement is the inner payload's own map.
@@ -19,10 +19,10 @@ import pytest
 hypothesis = pytest.importorskip("hypothesis")
 st = hypothesis.strategies
 
-from bisparse.measurements import MeasurementMap, sample_map  # noqa: E402
+from bisparse.measurements import MeasurementMap, _times, sample_map  # noqa: E402
 from bisparse.recovery import _normal_solve, _tangent_lstsq  # noqa: E402
 from bisparse.symcore import _project_rank_vectors, project_rank  # noqa: E402
-from helpers import inner_map, sym  # noqa: E402
+from helpers import inner_map, stored, sym  # noqa: E402
 
 SETTINGS = hypothesis.settings(max_examples=60, deadline=None, derandomize=True)
 
@@ -57,7 +57,8 @@ def tangent_case(draw, overdetermined=False):
 
 
 def measure(mp, x):
-    """The measurement of a d x d x that `_times` stands for: by the inner map if factorized."""
+    """The measurement of a d x d x that `_times` of the stored A_i stands for: by the inner map
+    if factorized."""
     return (inner_map(mp) if mp.kind == "factorized" else mp)._apply(x)
 
 
@@ -71,7 +72,7 @@ def tangent_matrix(u, w):
 def test_times_measures_tangent_matrices_like_the_map(case, seed):
     mp, _, u, _ = case
     w = np.random.default_rng(seed).standard_normal(u.shape)
-    times = mp._times(u)
+    times = _times(stored(mp), u)
     assert times.shape == (mp.m, *u.shape)
     got = 2.0 * times.reshape(mp.m, -1) @ w.ravel()
     want = measure(mp, tangent_matrix(u, w))
@@ -83,7 +84,7 @@ def test_times_measures_tangent_matrices_like_the_map(case, seed):
 def test_times_measures_the_iterate_like_the_map(case):
     # the solver measures x = U L U^T as <A_i U, x U>
     mp, x, u, _ = case
-    got = mp._times(u).reshape(mp.m, -1) @ (x @ u).ravel()
+    got = _times(stored(mp), u).reshape(mp.m, -1) @ (x @ u).ravel()
     want = measure(mp, x)
     assert np.linalg.norm(got - want) <= 1e-12 * max(float(np.linalg.norm(want)), 1e-300)
 
@@ -94,7 +95,7 @@ def test_fixes_the_iterate(case):
     # the step and the iterate lie in the tangent space, so the update x + U W^T + W U^T
     # that the solver retracts inside span{U, W} does too
     mp, x, u, res = case
-    step = tangent_matrix(u, _tangent_lstsq(mp._times(u), u, res))
+    step = tangent_matrix(u, _tangent_lstsq(_times(stored(mp), u), u, res))
     for mat in (step, x, x + step):
         atol = 1e-12 * max(1.0, float(np.max(np.abs(mat))))
         assert np.allclose(tangent_project(u, mat), mat, rtol=0.0, atol=atol)
@@ -105,8 +106,8 @@ def test_fixes_the_iterate(case):
 def test_step_solves_the_tangent_least_squares(case):
     # the normal equations: the residual after the step is orthogonal to every A_i U column
     mp, _, u, res = case
-    design = 2.0 * mp._times(u).reshape(mp.m, -1)
-    left = res - measure(mp, tangent_matrix(u, _tangent_lstsq(mp._times(u), u, res)))
+    design = 2.0 * _times(stored(mp), u).reshape(mp.m, -1)
+    left = res - measure(mp, tangent_matrix(u, _tangent_lstsq(_times(stored(mp), u), u, res)))
     bound = 1e-10 * float(np.linalg.norm(design)) * max(float(np.linalg.norm(res)), 1e-300)
     assert np.linalg.norm(design.T @ left) <= bound
 
@@ -116,7 +117,7 @@ def test_step_solves_the_tangent_least_squares(case):
 def test_exactly_odd(case):
     # the step's W, and with it every later piece of the step, is exactly odd in res
     mp, _, u, res = case
-    times = mp._times(u)
+    times = _times(stored(mp), u)
     assert np.array_equal(_tangent_lstsq(times, u, -res), -_tangent_lstsq(times, u, res))
 
 
@@ -126,7 +127,7 @@ def test_overdetermined_step_matches_lstsq(case):
     # the pinned normal equations give lstsq's tangent matrix, and a W with no gauge
     # component U S (S antisymmetric), i.e. with U^T W symmetric
     mp, _, u, res = case
-    times = mp._times(u)
+    times = _times(stored(mp), u)
     w = _tangent_lstsq(times, u, res)
     want = np.linalg.lstsq(times.reshape(mp.m, -1), res, rcond=None)[0].reshape(u.shape) / 2.0
     step, want_step = tangent_matrix(u, w), tangent_matrix(u, want)
@@ -145,7 +146,7 @@ def test_repeated_measurements_step_matches_lstsq():
     rng = np.random.default_rng(6)
     y = mp._apply(project_rank(sym(rng.standard_normal((12, 12))), 1))
     u = _project_rank_vectors(mp.adjoint(y), 1)[1]
-    times = mp._times(u)
+    times = _times(stored(mp), u)
     want = np.linalg.lstsq(times.reshape(32, -1), y, rcond=None)[0].reshape(u.shape) / 2.0
     got = tangent_matrix(u, _tangent_lstsq(times, u, y))
     want_step = tangent_matrix(u, want)
