@@ -2,7 +2,8 @@
 
 Three linear measurement families on symmetric n x n matrices are supported:
 
-  dense-gaussian   y_i = <X, A_i>        A_i symmetric, entries N(0, 1/m)
+  dense-gaussian   y_i = <X, A_i>        A_i symmetric, entries N(0, 1/m) on the
+                                         diagonal and N(0, 1/(2m)) off it
   rank-one         y_i = <X a_i, a_i>    a_i with N(0, 1/m) entries (or N(0,1)
                                          with scale="unit")
   factorized       y_i = <X, B^T A_i B>  B (p x n) and A_i (p x p) standard
@@ -148,15 +149,12 @@ def _vecmat(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
     return out
 
 
-def _pack(stack: np.ndarray, out=None) -> np.ndarray:
+def _pack(stack: np.ndarray) -> np.ndarray:
     """(k, n(n+1)/2) packed upper triangles of the symmetric parts of a (k, n, n) stack."""
     k, n = stack.shape[:2]
     rows, cols = _triangle(n)[:2]
     stack = stack.reshape(k, -1)
-    out = np.take(stack, rows * n + cols, axis=1, out=out, mode="clip")    # "raise" would buffer
-    out += stack[:, cols * n + rows]    # a_ij + a_ji, the sum symmetrizing the whole stack adds
-    out /= 2.0
-    return out
+    return (stack[:, rows * n + cols] + stack[:, cols * n + rows]) / 2.0
 
 
 @dataclass(frozen=True)
@@ -309,36 +307,33 @@ def sample_map(
 ) -> MeasurementMap:
     """Sample a measurement map; deterministic given the arguments.
 
-    dense-gaussian matrices have i.i.d. N(0, 1/m) entries and are then
-    symmetrized (which halves the off-diagonal variance); rank-one vectors
-    have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws the
-    basis and the inner matrices/vectors with standard N(0, 1) entries.
-    Refuses options the kind does not take, and payloads of more than
-    PAYLOAD_CAP entries, before allocating.  Matrices are drawn, scaled,
-    symmetrized and packed about 1 MiB of n x n (or p x p) slices at a time,
-    the bits of one whole draw, so sampling holds the payload plus about
-    1.5 MiB of scratch (more if one slice is larger).
+    dense-gaussian maps draw each A_i's packed upper triangle directly, N(0, 1/m) on the
+    diagonal and N(0, 1/(2m)) off it: the law of a symmetrized N(0, 1/m) matrix from half the
+    normals, though a seed gives other bits than the symmetrized draw of earlier versions.
+    rank-one vectors have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws
+    the basis and the inner vectors, or inner matrices then symmetrized, with N(0, 1) entries.
+    Refuses options the kind does not take, and payloads of more than PAYLOAD_CAP entries,
+    before allocating.  Payloads are drawn in place, inner matrices about 1 MiB of p x p
+    slices at a time, the bits of one whole draw, so sampling holds the payload plus about
+    1 MiB of scratch (more if one slice is larger).
     """
     shapes = _check_payload(kind, n, m, p, inner, scale)
     rng = np.random.default_rng(seed)
-    # drawn in table order, so a factorized basis comes before its inner payload
-    payload = {name: np.empty(shape) if name == "matrices" else rng.standard_normal(shape)
+    # drawn in table order, so a factorized basis comes before its (m, p, p) inner stack
+    payload = {name: rng.standard_normal(shape) if len(shape) == 2 else np.empty(shape)
                for name, shape in shapes.items()}
+    if kind == "dense-gaussian":    # by sqrt(m) on the diagonal, sqrt(2m) off it
+        payload["matrices"] /= np.sqrt(m * _triangle(n)[2])
     if kind == "rank-one" and scale == "inv_m":
         payload["vectors"] /= np.sqrt(m)
-    if "matrices" in payload:
-        d = n if kind == "dense-gaussian" else p
-        rows = max(1, 2**17 // (d * d))    # ~1 MiB chunks cost what one whole pass does
-        scratch = np.empty((min(rows, m), d, d))
+    if kind == "factorized" and inner == "dense":
+        rows = max(1, 2**17 // (p * p))    # ~1 MiB chunks cost what one whole pass does
+        scratch = np.empty((min(rows, m), p, p))
         for start in range(0, m, rows):
             chunk = rng.standard_normal(out=scratch[:min(rows, m - start)])
             part = payload["matrices"][start:start + len(chunk)]
-            if kind == "dense-gaussian":
-                chunk /= np.sqrt(m)
-                _pack(chunk, out=part)
-            else:
-                np.add(chunk, chunk.transpose(0, 2, 1), out=part)
-                part /= 2.0
+            np.add(chunk, chunk.transpose(0, 2, 1), out=part)
+            part /= 2.0
     return MeasurementMap(kind, n, m, seed=seed, p=p, inner=inner, scale=scale, **payload)
 
 

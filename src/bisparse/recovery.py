@@ -222,13 +222,14 @@ def iht_exact(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | None 
 
 def _refit(mp: MeasurementMap, y: np.ndarray, out: ProjectionOutcome, r: int):
     """(x, A(x)) for the tail output x refitted by REFIT_STEPS `_gauss_newton` steps of rank r on
-    the A_i restricted to its support, kept only if that fits y better than the tail output."""
+    the A_i restricted to its support, kept only if that fits y better than the tail output by
+    more than TOL_STALL relative, so a tie at rounding level keeps the tail output."""
     support = out.support
     block, fit = out.matrix[np.ix_(support, support)], _measured(mp, out)[1]
     step, refit = _gauss_newton(mp._restrict(support), _project_rank_vectors(block, r)[1], r), fit
     for _ in range(REFIT_STEPS):
         block, refit = step(block, y - refit)
-    if not _l2(y - refit) < _l2(y - fit):    # also when the refit is not finite
+    if not _l2(y - refit) < (1.0 - TOL_STALL) * _l2(y - fit):    # also on a refit not finite
         return out.matrix, fit
     out.matrix[np.ix_(support, support)] = block
     return out.matrix, refit
@@ -282,7 +283,8 @@ def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray | 
     underdetermined design (fewer rows than unknowns) is refused outright; a rank-deficient
     or ill-conditioned one shows as a squared Cholesky pivot at most 1e-5 of the Gram
     matrix's largest diagonal entry.  Above that the solution agrees with lstsq's to about
-    1e-9 relative (sampled designs stay above 0.07).  On None the caller runs its own lstsq.
+    kappa^2 * eps relative for a design of condition number kappa, up to 8.4e-8 measured at
+    kappa = 2e5 (sampled designs stay above 0.07).  On None the caller runs its own lstsq.
     """
     if rows < len(gram):
         return None

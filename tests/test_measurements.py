@@ -37,15 +37,15 @@ ALL_KINDS = [
 ]
 
 
-# sha256 of each sampled payload array's bytes, taken when sample_map still
-# scaled and symmetrized into fresh arrays; sampling in place keeps every bit.
-# A dense-gaussian digest is of the unpacked (m, n, n) stack, which sample_map
-# once stored whole: packing a chunk at a time draws the same entries
+# sha256 of each sampled payload array's bytes.  The rank-one and factorized ones were taken
+# when sample_map still scaled and symmetrized into fresh arrays; sampling in place keeps every
+# bit.  A dense-gaussian digest is of the unpacked (m, n, n) stack, taken since the packed
+# triangles are drawn directly
 PAYLOAD_SHA256 = [
     ("dense-gaussian", {}, 5, 7, 0, {
-        "matrices": "c487f29a4993a6727a4bd10f91116ae405d3b69f42fca63f88ad4cffea7739e6"}),
+        "matrices": "a48e9f87e00b593347991ed2f98f378a2a27000b7aa366ec91345f8283a49023"}),
     ("dense-gaussian", {}, 12, 30, 3, {
-        "matrices": "9fb91e828ee9101ffe39db34d275fffba34b29ce108bcfd356bdbde2ad4f69f1"}),
+        "matrices": "7e09ec215bdb589cf0ae806dc902ad5bf000d81002cc2f127855c6bf9cbb5a29"}),
     ("rank-one", {}, 6, 9, 0, {
         "vectors": "08737a4e0cbf5d26c9150a4e9bce9886be8a26fcd601d99368484d89c459deb4"}),
     ("rank-one", {}, 20, 50, 3, {
@@ -91,6 +91,24 @@ class TestSampling:
         triu = np.triu_indices(n, k=1)
         off = stack[:, triu[0], triu[1]]
         assert np.var(off) == pytest.approx(0.5 / m_count, rel=0.05)
+
+    def test_packed_draw_has_the_moments_of_the_symmetrized_draw(self):
+        # each packed column is i.i.d. N(0, 1/m) on the diagonal, N(0, 1/(2m)) off it: the law
+        # of a symmetrized N(0, 1/m) stack, whose packed columns are sampled here for comparison
+        m_count, n = 20_000, 3
+        packed = sample_map("dense-gaussian", n, m_count, seed=5).matrices
+        rng = np.random.default_rng(6)
+        sym_draw = measurements._pack(rng.standard_normal((m_count, n, n)) / np.sqrt(m_count))
+        diagonal = np.array([r == c for r, c in zip(*np.triu_indices(n))])
+        for cols in (packed, sym_draw):
+            var = np.var(cols, axis=0) * m_count
+            assert var[diagonal] == pytest.approx(1.0, rel=0.05)
+            assert var[~diagonal] == pytest.approx(0.5, rel=0.05)
+            assert np.all(np.abs(np.mean(cols, axis=0)) * m_count < 4 * np.sqrt(var))    # 4 sd
+            corr = np.corrcoef(cols, rowvar=False)
+            assert np.abs(corr - np.eye(len(corr))).max() < 0.05
+            kurt = np.mean(cols ** 4, axis=0) / np.var(cols, axis=0) ** 2
+            assert kurt == pytest.approx(3.0, abs=0.2)
 
     def test_rank_one_scales(self):
         m_count = 5000
