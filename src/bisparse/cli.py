@@ -200,8 +200,8 @@ def build_parser() -> argparse.ArgumentParser:
     p_rec.add_argument("--algo", required=True, choices=recovery.ALGOS)
     p_rec.add_argument("--s", type=int, required=True)
     p_rec.add_argument("--r", type=int, required=True)
-    p_rec.add_argument("--max-iters", type=int, default=500)
-    p_rec.add_argument("--tol", type=float, default=1e-9)
+    p_rec.add_argument("--max-iters", type=int, default=recovery.RecoveryConfig.max_iters)
+    p_rec.add_argument("--tol", type=float, default=recovery.RecoveryConfig.tol_residual)
     p_rec.add_argument("--strict", action="store_true",
                        help="exit 1 when the solver does not converge")
     p_rec.add_argument("--input", default="-", help="measurement file (default stdin)")

@@ -41,7 +41,6 @@ __all__ = [
     "sample_map",
     "sample_structured",
     "estimate_rip",
-    "cross_term_ratio",
     "check_rip_cross_term",
     "write_map_header",
     "write_measurement_file",
@@ -461,31 +460,34 @@ class CrossTermReport(NamedTuple):
     within: bool
 
 
-def cross_term_ratio(mp: MeasurementMap, z, zp) -> float:
-    """|<A(Z), A(Z')> - <Z, Z'>| / (||Z|| ||Z'||) for one pair of matrices."""
-    za = np.asarray(z, dtype=float)
-    zb = np.asarray(zp, dtype=float)
-    num = abs(float(mp.apply(za) @ mp.apply(zb)) - float(np.sum(za * zb)))
-    den = float(np.linalg.norm(za)) * float(np.linalg.norm(zb))
-    return num / den
-
-
 def check_rip_cross_term(
     mp: MeasurementMap, s: int, r: int, trials: int, delta: float, seed: int = 0
 ) -> CrossTermReport:
-    """Worst cross-term ratio over random structured pairs, compared to delta.
+    """Worst |<A(Z), A(Z')> - <Z, Z'>| / (||Z|| ||Z'||) over random structured pairs vs delta.
 
     For Z, Z' in the structured set the ratio is bounded by the true RIP
     constant at doubled parameters (2s, 2r); pass such a delta to check it.
+    Trial t draws its pair as two sample_structured probes from one generator
+    seeded by (seed, t).  As in estimate_rip, the probes stay s x s blocks, PROBE_CHUNK
+    pairs measured per `MeasurementMap._apply_blocks` call, and <Z, Z'> = <M^T Z M, Z'>
+    for the 0/1 matrix M_ij = [S_i = S'_j] matching the pair's supports.
     """
     if trials < 1:
         raise ValueError("need at least one trial")
+    _check_structure_params(mp.n, s, r)
     worst = 0.0
-    for t in range(trials):
-        rng = np.random.default_rng([seed, t])
-        za, _ = sample_structured(mp.n, s, r, rng)
-        zb, _ = sample_structured(mp.n, s, r, rng)
-        worst = max(worst, cross_term_ratio(mp, za, zb))
+    for start in range(0, trials, PROBE_CHUNK):
+        rngs = [np.random.default_rng([seed, t])
+                for t in range(start, min(start + PROBE_CHUNK, trials))]
+        probes = [_structured_probe(mp.n, s, r, rng) for rng in rngs for _ in range(2)]
+        supports, blocks = (np.array(part) for part in zip(*probes))
+        y = mp._apply_blocks(supports, blocks)    # Z on even rows, Z' on odd ones
+        match = (supports[0::2, :, None] == supports[1::2, None, :]) * 1.0
+        inner = np.sum(match.transpose(0, 2, 1) @ blocks[0::2] @ match * blocks[1::2],
+                       axis=(1, 2))
+        norms = np.sqrt(np.sum(blocks * blocks, axis=(1, 2)))
+        ratio = np.abs(np.sum(y[0::2] * y[1::2], axis=1) - inner) / (norms[0::2] * norms[1::2])
+        worst = max(worst, float(np.max(ratio)))
     return CrossTermReport(worst, delta, worst <= delta)
 
 

@@ -184,7 +184,9 @@ def _iterate(y: np.ndarray, n, step_fn, cfg, callback=None) -> RecoveryResult:
 
 
 def _measured(mp: MeasurementMap, out: ProjectionOutcome):
-    """(X, A(X)) for an outcome X that is zero off the block of its nonempty sorted support."""
+    """(X, A(X)) for an outcome X that is zero off the block of its sorted support; A(0) = 0."""
+    if not out.support.size:
+        return out.matrix, np.zeros(mp.m)
     block = out.matrix[np.ix_(out.support, out.support)]
     return out.matrix, mp._apply_blocks(out.support[None], block[None])[0]
 
@@ -225,7 +227,8 @@ def _refit(mp: MeasurementMap, y: np.ndarray, out: ProjectionOutcome, r: int):
     the A_i restricted to its support, kept only if that fits y better than the tail output by
     more than TOL_STALL relative, so a tie at rounding level keeps the tail output."""
     support = out.support
-    block, fit = out.matrix[np.ix_(support, support)], _measured(mp, out)[1]
+    block = out.matrix[np.ix_(support, support)]
+    fit = mp._apply_blocks(support[None], block[None])[0]
     step, refit = _gauss_newton(mp._restrict(support), _project_rank_vectors(block, r)[1], r), fit
     for _ in range(REFIT_STEPS):
         block, refit = step(block, y - refit)
@@ -452,13 +455,6 @@ def hihtp(basis, target, s: int, t: int, cfg: RecoveryConfig | None = None,
                           _support_of(est))
 
 
-def _final_residual(mp: MeasurementMap, y: np.ndarray, est: np.ndarray, support) -> float:
-    """||y - A(est)|| for a symmetric est that is zero off its support block."""
-    if not support.size:
-        return float(np.linalg.norm(y))
-    return float(np.linalg.norm(y - _measured(mp, ProjectionOutcome(est, support))[1]))
-
-
 def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
                         cfg: RecoveryConfig | None = None) -> RecoveryResult:
     """Two-step recovery for factorized measurements.
@@ -479,7 +475,7 @@ def two_step_factorized(mp: MeasurementMap, y, s: int, r: int,
     y = _measurements(mp, y)
     stage1 = iht_lowrank(mp, y, r, cfg)
     stage2 = hihtp(mp.basis, stage1.estimate, s, s, cfg)
-    rnorm = _final_residual(mp, y, stage2.estimate, stage2.support)
+    rnorm = _l2(y - _measured(mp, ProjectionOutcome(stage2.estimate, stage2.support))[1])
     return RecoveryResult(
         stage2.estimate,
         stage1.iterations + stage2.iterations,

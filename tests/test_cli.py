@@ -151,6 +151,13 @@ class TestProject:
         err = capsys.readouterr().err
         assert "per-column sparsity must satisfy 1 <= t <= 3, got 0" in err
 
+    def test_head_shrink_without_sprime_exits_two(self, tmp_path, diag_matrix, capsys):
+        out = tmp_path / "o.txt"
+        code = main(["project", "--op", "head-shrink", "--s", "2", "--input", str(diag_matrix),
+                     "--output", str(out)])
+        assert code == 2
+        assert "error: head-shrink needs --sprime" in capsys.readouterr().err
+        assert not out.exists()
 
     @pytest.mark.parametrize("op", ["exact", "tail-joint", "head-joint", "head-square-variant"])
     def test_op_without_rank_exits_two(self, op, tmp_path, diag_matrix, capsys):

@@ -13,7 +13,6 @@ from bisparse.measurements import (
     RipEstimate,
     _times,
     check_rip_cross_term,
-    cross_term_ratio,
     estimate_rip,
     read_measurement_file,
     sample_map,
@@ -616,14 +615,28 @@ class TestCrossTerm:
         assert report.worst_ratio <= 1e-12
         assert report.within
 
-    def test_equal_pair_matches_rip_probe(self):
-        mp = sample_map("dense-gaussian", 8, 60, seed=17)
-        rng = np.random.default_rng(50)
-        z, _ = sample_structured(8, 2, 1, rng)
-        ratio = cross_term_ratio(mp, z, z)
-        y = mp.apply(z)
-        expected = abs(float(y @ y) - float(np.sum(z * z)))
-        assert ratio == pytest.approx(expected, rel=1e-12)
+    @staticmethod
+    def reference_worst(mp, s, r, trials, seed):
+        """The worst cross-term ratio with n x n probes: trial t's pair is two sample_structured
+        draws from default_rng([seed, t]), each measured with apply."""
+        worst = 0.0
+        for t in range(trials):
+            rng = np.random.default_rng([seed, t])
+            za, _ = sample_structured(mp.n, s, r, rng)
+            zb, _ = sample_structured(mp.n, s, r, rng)
+            num = abs(float(mp.apply(za) @ mp.apply(zb)) - float(np.sum(za * zb)))
+            worst = max(worst, num / (np.linalg.norm(za) * np.linalg.norm(zb)))
+        return worst
+
+    # n=9, s=8: a pair's supports share at least 7 of their 8 indices; 70 trials span 3 chunks
+    @pytest.mark.parametrize("n,s,r,trials", [(9, 3, 2, 40), (9, 8, 3, 70)])
+    @pytest.mark.parametrize("kind,kwargs", ALL_KINDS)
+    def test_blocks_match_the_dense_probe_reference(self, kind, kwargs, n, s, r, trials):
+        mp = sample_map(kind, n, 60, seed=17, **kwargs)
+        report = check_rip_cross_term(mp, s, r, trials, delta=0.5, seed=4)
+        want = self.reference_worst(mp, s, r, trials, seed=4)
+        assert report.worst_ratio == pytest.approx(want, rel=1e-12)
+        assert report.within == (report.worst_ratio <= 0.5) and report.delta == 0.5
 
 
 class TestSerialization:

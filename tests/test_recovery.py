@@ -16,7 +16,13 @@ from bisparse.measurements import (
     sample_map,
     sample_structured,
 )
-from bisparse.projections import head_square_variant, hierarchical_mask, tail_bisparse, tail_joint
+from bisparse.projections import (
+    ProjectionOutcome,
+    head_square_variant,
+    hierarchical_mask,
+    tail_bisparse,
+    tail_joint,
+)
 from bisparse.recovery import (
     RecoveryConfig,
     TOL_STALL,
@@ -623,8 +629,10 @@ class TestTwoStep:
     def test_zero_estimate_residual_is_the_norm_of_y(self):
         mp = sample_map("factorized", 8, 30, p=10, seed=24)
         y = np.random.default_rng(25).standard_normal(30)
-        zero = np.zeros((8, 8))
-        assert recovery._final_residual(mp, y, zero, np.zeros(0, dtype=int)) == np.linalg.norm(y)
+        zero = ProjectionOutcome(np.zeros((8, 8)), np.zeros(0, dtype=int))
+        measured = recovery._measured(mp, zero)[1]
+        assert np.array_equal(measured, np.zeros(30)) and not np.signbit(measured).any()
+        assert np.linalg.norm(y - measured) == np.linalg.norm(y)
         # through the solver: y = 0 gives the zero estimate and an empty support
         res = two_step_factorized(mp, np.zeros(30), 1, 1)
         assert not res.estimate.any() and res.residual_trace[-1] == 0.0
@@ -1025,6 +1033,18 @@ class TestDivergenceFlag:
         assert not res.converged
         assert res.iterations < 200
         assert np.linalg.norm(iht_head_tail(mp, mp.apply(x), 2, 1, cfg).estimate - x) <= 1e-9
+
+    @pytest.mark.parametrize("solver", [iht_exact, iht_head_tail])
+    def test_non_finite_residual_stops_the_iteration(self, solver):
+        # a 1e300 payload on 1e-300 measurements: A*(y) and the first step are finite, but
+        # measuring the step overflows, so the loop stops on its non-finite residual
+        sampled, x, _ = planted_instance("dense-gaussian", 10, 2, 1, 60, seed=31)
+        mp = MeasurementMap("dense-gaussian", 10, 60, matrices=1e300 * sampled.matrices)
+        steps = []
+        with np.errstate(over="ignore", invalid="ignore"):
+            res = solver(mp, 1e-300 * sampled.apply(x), 2, 1, callback=steps.append)
+        assert res.iterations == 1 and not res.converged and res.residual_trace == [math.inf]
+        assert np.all(np.isfinite(steps[0])) and np.any(steps[0])
 
 
 # one head-tail n=30 solve and one rank-one y / -y pair; prints a digest of the estimates

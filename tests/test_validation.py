@@ -15,6 +15,7 @@ import pytest
 from bisparse import bench as B
 from bisparse import measurements as M
 from bisparse import projections as P
+from bisparse import recovery as R
 from bisparse import symcore as S
 
 from helpers import sym
@@ -66,6 +67,11 @@ HEADER = "kind dense-gaussian\nn 4\nm 2\nseed 7\ny\n1.0\n2.0\n"
 
 def _spec(old, new):
     return lambda: B.parse_spec(io.StringIO(SPEC.replace(old, new)))
+
+
+def _experiment(**fault):
+    grid = dict(algo="head-tail", ensemble="dense-gaussian", n=[6], s=[2], r=[1], m=[21])
+    return lambda: B.ExperimentSpec(**{**grid, **fault})
 
 
 def _header(old, new):
@@ -157,6 +163,37 @@ PARAMETER_FAULTS = {
                      "line 2: p takes int values, got '1e3'"),
     "map header unknown key": (_header("m 2\n", "m 2\nbogus 1\n"),
                                "line 4: unknown map header key 'bogus'"),
+    "check_rip_cross_term trials": (lambda: M.check_rip_cross_term(_RANK_ONE, 5, 3, 0, 0.1),
+                                    "need at least one trial"),
+    "check_rip_cross_term s": (lambda: M.check_rip_cross_term(_RANK_ONE, 5, 1, 1, 0.1),
+                               "sparsity must satisfy 1 <= s <= 4, got 5"),
+    "check_rip_cross_term r": (lambda: M.check_rip_cross_term(_RANK_ONE, 2, 3, 1, 0.1),
+                               "rank must satisfy 1 <= r <= s=2, got 3"),
+    "solve algorithm": (lambda: R.solve("nope", _RANK_ONE, np.zeros(10), 2, 1),
+                        "unknown algorithm 'nope'"),
+    "hihtp s": (lambda: R.hihtp(np.ones((2, 3)), np.zeros((2, 2)), 0, 1),
+                "need 1 <= s, t <= 3, got s=0, t=1"),
+    "hihtp t": (lambda: R.hihtp(np.ones((2, 3)), np.zeros((2, 2)), 1, 4),
+                "need 1 <= s, t <= 3, got s=1, t=4"),
+    "brute_force_decode noise mode": (
+        lambda: R.brute_force_decode(_RANK_ONE, np.zeros(10), 1, 1, noise_mode="l3"),
+        "unknown noise mode 'l3'"),
+    "ExperimentSpec algorithm": (_experiment(algo="nope"), "unknown algorithm 'nope'"),
+    "ExperimentSpec ensemble": (_experiment(ensemble="nope"), "unknown ensemble 'nope'"),
+    "ExperimentSpec empty grid": (_experiment(m=[]), "grid lists n, s, r, m must be nonempty"),
+    "head_psd_lowrank negative override": (
+        lambda: P.head_psd_lowrank(np.eye(4), 2, rank_override=-1),
+        "rank override must be nonnegative"),
+    "head_shrink s below 2": (lambda: P.head_shrink(SYM4, [0, 1], 0),
+                              "sparsity must be at least 2, got 0"),
+    "head_shrink short support": (lambda: P.head_shrink(SYM4, [0], 2),
+                                  "given support has 1 indices, need at least s=2"),
+    "hierarchical_mask s": (lambda: P.hierarchical_mask(np.ones((3, 2)), 3, 1),
+                            "column sparsity must satisfy 1 <= s <= 2, got 3"),
+    "read_matrix dimension": (lambda: S.read_matrix(io.StringIO("0\n")),
+                              "line 1: dimension must be positive, got 0"),
+    "write_matrix non-square": (lambda: S.write_matrix(np.ones((2, 3)), io.StringIO()),
+                                "expected a square matrix, got shape (2, 3)"),
 }
 
 
