@@ -61,6 +61,8 @@ PROBE_CACHE_CHUNKS = 16
 # stored entries from which an adjoint's product runs as two column chunks (BENCH_28.json); a
 # threaded GEMV per chunk was slower than one threaded GEMV, so only under one BLAS thread
 SPLIT_ENTRIES = 1_000_000
+# a dense draw's second row half runs on the pool thread from here; break-even ~1e4 (BENCH_33.json)
+DRAW_SPLIT_ENTRIES = 2**15
 
 
 # the map options each kind takes, in map-header order; any other option must keep its default
@@ -126,25 +128,30 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
+def _in_two(fn, first: tuple, second: tuple, parallel: bool) -> None:
+    """fn(*first), and fn(*second) on the pool thread if `parallel` and two CPUs or more are usable;
+    the caller runs that too unless the pool thread has started it, so no call can deadlock."""
+    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
+    job = _pool.submit(fn, *second) if parallel and (cpus or 1) >= 2 else None
+    fn(*first)
+    if job is None or job.cancel():
+        fn(*second)
+    else:
+        job.result()
+
+
 def _vecmat(w: np.ndarray, mat: np.ndarray) -> np.ndarray:
-    """w @ mat for an (m, k) payload.  From SPLIT_ENTRIES entries on, under one BLAS thread and on
-    two usable CPUs or more, in two column chunks split at a multiple of 64 columns that the shape
-    alone sets, so each keeps the whole GEMV's bits.  The caller runs the first chunk, and the
-    second too unless the pool thread has started it: nested calls cannot deadlock."""
+    """w @ mat for an (m, k) payload; from SPLIT_ENTRIES entries on under one BLAS thread, by
+    `_in_two` as two column chunks split at a multiple of 64 that the shape alone sets, so each
+    keeps the whole GEMV's bits."""
     m, k = mat.shape
     a = k // 128 * 64    # the second chunk has 64 columns or more, not the one numpy runs as a dot
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    if m * k < SPLIT_ENTRIES or not a or not _ONE_BLAS_THREAD or (cpus or 1) < 2:
+    if m * k < SPLIT_ENTRIES or not a or not _ONE_BLAS_THREAD:
         return w @ mat
     out = np.empty(k)
     def part(lo, hi):
         np.matmul(w, mat[:, lo:hi], out=out[lo:hi])
-    job = _pool.submit(part, a, k)
-    part(0, a)
-    if job.cancel():
-        part(a, k)
-    else:
-        job.result()
+    _in_two(part, (0, a), (a, k), True)
     return out
 
 
@@ -306,23 +313,28 @@ def sample_map(
 ) -> MeasurementMap:
     """Sample a measurement map; deterministic given the arguments.
 
-    dense-gaussian maps draw each A_i's packed upper triangle directly, N(0, 1/m) on the
-    diagonal and N(0, 1/(2m)) off it: the law of a symmetrized N(0, 1/m) matrix from half the
-    normals, though a seed gives other bits than the symmetrized draw of earlier versions.
-    rank-one vectors have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized draws
-    the basis and the inner vectors, or inner matrices then symmetrized, with N(0, 1) entries.
-    Refuses options the kind does not take, and payloads of more than PAYLOAD_CAP entries,
-    before allocating.  Payloads are drawn in place, inner matrices about 1 MiB of p x p
-    slices at a time, the bits of one whole draw, so sampling holds the payload plus about
-    1 MiB of scratch (more if one slice is larger).
+    dense-gaussian maps draw each A_i's packed upper triangle, N(0, 1/m) on the diagonal and
+    N(0, 1/(2m)) off it (a symmetrized N(0, 1/m) matrix's law), as two row halves: [0, m//2)
+    from default_rng(seed), the rest from its first spawned child stream, on the pool thread
+    from DRAW_SPLIT_ENTRIES entries on with two CPUs or more; the bytes depend on (seed, n, m)
+    alone.  rank-one vectors have N(0, 1/m) entries, or N(0, 1) with scale="unit"; factorized
+    draws the basis and the inner vectors, or inner matrices then symmetrized, with N(0, 1)
+    entries.  Refuses options the kind does not take, and payloads of more than PAYLOAD_CAP
+    entries, before allocating.  Payloads are drawn in place, inner matrices about 1 MiB of
+    p x p slices at a time, the bits of one whole draw, so sampling holds the payload plus
+    about 1 MiB of scratch (more if one slice is larger).
     """
     shapes = _check_payload(kind, n, m, p, inner, scale)
     rng = np.random.default_rng(seed)
     # drawn in table order, so a factorized basis comes before its (m, p, p) inner stack
-    payload = {name: rng.standard_normal(shape) if len(shape) == 2 else np.empty(shape)
+    payload = {name: rng.standard_normal(shape) if name != "matrices" else np.empty(shape)
                for name, shape in shapes.items()}
-    if kind == "dense-gaussian":    # by sqrt(m) on the diagonal, sqrt(2m) off it
-        payload["matrices"] /= np.sqrt(m * _triangle(n)[2])
+    if kind == "dense-gaussian":    # each half by sqrt(m) on the diagonal, sqrt(2m) off it
+        mats, scale_by = payload["matrices"], np.sqrt(m * _triangle(n)[2])
+        def draw(gen, rows):
+            np.divide(gen.standard_normal(out=rows), scale_by, out=rows)
+        child = np.random.default_rng(np.random.SeedSequence(seed).spawn(1)[0])
+        _in_two(draw, (rng, mats[:m // 2]), (child, mats[m // 2:]), mats.size >= DRAW_SPLIT_ENTRIES)
     if kind == "rank-one" and scale == "inv_m":
         payload["vectors"] /= np.sqrt(m)
     if kind == "factorized" and inner == "dense":

@@ -39,12 +39,12 @@ ALL_KINDS = [
 # sha256 of each sampled payload array's bytes.  The rank-one and factorized ones were taken
 # when sample_map still scaled and symmetrized into fresh arrays; sampling in place keeps every
 # bit.  A dense-gaussian digest is of the unpacked (m, n, n) stack, taken since the packed
-# triangles are drawn directly
+# triangles are drawn as two row halves from two streams
 PAYLOAD_SHA256 = [
     ("dense-gaussian", {}, 5, 7, 0, {
-        "matrices": "a48e9f87e00b593347991ed2f98f378a2a27000b7aa366ec91345f8283a49023"}),
+        "matrices": "981906765d833cafa34ee210b696c409ce5eb290b8fda53288b21242c16d8a4e"}),
     ("dense-gaussian", {}, 12, 30, 3, {
-        "matrices": "7e09ec215bdb589cf0ae806dc902ad5bf000d81002cc2f127855c6bf9cbb5a29"}),
+        "matrices": "07fe62daf742449cc9297389d57df0f6c2ab33c715a0db1a5180d6372647d7db"}),
     ("rank-one", {}, 6, 9, 0, {
         "vectors": "08737a4e0cbf5d26c9150a4e9bce9886be8a26fcd601d99368484d89c459deb4"}),
     ("rank-one", {}, 20, 50, 3, {
@@ -93,21 +93,27 @@ class TestSampling:
 
     def test_packed_draw_has_the_moments_of_the_symmetrized_draw(self):
         # each packed column is i.i.d. N(0, 1/m) on the diagonal, N(0, 1/(2m)) off it: the law
-        # of a symmetrized N(0, 1/m) stack, whose packed columns are sampled here for comparison
-        m_count, n = 20_000, 3
+        # of a symmetrized N(0, 1/m) stack, whose packed columns are sampled here for comparison.
+        # The two row halves come from two streams: each half has that law on its own
+        m_count, n = 40_000, 3
         packed = sample_map("dense-gaussian", n, m_count, seed=5).matrices
         rng = np.random.default_rng(6)
         sym_draw = measurements._pack(rng.standard_normal((m_count, n, n)) / np.sqrt(m_count))
         diagonal = np.array([r == c for r, c in zip(*np.triu_indices(n))])
-        for cols in (packed, sym_draw):
+        half = m_count // 2
+        for cols in (packed[:half], packed[half:], sym_draw[:half]):
             var = np.var(cols, axis=0) * m_count
             assert var[diagonal] == pytest.approx(1.0, rel=0.05)
             assert var[~diagonal] == pytest.approx(0.5, rel=0.05)
-            assert np.all(np.abs(np.mean(cols, axis=0)) * m_count < 4 * np.sqrt(var))    # 4 sd
+            sd_of_mean = np.std(cols, axis=0) / np.sqrt(len(cols))
+            assert np.all(np.abs(np.mean(cols, axis=0)) < 4 * sd_of_mean)
             corr = np.corrcoef(cols, rowvar=False)
             assert np.abs(corr - np.eye(len(corr))).max() < 0.05
             kurt = np.mean(cols ** 4, axis=0) / np.var(cols, axis=0) ** 2
             assert kurt == pytest.approx(3.0, abs=0.2)
+        # and no column of one half correlates with a column of the other, row by row
+        corr = np.corrcoef(packed[:half], packed[half:], rowvar=False)
+        assert np.abs(corr[:len(diagonal), len(diagonal):]).max() < 0.05
 
     def test_rank_one_scales(self):
         m_count = 5000

@@ -1,4 +1,4 @@
-"""The adjoint's split payload product: the bits of one GEMV, on any number of cores.
+"""Work split in two for the pool thread: the bits of one call, on any number of cores.
 
 `measurements._vecmat(w, mat)` computes w @ mat for a payload of SPLIT_ENTRIES or more
 stored entries, under one BLAS thread and on two usable CPUs or more, as two column chunks: the
@@ -8,6 +8,11 @@ built on it, has the bytes of the single product whether the chunks run inline (
 or on the pool, from one caller or from many, and in a forked child of a process that already
 split.  That is the one-BLAS-thread product: OpenBLAS threads large products itself, so the
 checks at the benchmark's size pin it to one.
+
+`sample_map` draws a dense payload from DRAW_SPLIT_ENTRIES entries on as two row halves, the
+first from default_rng(seed), the second from its first spawned child stream and on the pool
+thread when two CPUs are usable, so the payload's bytes are the same on one core or two, with
+the pool thread free or busy, and from concurrent callers.
 """
 
 import json
@@ -32,23 +37,28 @@ def bits(arr) -> bytes:
     return np.ascontiguousarray(arr).tobytes()
 
 
+def usable_cpus(patch, cpus: int) -> None:
+    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    patch.setattr(os, "cpu_count", lambda: cpus)
+
+
 def force_split(patch, cpus: int = 2, threshold: int = 1) -> None:
     """Split from `threshold` entries on, as under one BLAS thread with `cpus` usable CPUs."""
     patch.setattr(measurements, "SPLIT_ENTRIES", threshold)
     patch.setattr(measurements, "_ONE_BLAS_THREAD", True)
-    patch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
-    patch.setattr(os, "cpu_count", lambda: cpus)
+    usable_cpus(patch, cpus)
 
 
 class CountingPool:
     """The split's pool, counting the chunks handed to it."""
 
     def __init__(self, pool):
-        self.pool, self.jobs = pool, 0
+        self.pool, self.jobs, self.last = pool, 0, None
 
     def submit(self, *args):
         self.jobs += 1
-        return self.pool.submit(*args)
+        self.last = self.pool.submit(*args)
+        return self.last
 
 
 def counting_pool(patch, pool=None) -> CountingPool:
@@ -243,3 +253,92 @@ def test_a_forked_child_splits_after_its_parent_did(monkeypatch, big_map):
         child.join()
         pytest.fail("the forked child's split adjoint hung")
     assert child.exitcode == 0
+
+
+class StartedPool(CountingPool):
+    """A pool whose submit returns once the job runs, so the caller never takes it back."""
+
+    def submit(self, fn, *args):
+        started = threading.Event()
+
+        def job(*job_args):
+            started.set()
+            return fn(*job_args)
+
+        future = super().submit(job, *args)
+        started.wait(timeout=60)
+        return future
+
+
+DRAW_SHAPE = (30, 238)    # the sweep's low-m cell: 238 x 465 packed entries
+
+
+def two_stream_draw(n, m, seed) -> bytes:
+    """The dense payload drawn whole from each stream, rows [0, m//2) and [m//2, m)."""
+    scale = np.sqrt(m * np.where(np.equal(*np.triu_indices(n)), 1.0, 2.0))
+    child = np.random.SeedSequence(seed).spawn(1)[0]
+    halves = [np.random.default_rng(s).standard_normal((rows, len(scale))) / scale
+              for s, rows in ((seed, m // 2), (child, m - m // 2))]
+    return bits(np.concatenate(halves))
+
+
+def test_a_dense_draw_has_the_same_bytes_wherever_its_second_half_runs(monkeypatch):
+    n, m = DRAW_SHAPE
+    assert n * (n + 1) // 2 * m >= measurements.DRAW_SPLIT_ENTRIES
+    want = two_stream_draw(n, m, 21)
+    # on the pool thread, which has started the half before the caller could take it back
+    usable_cpus(monkeypatch, 2)
+    thread = measurements._pool
+    pool = StartedPool(thread)
+    monkeypatch.setattr(measurements, "_pool", pool)
+    assert bits(sample_map("dense-gaussian", n, m, seed=21).matrices) == want
+    assert pool.jobs == 1 and not pool.last.cancelled()
+    # inline on one usable CPU, or below the bound: nothing is handed to the pool
+    for cpus, threshold in ((1, measurements.DRAW_SPLIT_ENTRIES), (2, 10**12)):
+        usable_cpus(monkeypatch, cpus)
+        monkeypatch.setattr(measurements, "DRAW_SPLIT_ENTRIES", threshold)
+        assert bits(sample_map("dense-gaussian", n, m, seed=21).matrices) == want
+        assert pool.jobs == 1
+    # inline because the pool thread is busy: the caller takes its queued half back
+    usable_cpus(monkeypatch, 2)
+    monkeypatch.setattr(measurements, "DRAW_SPLIT_ENTRIES", 1)
+    pool = counting_pool(monkeypatch, thread)
+    release = threading.Event()
+    busy = thread.submit(release.wait, 60)
+    try:
+        assert bits(sample_map("dense-gaussian", n, m, seed=21).matrices) == want
+        assert pool.jobs == 1 and pool.last.cancelled()
+    finally:
+        release.set()
+    busy.result()
+
+
+def test_concurrent_dense_draws_match_the_serial_bytes(monkeypatch):
+    # two callers at once, as bench --threads 2 runs its trials: each call hands its second
+    # half to the one pool thread or takes it back, and no call waits on another's half
+    n, m = DRAW_SHAPE
+    usable_cpus(monkeypatch, 2)
+    seeds = [3, 4, 3, 5]
+    want = {seed: two_stream_draw(n, m, seed) for seed in set(seeds)}
+    got = [[] for _ in range(2)]
+    start = threading.Barrier(2)
+
+    def draw(i):
+        start.wait(timeout=60)
+        for seed in seeds[i::2] * 5:
+            got[i].append(bits(sample_map("dense-gaussian", n, m, seed=seed).matrices)
+                          == want[seed])
+
+    threads = [threading.Thread(target=draw, args=(i,)) for i in range(2)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=120)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert got == [[True] * 10, [True] * 10]
+
