@@ -21,7 +21,6 @@ import functools
 import hashlib
 import itertools
 import math
-import os
 import time
 import warnings
 from concurrent.futures import ThreadPoolExecutor
@@ -29,10 +28,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .measurements import (KINDS, _check_payload, _check_structure_params, _parse_value,
-                           _payload_shapes, estimate_rip, sample_map, sample_structured)
+from .measurements import (KINDS, _check_payload, _parse_value, _payload_shapes, _usable_cpus,
+                           estimate_rip, sample_map, sample_structured)
 from .projections import _check_enumeration
 from .recovery import ALGOS, _check_brute, solve
+from .symcore import _check_structure_params
 
 __all__ = [
     "CSV_HEADER",
@@ -267,8 +267,8 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
     ENUMERATION_CAP, or a map payload or brute pair design over PAYLOAD_CAP)
     are skipped with a warning and produce placeholder rows with
     rel_error = nan so the CSV stays rectangular.  At most
-    min(threads, trials, CPU count) worker threads run the trials; with one,
-    they run on the calling thread.
+    min(threads, trials, CPUs the process may run on) worker threads run the
+    trials; with one, they run on the calling thread.
     """
     if threads < 1:
         raise ValueError(f"threads must be at least 1, got {threads}")
@@ -279,7 +279,7 @@ def run_phase_transition(spec: ExperimentSpec, threads: int = 1) -> list:
             warnings.warn(f"skipping infeasible cell (n={n}, s={s}, r={r}, m={m}): {reason}")
         jobs += [(n, s, r, m, t, reason is not None) for t in range(spec.trials_per_cell)]
     run = functools.partial(_run_single_trial, spec)
-    workers = min(threads, len(jobs), os.cpu_count() or 1)
+    workers = min(threads, len(jobs), _usable_cpus())
     if workers <= 1:
         return list(map(run, jobs))
     with ThreadPoolExecutor(max_workers=workers) as pool:

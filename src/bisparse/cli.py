@@ -233,7 +233,7 @@ def build_parser() -> argparse.ArgumentParser:
                          help="override the spec's base_seed")
     p_bench.add_argument("--threads", type=int, default=1,
                          help="worker threads for the trials, at least 1; capped at the "
-                              "trial count and the CPU count (default 1)")
+                              "trial count and the CPUs the process may run on (default 1)")
     p_bench.add_argument("--timing", action="store_true",
                          help="write measured wall times (breaks byte reproducibility)")
     p_bench.add_argument("--output", default="-", help="CSV output (default stdout)")

@@ -31,7 +31,7 @@ from typing import NamedTuple
 
 import numpy as np
 
-from .symcore import _check_sparsity, _project_rank_vectors, check_sym
+from .symcore import _check_structure_params, _project_rank_vectors, check_sym
 
 __all__ = [
     "KINDS",
@@ -128,11 +128,17 @@ if hasattr(os, "register_at_fork"):
     os.register_at_fork(after_in_child=_new_pool)
 
 
+def _usable_cpus() -> int:
+    """The CPUs this process may run on: its affinity mask's where the platform has one."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _in_two(fn, first: tuple, second: tuple, parallel: bool) -> None:
     """fn(*first), and fn(*second) on the pool thread if `parallel` and two CPUs or more are usable;
     the caller runs that too unless the pool thread has started it, so no call can deadlock."""
-    cpus = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    job = _pool.submit(fn, *second) if parallel and (cpus or 1) >= 2 else None
+    job = _pool.submit(fn, *second) if parallel and _usable_cpus() >= 2 else None
     fn(*first)
     if job is None or job.cancel():
         fn(*second)
@@ -369,12 +375,6 @@ def _check_entries(what: str, entries: int) -> None:
     """Refuse, before allocating, an array of more than PAYLOAD_CAP entries."""
     if entries > PAYLOAD_CAP:
         raise ValueError(f"{what} of {entries} entries exceeds the cap {PAYLOAD_CAP}")
-
-
-def _check_structure_params(n: int, s: int, r: int) -> None:
-    _check_sparsity(s, n)
-    if not 1 <= r <= s:
-        raise ValueError(f"rank must satisfy 1 <= r <= s={s}, got {r}")
 
 
 def _structured_probe(n: int, s: int, r: int, rng: np.random.Generator):

@@ -30,8 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .symcore import (_check_sparsity, _project_rank_vectors, _restrict, check_support, check_sym,
-                      project_rank)
+from .symcore import (_check_sparsity, _check_structure_params, _project_rank_vectors, _restrict,
+                      check_support, check_sym, project_rank)
 
 __all__ = [
     "ProjectionOutcome",
@@ -198,9 +198,7 @@ def exact_project(mat, s: int, r: int) -> ProjectionOutcome:
     """
     m = check_sym(mat)
     n = m.shape[0]
-    _check_sparsity(s, n)
-    if not 1 <= r <= s:
-        raise ValueError(f"rank bound must satisfy 1 <= r <= s={s}, got {r}")
+    _check_structure_params(n, s, r)
     _check_enumeration(n, s)
     support = _exact_support(m, s, r)
     return ProjectionOutcome(_truncate(m, support, r), support)
@@ -327,8 +325,7 @@ def head_psd_lowrank(mat, s: int, rank_override: int | None = None) -> Projectio
 def head_joint(mat, s: int, r: int) -> ProjectionOutcome:
     """Head for the joint structure: rank-truncated head_anchor, constant sqrt(r)/s."""
     def pick(m, s):    # after M's, r's and s's checks
-        if r > s:
-            raise ValueError(f"rank bound must not exceed sparsity, got r={r} > s={s}")
+        _check_structure_params(len(m), s, r)
         return _anchor_support(m, s)
 
     return _projection(mat, s, pick, r)

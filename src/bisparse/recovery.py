@@ -48,9 +48,9 @@ import numpy as np
 from .measurements import (
     MeasurementMap,
     _check_entries,
-    _check_structure_params,
     _measurements,
     _times,
+    _triangle,
     estimate_rip,
 )
 from .projections import (
@@ -65,7 +65,7 @@ from .projections import (
     hierarchical_mask,
     tail_joint,
 )
-from .symcore import _project_rank_vectors, _square_finite
+from .symcore import _check_structure_params, _project_rank_vectors, _square_finite
 
 __all__ = [
     "ALGOS",
@@ -279,23 +279,25 @@ def iht_rank_one(mp: MeasurementMap, y, s: int, r: int, cfg: RecoveryConfig | No
     return _iterate(_measurements(mp, y), mp.n, step, cfg, callback)
 
 
-def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int) -> np.ndarray | None:
-    """x with gram x = rhs, for the Gram matrix of a design with `rows` rows, or None.
+def _normal_solve(gram: np.ndarray, rhs: np.ndarray, rows: int, design, target) -> np.ndarray:
+    """lstsq's least-norm x for design() x = target, given the design's Gram matrix, its rhs
+    D^T target and its number of rows.
 
-    The normal equations give lstsq's solution only for a design of full column rank.  An
-    underdetermined design (fewer rows than unknowns) is refused outright; a rank-deficient
-    or ill-conditioned one shows as a squared Cholesky pivot at most 1e-5 of the Gram
-    matrix's largest diagonal entry.  Above that the solution agrees with lstsq's to about
-    kappa^2 * eps relative for a design of condition number kappa, up to 8.4e-8 measured at
-    kappa = 2e5 (sampled designs stay above 0.07).  On None the caller runs its own lstsq.
+    The normal equations give lstsq's solution only for a design of full column rank, so they
+    are solved only for one with no fewer rows than unknowns and a squared smallest Cholesky
+    pivot above 1e-5 of the Gram matrix's largest diagonal entry.  There the solution agrees
+    with lstsq's to about kappa^2 * eps relative for a design of condition number kappa, up to
+    8.4e-8 measured at kappa = 2e5 (sampled designs stay above 0.07).  Any other system runs
+    lstsq on design(), built only then.
     """
-    if rows < len(gram):
-        return None
-    try:
-        pivot = np.linalg.cholesky(gram).diagonal().min() ** 2
-    except np.linalg.LinAlgError:
-        return None
-    return np.linalg.solve(gram, rhs) if pivot > 1e-5 * gram.diagonal().max() else None
+    if rows >= len(gram):
+        try:
+            pivot = np.linalg.cholesky(gram).diagonal().min() ** 2
+        except np.linalg.LinAlgError:
+            pivot = 0.0
+        if pivot > 1e-5 * gram.diagonal().max():
+            return np.linalg.solve(gram, rhs)
+    return np.linalg.lstsq(design(), target, rcond=None)[0]
 
 
 def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndarray:
@@ -306,9 +308,9 @@ def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndar
     space, spanned by the columns vec(U (E_ab - E_ba)) of `gauge` (each a != b twice, norm
     sqrt(2)).  Adding c times the projection onto it to D^T D, c its mean diagonal, makes
     the normal equations' solution lstsq's least-norm W whenever that is D's whole null
-    space; the pin counts as r(r-1)/2 more rows.  `_normal_solve` refuses a design
+    space; the pin counts as r(r-1)/2 more rows.  `_normal_solve` sends a design
     rank-deficient beyond the gauge (repeated measurements, say) and an underdetermined
-    one, which then go to lstsq.
+    one to lstsq.
     """
     m, p, r = times.shape
     design = times.reshape(m, -1)
@@ -318,9 +320,7 @@ def _tangent_lstsq(times: np.ndarray, u: np.ndarray, res: np.ndarray) -> np.ndar
         units = np.einsum("ja,cb->jcab", u, np.eye(r))
         gauge = (units - units.swapaxes(2, 3)).reshape(k, -1)
         gram += (np.trace(gram) / (4.0 * k)) * (gauge @ gauge.T)
-    w = _normal_solve(gram, design.T @ res, m + r * (r - 1) // 2)
-    if w is None:
-        w = np.linalg.lstsq(design, res, rcond=None)[0]
+    w = _normal_solve(gram, design.T @ res, m + r * (r - 1) // 2, lambda: design, res)
     return w.reshape(p, r) / 2.0
 
 
@@ -374,32 +374,21 @@ def iht_lowrank(mp: MeasurementMap, y, r: int, cfg: RecoveryConfig | None = None
     return _iterate(y, p, _gauss_newton(stored, basis, r), cfg, callback)
 
 
-def _restricted_lstsq(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray) -> np.ndarray:
-    """lstsq's least-norm fit of B Z B^T to the target over entries of Z in the mask."""
-    p, n = basis.shape
-    idx = np.argwhere(mask)
-    # column k is the flattened outer product of basis columns idx[k, 0] and idx[k, 1]
-    design = (basis[:, None, idx[:, 0]] * basis[None, :, idx[:, 1]]).reshape(p * p, -1)
-    out = np.zeros((n, n))
-    out[idx[:, 0], idx[:, 1]] = np.linalg.lstsq(design, target_vec, rcond=None)[0]
-    return out
-
-
 def _restricted_fit(basis: np.ndarray, target_vec: np.ndarray, mask: np.ndarray,
                     gram: np.ndarray, projected: np.ndarray) -> np.ndarray:
-    """`_restricted_lstsq`'s fit from the basis Gram G = B^T B and projected = B^T Yhat B.
+    """lstsq's least-norm fit of B Z B^T to the target over entries of Z in the mask.
 
     The design column of entry (i, j) is vec(b_i b_j^T), so the normal matrix of entries (i, j)
-    and (k, l) is G_ik G_jl and the right-hand side of (i, j) is projected[i, j]: a k x k
-    system for the k entries in the mask, in place of lstsq on the p^2 x k design.  A system
-    that `_normal_solve` refuses goes to `_restricted_lstsq`, so a rank-deficient or
-    underdetermined fit is still lstsq's least-norm one.
+    and (k, l) is G_ik G_jl for the basis Gram G = B^T B, and the right-hand side of (i, j) is
+    projected[i, j] for projected = B^T Yhat B: a k x k system for the k entries in the mask,
+    in place of lstsq on the p^2 x k design, which `_normal_solve` builds only for a system it
+    refuses.
     """
     rows, cols = np.nonzero(mask)
     sol = _normal_solve(gram[rows[:, None], rows] * gram[cols[:, None], cols],
-                        projected[rows, cols], len(target_vec))
-    if sol is None:
-        return _restricted_lstsq(basis, target_vec, mask)
+                        projected[rows, cols], len(target_vec),
+                        lambda: (basis[:, None, rows] * basis[None, :, cols]).reshape(
+                            len(target_vec), -1), target_vec)
     out = np.zeros_like(gram)
     out[rows, cols] = sol
     return out
@@ -497,8 +486,8 @@ def _check_brute(n: int, s: int, r: int, m: int) -> None:
 
 
 def _pair_basis_columns(mp: MeasurementMap) -> np.ndarray:
-    """Measurement of every symmetric pair basis matrix E_ij + E_ji, in np.triu_indices order."""
-    rows, cols = np.triu_indices(mp.n)
+    """Measurement of every symmetric pair basis matrix E_ij + E_ji, in the packed order."""
+    rows, cols = _triangle(mp.n)[:2]
     design = np.empty((mp.m, len(rows)))
     basis = np.zeros((mp.n, mp.n))
     for k, (i, j) in enumerate(zip(rows, cols)):
@@ -579,9 +568,7 @@ def brute_force_decode(mp: MeasurementMap, y, s: int, r: int,
     design_cols = _pair_basis_columns(mp)
     if not np.all(np.isfinite(design_cols)):
         raise ValueError("the brute-force pair design has non-finite entries")
-    # pair_id[i, j] is the design column of the pair (i, j), i <= j
-    pair_id = np.zeros((n, n), dtype=int)
-    pair_id[np.triu_indices(n)] = np.arange(design_cols.shape[1])
+    pair_id = _triangle(n)[3]    # pair_id[i, j] is the design column of the pair (i, j)
     tri = np.triu_indices(s)
     best_obj, best_support, best_block = np.inf, None, None
     for cand in itertools.combinations(range(n), s):

@@ -74,6 +74,12 @@ def _check_sparsity(s: int, n: int) -> None:
         raise ValueError(f"sparsity must satisfy 1 <= s <= {n}, got {s}")
 
 
+def _check_structure_params(n: int, s: int, r: int) -> None:
+    _check_sparsity(s, n)
+    if not 1 <= r <= s:
+        raise ValueError(f"rank must satisfy 1 <= r <= s={s}, got {r}")
+
+
 def _restrict(m: np.ndarray, support: np.ndarray, kernel=None) -> np.ndarray:
     """A validated matrix's k x k block on a sorted in-range support, or kernel(block), written
     into zeros: every entry outside support x support is zero, and a kernel sees only the block."""

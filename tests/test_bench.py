@@ -1,5 +1,6 @@
 import io
 import math
+import os
 
 import numpy as np
 import pytest
@@ -36,6 +37,36 @@ def small_spec(**overrides):
     )
     kwargs.update(overrides)
     return ExperimentSpec(**kwargs)
+
+
+def pools_made(monkeypatch, threads, affinity, cpus):
+    """max_workers of each pool that run_phase_transition makes for 4 trials, with `affinity`
+    CPUs in the process's affinity mask (None: a platform with no mask) and cpus from
+    os.cpu_count()."""
+    if affinity is None:
+        monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    else:
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(affinity)),
+                            raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpus)
+    made = []
+
+    class Recorder:
+        def __init__(self, max_workers):
+            made.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, jobs):
+            return map(fn, jobs)
+
+    monkeypatch.setattr(bench, "ThreadPoolExecutor", Recorder)
+    assert len(run_phase_transition(small_spec(trials_per_cell=4), threads=threads)) == 4
+    return made
 
 
 class TestSpecParsing:
@@ -166,27 +197,16 @@ class TestPhaseTransition:
     @pytest.mark.parametrize("threads,cpus,want", [(10**6, 8, 4), (10**6, 2, 2), (3, 8, 3),
                                                    (10**6, None, None)])
     def test_worker_count_is_bounded(self, monkeypatch, threads, cpus, want):
-        # at most min(threads, trials, CPU count) workers; one runs on the calling thread
-        made = []
-
-        class Recorder:
-            def __init__(self, max_workers):
-                made.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, jobs):
-                return map(fn, jobs)
-
-        monkeypatch.setattr(bench, "ThreadPoolExecutor", Recorder)
-        monkeypatch.setattr(bench.os, "cpu_count", lambda: cpus)
-        spec = small_spec(trials_per_cell=4)
-        assert len(run_phase_transition(spec, threads=threads)) == 4
+        # at most min(threads, trials, usable CPUs) workers; one runs on the calling thread.
+        # cpus=None is a platform with no affinity mask and an unknown CPU count
+        made = pools_made(monkeypatch, threads, cpus, cpus)
         assert made == ([] if want is None else [want])
+
+    @pytest.mark.parametrize("affinity,want", [(1, []), (None, [4])])
+    def test_workers_count_the_affinity_mask(self, monkeypatch, affinity, want):
+        # of 8 CPUs the process may run on one (taskset -c 0), so the trials run serially; a
+        # platform with no affinity mask counts all 8
+        assert pools_made(monkeypatch, 10**6, affinity, 8) == want
 
     @pytest.mark.parametrize("threads", [0, -1])
     def test_threads_below_one_rejected(self, monkeypatch, threads):

@@ -30,7 +30,6 @@ from bisparse.recovery import (
     _iterate,
     _objective,
     _restricted_fit,
-    _restricted_lstsq,
     brute_force_decode,
     hihtp,
     iht_exact,
@@ -461,7 +460,8 @@ class TestIhtLowrank:
     @pytest.mark.parametrize("r", [1, 2])
     def test_overdetermined_solve_calls_no_lstsq(self, monkeypatch, r):
         # with more measurements than tangent dimensions every Gauss-Newton step solves
-        # the pinned normal equations; lstsq is left for underdetermined or singular systems
+        # the pinned normal equations; lstsq is left for underdetermined or singular systems.
+        # A whole criterion-10 two-step solve also fits every HiHTP support by its Gram system
         if r == 1:
             inner, y = criterion_10_stage_one(0)
         else:
@@ -473,6 +473,8 @@ class TestIhtLowrank:
         monkeypatch.setattr(np.linalg, "lstsq", lambda *a, **k: calls.append(1) or lstsq(*a, **k))
         res = iht_lowrank(inner, y, r)
         assert res.iterations > 2 and res.converged
+        if r == 1:
+            assert two_step_factorized(inner, y, 3, 1).converged
         assert calls == []
 
     def test_rank_one_payload_variant(self):
@@ -525,7 +527,8 @@ class TestHihtp:
         design = np.array([[basis[0, i] * basis[0, j] for i, j in idx]])
         with warnings.catch_warnings():
             warnings.simplefilter("error")
-            got = _restricted_lstsq(basis, np.array([4.0]), mask)
+            gram = basis.T @ basis
+            got = _restricted_fit(basis, np.array([4.0]), mask, gram, 4.0 * gram)
             res = hihtp(basis, np.array([[4.0]]), 2, 1, RecoveryConfig(max_iters=3))
         assert np.allclose(got[mask], np.linalg.pinv(design) @ [4.0], rtol=1e-12, atol=0)
         assert not got[~mask].any()
@@ -739,6 +742,8 @@ def hihtp_cases():
 
 class TestHihtpMatchesLoopReference:
     def test_restricted_lstsq_matches_outer_product_columns(self):
+        # a zero Gram matrix has no Cholesky factor, so every system runs lstsq on the
+        # outer-product design that _restricted_fit builds
         rng = np.random.default_rng(4000)
         deficient = 0
         for _ in range(2000):
@@ -748,7 +753,8 @@ class TestHihtpMatchesLoopReference:
             mask[rng.integers(n), rng.integers(n)] = True
             target_vec = rng.standard_normal(p * p)
             want, rank_deficient = restricted_lstsq_reference(basis, target_vec, mask)
-            assert np.array_equal(_restricted_lstsq(basis, target_vec, mask), want)
+            zero = np.zeros((n, n))
+            assert np.array_equal(_restricted_fit(basis, target_vec, mask, zero, zero), want)
             deficient += rank_deficient
         assert 0 < deficient < 2000
 
@@ -756,14 +762,11 @@ class TestHihtpMatchesLoopReference:
         # full-rank systems that the Gram fit solves agree with lstsq to 1e-10 relative when
         # the design is well conditioned; both are then within a few kappa^2 eps of the true
         # fit, kappa the design's condition number, so the gap is bounded by that in general.
-        # Rank-deficient and underdetermined systems go to _restricted_lstsq: lstsq's bits
+        # Rank-deficient and underdetermined systems run lstsq on the design: lstsq's bits
         fallbacks = []
-
-        def counted(*args):
-            fallbacks.append(1)
-            return _restricted_lstsq(*args)
-
-        monkeypatch.setattr(recovery, "_restricted_lstsq", counted)
+        lstsq = np.linalg.lstsq
+        monkeypatch.setattr(np.linalg, "lstsq",
+                            lambda *a, **k: fallbacks.append(1) or lstsq(*a, **k))
         rng = np.random.default_rng(4100)
         solved = worst_conditioned = 0
         for _ in range(2000):

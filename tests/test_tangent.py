@@ -8,9 +8,9 @@ since A_i(U W^T + W U^T) = 2 <A_i U, W> for symmetric A_i, and takes W from the 
 `_tangent_lstsq` on that design; the bases come from the rank kernel the
 solver uses.  On a factorized map the A_i are its inner p x p matrices, so the
 iterate is p x p and its reference measurement is the inner payload's own map.
-`_normal_solve` is the pivot rule behind that least squares and HiHTP's
-restricted fit: it solves the normal equations of a design of full column rank, and
-refuses an underdetermined, rank-deficient or ill-conditioned one, which then goes to lstsq.
+`_normal_solve` is the least squares behind that step and HiHTP's restricted fit: it
+solves the normal equations of a design of full column rank, and refuses an
+underdetermined, rank-deficient or ill-conditioned one, on whose design it runs lstsq.
 """
 
 import numpy as np
@@ -176,8 +176,16 @@ def normal_case(draw):
     return kind, delta, design, rng.standard_normal(rows)
 
 
-def normal_solve(design, target):
-    return _normal_solve(design.T @ design, design.T @ target, len(design))
+def normal_solve(design, target, gram=None, rhs=None):
+    """_normal_solve's solution of design x = target and whether it refused the normal
+    equations: it asks for the design only to run lstsq, whose bits a refused system returns."""
+    calls = []
+    got = _normal_solve(design.T @ design if gram is None else gram,
+                        design.T @ target if rhs is None else rhs, len(design),
+                        lambda: calls.append(1) or design, target)
+    if calls:
+        assert np.array_equal(got, np.linalg.lstsq(design, target, rcond=None)[0])
+    return got, bool(calls)
 
 
 @SETTINGS
@@ -185,7 +193,7 @@ def normal_solve(design, target):
 def test_normal_solve_refuses_wide_and_repeated_designs(case):
     kind, delta, design, target = case
     if kind == "wide" or kind == "repeated" or kind == "near" and delta <= 1e-9:
-        assert normal_solve(design, target) is None
+        assert normal_solve(design, target)[1]
 
 
 @SETTINGS
@@ -196,28 +204,31 @@ def test_normal_solve_is_lstsq_where_it_solves(case):
     # diagonal, and each squared pivot is at least the Gram's smallest eigenvalue, so kappa^2
     # >= 1e5; a tall design with a smaller kappa is always solved
     _, _, design, target = case
-    got = normal_solve(design, target)
+    got, refused = normal_solve(design, target)
     kappa = np.linalg.cond(design)
     if len(design) >= design.shape[1] and kappa <= 300.0:
-        assert got is not None
-    if got is None:
+        assert not refused
+    if refused:
         assert len(design) < design.shape[1] or kappa >= 300.0
         return
     want = np.linalg.lstsq(design, target, rcond=None)[0]
     bound = max(1e-10, 1e-15 * kappa ** 2)
     assert np.linalg.norm(got - want) <= bound * max(float(np.linalg.norm(want)), 1e-300)
-    assert np.array_equal(normal_solve(design, -target), -got)
+    assert np.array_equal(normal_solve(design, -target)[0], -got)
 
 
 @SETTINGS
 @hypothesis.given(st.integers(-9, -1), st.sampled_from([0.3, 3.0]))
 def test_normal_solve_pivot_threshold(exponent, mantissa):
-    # diag(1, d) has squared Cholesky pivots 1 and d: solved iff d > 1e-5 of the largest
+    # diag(1, d) has squared Cholesky pivots 1 and d: solved iff d > 1e-5 of the largest.  It
+    # is the Gram matrix of sqrt(scale) diag(1, sqrt(d)), which lstsq runs on when refused
     d = mantissa * 10.0 ** exponent
     for scale in (1e-200, 1.0, 1e200):
-        got = _normal_solve(scale * np.diag([1.0, d]), scale * np.ones(2), 2)
-        assert (got is None) == (d <= 1e-5)
-        if got is not None:
+        design = np.sqrt(scale) * np.diag([1.0, np.sqrt(d)])
+        got, refused = normal_solve(design, np.sqrt(scale) * np.array([1.0, 1.0 / np.sqrt(d)]),
+                                    scale * np.diag([1.0, d]), scale * np.ones(2))
+        assert refused == (d <= 1e-5)
+        if not refused:
             assert np.allclose(got, [1.0, 1.0 / d], rtol=1e-14, atol=0.0)
 
 
@@ -235,8 +246,8 @@ def test_normal_solve_is_as_accurate_as_lstsq_where_it_solves():
         v = np.linalg.qr(rng.standard_normal((cols, cols)))[0]
         design = (u * np.geomspace(1.0, 1.0 / kappa, cols)) @ v.T
         target = rng.standard_normal(rows)
-        got = normal_solve(design, target)
-        if got is None:
+        got, fell_back = normal_solve(design, target)
+        if fell_back:
             refused += kappa > 100.0
             continue
         solved += kappa > 100.0

@@ -83,7 +83,7 @@ PARAMETER_FAULTS = {
     "exact_project s": (lambda: P.exact_project(SYM4, 0, 1),
                         "sparsity must satisfy 1 <= s <= 4, got 0"),
     "exact_project r": (lambda: P.exact_project(SYM4, 2, 3),
-                        "rank bound must satisfy 1 <= r <= s=2, got 3"),
+                        "rank must satisfy 1 <= r <= s=2, got 3"),
     "tail_bisparse s": (lambda: P.tail_bisparse(SYM4, 5),
                         "sparsity must satisfy 1 <= s <= 4, got 5"),
     "tail_joint s": (lambda: P.tail_joint(SYM4, 0, 1),
@@ -103,7 +103,7 @@ PARAMETER_FAULTS = {
     "head_psd_lowrank s": (lambda: P.head_psd_lowrank(SYM4, 0),
                            "sparsity must satisfy 1 <= s <= 4, got 0"),
     "head_joint r above s": (lambda: P.head_joint(SYM4, 1, 2),
-                             "rank bound must not exceed sparsity, got r=2 > s=1"),
+                             "rank must satisfy 1 <= r <= s=1, got 2"),
     "head_joint r": (lambda: P.head_joint(SYM4, 2, 0),
                      "rank bound must satisfy 1 <= r <= 4, got 0"),
     "head_joint s and r": (lambda: P.head_joint(SYM4, 0, 0),
