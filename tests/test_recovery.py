@@ -642,8 +642,9 @@ class TestTwoStep:
 
 
 def restricted_lstsq_reference(basis, target_vec, mask):
-    """_restricted_lstsq before its design was built from index arrays: one np.outer per
-    entry.  Returns the fit and whether lstsq found the system rank-deficient."""
+    """lstsq on a design built with one np.outer per entry, which _restricted_fit's
+    fallback must match bit for bit.  Returns the fit and whether lstsq found the
+    system rank-deficient."""
     n = mask.shape[0]
     idx = np.argwhere(mask)
     design = np.stack([np.outer(basis[:, i], basis[:, j]).ravel() for i, j in idx], axis=1)
@@ -768,7 +769,7 @@ class TestHihtpMatchesLoopReference:
         monkeypatch.setattr(np.linalg, "lstsq",
                             lambda *a, **k: fallbacks.append(1) or lstsq(*a, **k))
         rng = np.random.default_rng(4100)
-        solved = worst_conditioned = 0
+        solved = fell_back = worst_conditioned = 0
         for _ in range(2000):
             p, n = (int(v) for v in rng.integers(1, 9, size=2))
             basis = rng.standard_normal((p, n))
@@ -776,12 +777,14 @@ class TestHihtpMatchesLoopReference:
             mask[rng.integers(n), rng.integers(n)] = True
             target = rng.standard_normal((p, p))
             want, rank_deficient = restricted_lstsq_reference(basis, target.ravel(), mask)
+            # count only _restricted_fit's calls, not the reference's
             before = len(fallbacks)
             got = _restricted_fit(basis, target.ravel(), mask, basis.T @ basis,
                                   basis.T @ target @ basis)
             if len(fallbacks) > before or rank_deficient or p * p < mask.sum():
-                assert len(fallbacks) > before
+                assert len(fallbacks) == before + 1
                 assert np.array_equal(got, want)
+                fell_back += 1
                 continue
             solved += 1
             idx = np.argwhere(mask)
@@ -791,7 +794,7 @@ class TestHihtpMatchesLoopReference:
             bound = 1e-10 if kappa <= 1e3 else 1e-15 * kappa ** 2
             assert np.linalg.norm(got - want) <= bound * np.linalg.norm(want)
             assert not got[~mask].any()
-        assert solved >= 500 and len(fallbacks) >= 500
+        assert solved >= 500 and fell_back >= 500
         assert worst_conditioned > 1e3
 
     def test_hihtp_matches_loop_reference(self):
